@@ -84,7 +84,6 @@ from .words import (
     compose,
     conj,
     gen,
-    group_map,
     identity_map,
     inner_automorphism,
     inv,

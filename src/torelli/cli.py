@@ -53,10 +53,6 @@ def _config_option(func):
                              '\'{"n":2,"b":1,"partition":[[1]]}\'')(func)
 
 
-def _load_config(config_text: str) -> cfg.PartitionConfig:
-    return cfg.config_from_json(config_text)
-
-
 def _parse_boundary(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -138,7 +134,7 @@ def rho(ctx, n: int, word_text: str) -> None:
 @_domain
 def tau(ctx, config_text: str, drags_text: str) -> None:
     """Johnson image of a realized drag word."""
-    config = _load_config(config_text)
+    config = cfg.config_from_json(config_text)
     table = drags.tau_star(config, drags.parse_drag_word(drags_text))
     _emit(ctx, table.to_json())
 
@@ -152,7 +148,7 @@ def tau(ctx, config_text: str, drags_text: str) -> None:
 @_domain
 def gens(ctx, config_text: str, reduced: bool) -> None:
     """List drag generators for a configuration."""
-    config = _load_config(config_text)
+    config = cfg.config_from_json(config_text)
     gs = (drags.reduced_generating_set(config) if reduced
           else drags.all_generators(config))
     _emit(ctx, {"count": len(gs), "generators": [g.token() for g in gs]})
@@ -165,7 +161,7 @@ def gens(ctx, config_text: str, reduced: bool) -> None:
 @_domain
 def realize(ctx, config_text: str, drags_text: str) -> None:
     """Generator images of a realized drag word."""
-    config = _load_config(config_text)
+    config = cfg.config_from_json(config_text)
     basis = cfg.build_basis(config)
     f = drags.realize_word(config, drags.parse_drag_word(drags_text))
     _emit(ctx, {
@@ -232,7 +228,7 @@ def verify(ctx, config_text: str | None, mode: str) -> None:
     if config_text is None:
         configs = cfg.standard_grid()
     else:
-        configs = [_load_config(config_text)]
+        configs = [cfg.config_from_json(config_text)]
     checks: list[dict] = []
     for config in configs:
         checks.extend(_verify_config(config, mode))
@@ -247,7 +243,7 @@ def verify(ctx, config_text: str | None, mode: str) -> None:
 @_domain
 def rank(ctx, config_text: str) -> None:
     """Abelianization rank: computed vs formula."""
-    config = _load_config(config_text)
+    config = cfg.config_from_json(config_text)
     computed, formula, _ = drags.abelianization_rank(config)
     _emit(ctx, {"computed_rank": computed, "formula_rank": formula,
                 "match": computed == formula})
@@ -278,7 +274,7 @@ def rewrite(ctx, n: int, word_text: str) -> None:
 @_domain
 def push(ctx, config_text: str, boundary: str, gamma_text: str) -> None:
     """Realize a boundary push and report its membership status."""
-    config = _load_config(config_text)
+    config = cfg.config_from_json(config_text)
     gamma = words.parse_word(gamma_text, config.n)
     f = drags.push_boundary(config, _parse_boundary(boundary), gamma)
     _emit(ctx, {
@@ -298,7 +294,7 @@ def push(ctx, config_text: str, boundary: str, gamma_text: str) -> None:
 def push_factor(ctx, config_text: str, boundary: str, word_text: str) -> None:
     """Drag word realizing a pushed commutator word, with a check that
     it matches the direct push realization."""
-    config = _load_config(config_text)
+    config = cfg.config_from_json(config_text)
     addr = _parse_boundary(boundary)
     w = words.parse_word(word_text, config.n)
     dw = rewriter.push_factorization(config, addr, w)
@@ -351,6 +347,8 @@ def complete_basis_cmd(ctx, n: int, vectors_text: str) -> None:
     if (not isinstance(vectors, list)
             or any(not isinstance(v, list) for v in vectors)):
         raise words.ParseError("vectors must be a JSON list of lists")
+    if any(type(x) is not int for v in vectors for x in v):
+        raise words.ParseError("vector entries must be integers")
     out = lattice.complete_basis(vectors, n)
     _emit(ctx, {"matrix": out, "det": lattice.det(out)})
 

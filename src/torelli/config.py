@@ -119,23 +119,10 @@ class CappedBasis:
     m: int
     roles: tuple[BasisRole, ...]
 
-    def index_of(self, role: BasisRole) -> int:
-        """1-based generator index of a role."""
-        try:
-            return self.roles.index(role) + 1
-        except ValueError:
-            raise KeyError(f"role {role.text()} not in basis") from None
-
-    def role_of(self, index: int) -> BasisRole:
-        return self.roles[index - 1]
-
     def block_indices(self, r: int) -> tuple[int, ...]:
         """Generator indices of block r (its arcs, or its handle)."""
         return tuple(idx for idx, role in enumerate(self.roles, start=1)
                      if role.kind != "loop" and role.r == r)
-
-    def loop_indices(self) -> tuple[int, ...]:
-        return tuple(range(1, self.config.n + 1))
 
 
 def build_basis(config: PartitionConfig) -> CappedBasis:
@@ -168,7 +155,17 @@ def config_from_json(obj) -> PartitionConfig:
     for key in ("n", "b", "partition"):
         if key not in obj:
             raise ConfigError(f"config JSON missing {key!r}")
-    return partition_config(obj["n"], obj["b"], obj["partition"])
+    for key in ("n", "b"):
+        if type(obj[key]) is not int:
+            raise ConfigError(f"config {key!r} must be an integer")
+    partition = obj["partition"]
+    if (not isinstance(partition, list)
+            or any(not isinstance(block, list)
+                   or any(type(x) is not int for x in block)
+                   for block in partition)):
+        raise ConfigError("config 'partition' must be a list of lists "
+                          "of integers")
+    return partition_config(obj["n"], obj["b"], partition)
 
 
 # --- the test grid --------------------------------------------------------

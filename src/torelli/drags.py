@@ -276,23 +276,20 @@ def _drag_action(basis: CappedBasis, g: DragGenerator,
 
 def realize(config: PartitionConfig, g: DragGenerator) -> GroupMap:
     """The drag as an explicit automorphism of F_m, with certificate."""
-    _check_generator(config, g)
-    basis = build_basis(config)
-    fwd = _images(basis, _drag_action(basis, g, +1))
-    bwd = _images(basis, _drag_action(basis, g, -1))
-    return GroupMap(basis.m, fwd, bwd)
+    return realize_word(config, ((g, 1),))
 
 
 def realize_word(config: PartitionConfig, w: DragWord) -> GroupMap:
     """Left-to-right composition, rightmost token acting first."""
     basis = build_basis(config)
-    acc = identity_map(basis.m)
+    acc = None
     for g, e in w:
         _check_generator(config, g)
         fwd = _images(basis, _drag_action(basis, g, e))
         bwd = _images(basis, _drag_action(basis, g, -e))
-        acc = compose(acc, GroupMap(basis.m, fwd, bwd))
-    return acc
+        f = GroupMap(basis.m, fwd, bwd)
+        acc = f if acc is None else compose(acc, f)
+    return identity_map(basis.m) if acc is None else acc
 
 
 # --- generating sets ------------------------------------------------------
@@ -485,8 +482,9 @@ def abelianization_rank(config: PartitionConfig) -> tuple[int, int, list[int]]:
     rank(generators + inners) - rank(inners).
     """
     m = capped_rank(config)
-    rows = [list(flatten(tau(realize(config, g))))
-            for g in all_generators(config)]
+    row_of = {g: list(flatten(tau(realize(config, g))))
+              for g in all_generators(config)}
+    rows = list(row_of.values())
     if config.b == 0:
         inner_rows = [list(flatten(tau(inner_automorphism(m, gen(m, j)))))
                       for j in range(1, config.n + 1)]
@@ -494,7 +492,6 @@ def abelianization_rank(config: PartitionConfig) -> tuple[int, int, list[int]]:
                     - matrix_rank(inner_rows))
     else:
         computed = matrix_rank(rows)
-    reduced_rows = [list(flatten(tau(realize(config, g))))
-                    for g in reduced_generating_set(config)]
+    reduced_rows = [row_of[g] for g in reduced_generating_set(config)]
     invariants = smith_invariants(reduced_rows) if reduced_rows else []
     return computed, formula_rank(config), invariants

@@ -245,14 +245,13 @@ def complete_basis(vectors: list[list[int]], n: int) -> Matrix:
     k = len(vectors)
     if k > n or any(len(v) != n for v in vectors):
         raise ValueError(f"need at most {n} vectors of length {n}")
-    if not spans_summand([list(v) for v in vectors]):
-        raise ValueError("input rows do not span a summand")
     if k == 0:
         return identity(n)
-    _, d, _, vinv = _snf_raw([list(v) for v in vectors])
+    rows = [list(v) for v in vectors]
+    _, d, _, vinv = _snf_raw(rows)
     if any(d[i][i] != 1 for i in range(k)):
-        raise AssertionError("summand precondition slipped through")
-    out = [list(v) for v in vectors] + [vinv[i][:] for i in range(k, n)]
+        raise ValueError("input rows do not span a summand")
+    out = rows + [vinv[i][:] for i in range(k, n)]
     if abs(det(out)) != 1:
         raise AssertionError("completion is not unimodular")
     return out
@@ -263,6 +262,8 @@ def complete_basis(vectors: list[list[int]], n: int) -> Matrix:
 def fs_vertices(n: int, bound: int) -> list[tuple[int, ...]]:
     """Primitive vectors with max-norm <= bound, one per sign pair
     (first nonzero entry positive), sorted."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if bound < 1:
         raise ValueError("bound must be >= 1")
     out = []
@@ -316,32 +317,19 @@ def fs_h1_rank(n: int, bound: int) -> int:
     """
     verts = fs_vertices(n, bound)
     edges = fs_edges(n, bound)
-    vert_index = {v: i for i, v in enumerate(verts)}
     edge_index = {e: i for i, e in enumerate(edges)}
     triangles = [t for t in itertools.combinations(verts, 3)
                  if fs_is_simplex(list(t))]
 
-    d1 = [[0] * len(verts) for _ in edges]
-    for e, (u, v) in enumerate(edges):
-        d1[e][vert_index[u]] = -1
-        d1[e][vert_index[v]] = 1
     d2 = [[0] * len(edges) for _ in triangles]
     for t, (u, v, w) in enumerate(triangles):
         d2[t][edge_index[(v, w)]] = 1
         d2[t][edge_index[(u, w)]] = -1
         d2[t][edge_index[(u, v)]] = 1
-    rank_d1 = matrix_rank(d1) if edges else 0
+    # the graph's incidence matrix has rank |V| - #components
+    rank_d1 = len(verts) - _components(verts, edges)
     rank_d2 = matrix_rank(d2) if triangles else 0
     return len(edges) - rank_d1 - rank_d2
-
-
-def fs_adjacency(n: int, bound: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    verts = fs_vertices(n, bound)
-    adj: dict[tuple[int, ...], list[tuple[int, ...]]] = {v: [] for v in verts}
-    for u, v in fs_edges(n, bound):
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
 
 
 def fs_dot(n: int, bound: int) -> str:

@@ -13,7 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class ParseError(ValueError):
@@ -170,15 +170,6 @@ class GroupMap:
             for w in self.inverse_images:
                 if w.rank != self.rank:
                     raise ValueError("inverse image rank mismatch")
-
-
-def group_map(images: Sequence[Word],
-              inverse_images: Sequence[Word] | None = None) -> GroupMap:
-    images = tuple(images)
-    if not images:
-        raise ValueError("empty image list")
-    inw = tuple(inverse_images) if inverse_images is not None else None
-    return GroupMap(images[0].rank, images, inw)
 
 
 def identity_map(rank: int) -> GroupMap:

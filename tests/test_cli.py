@@ -61,6 +61,19 @@ def test_domain_error_exit_1(runner):
     assert "abelianization" in payload["error"]
 
 
+@pytest.mark.parametrize("config_text", [
+    '{"n":"2","b":1,"partition":[[1]]}',
+    '{"n":2,"b":1.0,"partition":[[1]]}',
+    '{"n":2,"b":1,"partition":[1]}',
+    '{"n":true,"b":1,"partition":[[1]]}',
+])
+def test_config_field_types_exit_1(runner, config_text):
+    result = invoke(runner, "rank", "--config", config_text)
+    assert result.exit_code == 1
+    payload = json.loads(result.output.strip().splitlines()[-1])
+    assert "error" in payload
+
+
 def test_gens_and_reduced(runner):
     result = invoke(runner, "gens", "--config", CFG21)
     data = json.loads(result.output)
@@ -150,6 +163,14 @@ def test_fs_subcommand(runner, tmp_path):
     assert dot.read_text().startswith("graph fs {")
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_fs_rejects_n_below_1(runner, n):
+    result = invoke(runner, "fs", "--n", n, "--bound", "1")
+    assert result.exit_code == 1
+    payload = json.loads(result.output.strip().splitlines()[-1])
+    assert payload["error"] == "n must be >= 1"
+
+
 def test_complete_basis_subcommand(runner):
     result = invoke(runner, "complete-basis", "--n", "2",
                     "--vectors", "[[2,3]]")
@@ -162,6 +183,11 @@ def test_complete_basis_subcommand(runner):
     result = invoke(runner, "complete-basis", "--n", "2",
                     "--vectors", "not json")
     assert result.exit_code == 2
+    for bad in ("[[true,false]]", '[["a",1]]', "[[1.5,1]]"):
+        result = invoke(runner, "complete-basis", "--n", "2",
+                        "--vectors", bad)
+        assert result.exit_code == 2
+        assert "vector entries must be integers" in result.output
 
 
 def test_output_is_byte_stable(runner):

@@ -12,7 +12,7 @@ from torelli import (
     partition_config,
     standard_grid,
 )
-from torelli.config import arc_role, handle_role, loop_role, validate
+from torelli.config import validate
 
 
 def test_validation_accepts_good_configs():
@@ -47,17 +47,6 @@ def test_capped_rank_and_layout_anchor():
     assert basis.block_indices(1) == (4, 5)
     assert basis.block_indices(2) == (6,)
     assert basis.block_indices(3) == (7,)
-    assert basis.loop_indices() == (1, 2, 3)
-
-
-def test_basis_role_index_round_trip():
-    config = partition_config(2, 3, [[1, 3], [2]])
-    basis = build_basis(config)
-    for idx in range(1, basis.m + 1):
-        assert basis.index_of(basis.role_of(idx)) == idx
-    assert basis.index_of(loop_role(2)) == 2
-    assert basis.index_of(arc_role(1, 2)) == 3
-    assert basis.index_of(handle_role(2)) == 4
 
 
 def test_boundary_address():

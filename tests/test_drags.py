@@ -125,6 +125,13 @@ def test_realize_word_inverse_word_gives_inverse_map():
     assert same_map(compose(g, f), identity_map(f.rank))
 
 
+def test_realize_empty_word_is_identity():
+    f = realize_word(CFG23, ())
+    expected = identity_map(capped_rank(CFG23))
+    assert f.images == expected.images
+    assert f.inverse_images == expected.inverse_images
+
+
 def test_all_generator_counts():
     # n loops: n(n-1) HD, 2 * n*(n-1)(n-2)/2 CD, C(n,2) BCD per boundary,
     # n PD per block
