@@ -20,14 +20,15 @@ from . import drags, johnson, lattice, rewriter, words
 def _emit(ctx: click.Context, obj: dict) -> None:
     if ctx.obj and ctx.obj.get("human"):
         for key, value in obj.items():
-            click.echo(f"{key}: {json.dumps(value, separators=(',', ':'))}")
+            click.echo(f"{key}: {json.dumps(value, separators=(',', ':'))}",
+                       file=sys.stdout)
     else:
-        click.echo(json.dumps(obj, separators=(",", ":")))
+        click.echo(json.dumps(obj, separators=(",", ":")), file=sys.stdout)
 
 
 def _fail(exc: Exception) -> None:
     click.echo(json.dumps({"error": str(exc)}, separators=(",", ":")),
-               err=True)
+               file=sys.stderr)
     sys.exit(1)
 
 
@@ -316,18 +317,17 @@ def push_factor(ctx, config_text: str, boundary: str, word_text: str) -> None:
 @_domain
 def fs(ctx, n: int, bound: int, homology: bool, dot_path: str | None) -> None:
     """Truncation of the complex of rank-1 summands of Z^n."""
-    verts = lattice.fs_vertices(n, bound)
-    edges = lattice.fs_edges(n, bound)
+    verts, edges = lattice.fs_graph(n, bound)
     out = {
         "vertices": [list(v) for v in verts],
         "edges": [[list(u), list(v)] for u, v in edges],
-        "connected": lattice.fs_connected(n, bound),
+        "connected": lattice.fs_components(verts, edges) == 1,
     }
     if homology:
-        out["h1_rank"] = lattice.fs_h1_rank(n, bound)
+        out["h1_rank"] = lattice.fs_h1(verts, edges)
     if dot_path:
         with open(dot_path, "w") as handle:
-            handle.write(lattice.fs_dot(n, bound))
+            handle.write(lattice.fs_dot(verts, edges))
         out["dot"] = dot_path
     _emit(ctx, out)
 

@@ -469,6 +469,10 @@ def tau_star_formula(config: PartitionConfig, g: DragGenerator) -> HomTable:
 def formula_rank(config: PartitionConfig) -> int:
     n, b, p = config.n, config.b, config.num_blocks
     c2 = n * (n - 1) // 2
+    if b == 0:
+        # Out(F_n): the n inner automorphisms are factored out, but for
+        # n = 1 they are trivial and there is nothing to factor out
+        return n * c2 - (n if n >= 2 else 0)
     return n * c2 + (b - p) * c2 + (p * n - n)
 
 

@@ -4,15 +4,22 @@ Matrices are plain lists of rows of Python ints, so all arithmetic is
 arbitrary precision.  Smith normal form is computed by fraction-free
 elimination pivoting on a minimal absolute value; every snf() call
 verifies U A V = D and the unimodularity of U and V before returning.
+Ranks over Q come from one sparse fraction-free elimination, which the
+boundary matrix of the FS truncation feeds directly.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import gcd
 
 Matrix = list[list[int]]
+SparseRow = dict[int, int]
+Vertex = tuple[int, ...]
+Edge = tuple[Vertex, Vertex]
 
 
 def identity(k: int) -> Matrix:
@@ -23,8 +30,14 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a and b and len(a[0]) != len(b):
         raise ValueError("shape mismatch")
     cols = len(b[0]) if b else 0
-    return [[sum(a[i][t] * b[t][j] for t in range(len(b)))
-             for j in range(cols)] for i in range(len(a))]
+    out = []
+    for row in a:
+        acc = [0] * cols
+        for x, brow in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, brow)]
+        out.append(acc)
+    return out
 
 
 def det(a: Matrix) -> int:
@@ -58,33 +71,44 @@ def det(a: Matrix) -> int:
     return sign * m[k - 1][k - 1]
 
 
+def _sparse_rank(rows: Iterable[SparseRow]) -> int:
+    """Rank over Q of integer rows given as {column: value}.
+
+    Fraction-free elimination, each row divided by the gcd of its
+    entries after every step.  A row is reduced on its largest column,
+    the order of persistent-homology column reduction: on the FS
+    boundary matrices it needs a small fraction of the row operations
+    that pivoting on the smallest column does.
+    """
+    pivots: dict[int, SparseRow] = {}
+    for row in rows:
+        row = {c: x for c, x in row.items() if x}
+        while row:
+            lead = max(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            p, q = pivot[lead], row[lead]
+            g = gcd(p, q) if p > 0 else -gcd(p, q)
+            p, q = p // g, q // g
+            if p != 1:
+                row = {c: p * x for c, x in row.items()}
+            for c, y in pivot.items():
+                x = row.get(c, 0) - q * y
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+            g = gcd(*row.values())
+            if g > 1:
+                row = {c: x // g for c, x in row.items()}
+    return len(pivots)
+
+
 def matrix_rank(a: Matrix) -> int:
-    """Exact rank over the rationals (fraction-free elimination)."""
-    if not a or not a[0]:
-        return 0
-    m = [row[:] for row in a]
-    rows, cols = len(m), len(m[0])
-    rank = 0
-    row = 0
-    for col in range(cols):
-        piv = next((i for i in range(row, rows) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        for i in range(row + 1, rows):
-            if m[i][col] != 0:
-                p, q = m[row][col], m[i][col]
-                m[i] = [p * x - q * y for x, y in zip(m[i], m[row])]
-                g = 0
-                for x in m[i]:
-                    g = gcd(g, x)
-                if g > 1:
-                    m[i] = [x // g for x in m[i]]
-        row += 1
-        rank += 1
-        if row == rows:
-            break
-    return rank
+    """Exact rank over the rationals."""
+    return _sparse_rank(dict(enumerate(row)) for row in a)
 
 
 @dataclass
@@ -99,52 +123,63 @@ class SnfResult:
                 if self.D[i][i] != 0]
 
 
-def _snf_raw(a: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix]:
-    """(U, D, V, Vinv) with U a V = D, no verification."""
+def _snf_raw(a: Matrix, track: bool = True
+             ) -> tuple[Matrix | None, Matrix, Matrix | None, Matrix | None]:
+    """(U, D, V, Vinv) with U a V = D, no verification.  Without track
+    the transforms are neither built nor updated, and U, V and Vinv are
+    None: the diagonal alone costs a fraction of the full form."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
     d = [row[:] for row in a]
-    u = identity(rows)
-    v = identity(cols)
-    vinv = identity(cols)
+    u = identity(rows) if track else None
+    v = identity(cols) if track else None
+    vinv = identity(cols) if track else None
 
     def row_swap(p, q):
         d[p], d[q] = d[q], d[p]
-        u[p], u[q] = u[q], u[p]
+        if track:
+            u[p], u[q] = u[q], u[p]
 
     def col_swap(p, q):
         for row in d:
             row[p], row[q] = row[q], row[p]
-        for row in v:
-            row[p], row[q] = row[q], row[p]
-        vinv[p], vinv[q] = vinv[q], vinv[p]
+        if track:
+            for row in v:
+                row[p], row[q] = row[q], row[p]
+            vinv[p], vinv[q] = vinv[q], vinv[p]
 
     def row_add(p, q, t):
         # row q += t * row p
         d[q] = [x + t * y for x, y in zip(d[q], d[p])]
-        u[q] = [x + t * y for x, y in zip(u[q], u[p])]
+        if track:
+            u[q] = [x + t * y for x, y in zip(u[q], u[p])]
 
     def col_add(p, q, t):
         # col q += t * col p
         for row in d:
             row[q] += t * row[p]
-        for row in v:
-            row[q] += t * row[p]
-        vinv[p] = [x - t * y for x, y in zip(vinv[p], vinv[q])]
+        if track:
+            for row in v:
+                row[q] += t * row[p]
+            vinv[p] = [x - t * y for x, y in zip(vinv[p], vinv[q])]
 
     def row_neg(p):
         d[p] = [-x for x in d[p]]
-        u[p] = [-x for x in u[p]]
+        if track:
+            u[p] = [-x for x in u[p]]
 
     t = 0
     while t < min(rows, cols):
-        # minimal nonzero pivot in the trailing block
-        best = None
+        # first nonzero pivot of minimal absolute value in the trailing
+        # block; no entry beats a unit
+        best, size = None, 0
         for i in range(t, rows):
+            row = d[i]
             for j in range(t, cols):
-                if d[i][j] != 0 and (best is None
-                                     or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
+                if row[j] and (best is None or abs(row[j]) < size):
+                    best, size = (i, j), abs(row[j])
+            if size == 1:
+                break
         if best is None:
             break
         i, j = best
@@ -198,10 +233,11 @@ def snf(a: Matrix) -> SnfResult:
     """Smith normal form with verified transforms."""
     if a and any(len(row) != len(a[0]) for row in a):
         raise ValueError("ragged matrix")
-    u, d, v, _ = _snf_raw(a)
+    u, d, v, vinv = _snf_raw(a)
     if mat_mul(mat_mul(u, a), v) != d:
         raise AssertionError("snf: U A V != D")
-    if abs(det(u)) != 1 or abs(det(v)) != 1:
+    # an integer inverse certifies |det V| = 1
+    if abs(det(u)) != 1 or mat_mul(v, vinv) != identity(len(v)):
         raise AssertionError("snf: transform not unimodular")
     if not _is_diagonal_chain(d):
         raise AssertionError("snf: bad diagonal")
@@ -229,7 +265,7 @@ def spans_summand(vectors: list[list[int]]) -> bool:
         raise ValueError("mixed lengths")
     if len(vectors) > n:
         return False
-    _, d, _, _ = _snf_raw([list(v) for v in vectors])
+    _, d, _, _ = _snf_raw([list(v) for v in vectors], track=False)
     diag = [d[i][i] for i in range(len(vectors))]
     return all(x == 1 for x in diag)
 
@@ -282,13 +318,19 @@ def fs_is_simplex(vertices: list[tuple[int, ...]]) -> bool:
     return spans_summand([list(v) for v in vertices])
 
 
-def fs_edges(n: int, bound: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+def fs_graph(n: int, bound: int) -> tuple[list[Vertex], list[Edge]]:
+    """Vertices and edges (u, v), u < v, in lexicographic order."""
     verts = fs_vertices(n, bound)
-    return [(u, v) for u, v in itertools.combinations(verts, 2)
-            if spans_summand([list(u), list(v)])]
+    return verts, [(u, v) for u, v in itertools.combinations(verts, 2)
+                   if spans_summand([list(u), list(v)])]
 
 
-def _components(verts, edges) -> int:
+def fs_edges(n: int, bound: int) -> list[Edge]:
+    return fs_graph(n, bound)[1]
+
+
+def fs_components(verts: list[Vertex], edges: list[Edge]) -> int:
+    """Number of connected components of the graph."""
     parent = {v: v for v in verts}
 
     def find(x):
@@ -305,40 +347,51 @@ def _components(verts, edges) -> int:
 
 
 def fs_connected(n: int, bound: int) -> bool:
-    verts = fs_vertices(n, bound)
-    return _components(verts, fs_edges(n, bound)) == 1
+    return fs_components(*fs_graph(n, bound)) == 1
+
+
+def fs_triangles(edges: list[Edge]) -> list[tuple[Vertex, Vertex, Vertex]]:
+    """The 2-simplices (u, v, w), u < v < w, in lexicographic order.
+
+    Every 2-simplex is a triangle of the graph, so only the common
+    neighbours w > v of each edge (u, v) are tested.
+    """
+    adj: dict[Vertex, set[Vertex]] = defaultdict(set)
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return [(u, v, w) for u, v in edges
+            for w in sorted(adj[u] & adj[v])
+            if w > v and fs_is_simplex([u, v, w])]
+
+
+def fs_h1(verts: list[Vertex], edges: list[Edge]) -> int:
+    """Rank of H_1 of the 2-skeleton on these vertices and edges, by
+    exact boundary ranks over Q."""
+    edge_index = {e: i for i, e in enumerate(edges)}
+    d2 = ({edge_index[(v, w)]: 1, edge_index[(u, w)]: -1,
+           edge_index[(u, v)]: 1} for u, v, w in fs_triangles(edges))
+    # the graph's incidence matrix has rank |V| - #components
+    rank_d1 = len(verts) - fs_components(verts, edges)
+    return len(edges) - rank_d1 - _sparse_rank(d2)
 
 
 def fs_h1_rank(n: int, bound: int) -> int:
-    """Rank of H_1 of the truncated 2-skeleton, by exact boundary ranks.
+    """Rank of H_1 of the truncated 2-skeleton.
 
     This is a truncation statistic: evidence about the full complex,
     not a proof.
     """
-    verts = fs_vertices(n, bound)
-    edges = fs_edges(n, bound)
-    edge_index = {e: i for i, e in enumerate(edges)}
-    triangles = [t for t in itertools.combinations(verts, 3)
-                 if fs_is_simplex(list(t))]
-
-    d2 = [[0] * len(edges) for _ in triangles]
-    for t, (u, v, w) in enumerate(triangles):
-        d2[t][edge_index[(v, w)]] = 1
-        d2[t][edge_index[(u, w)]] = -1
-        d2[t][edge_index[(u, v)]] = 1
-    # the graph's incidence matrix has rank |V| - #components
-    rank_d1 = len(verts) - _components(verts, edges)
-    rank_d2 = matrix_rank(d2) if triangles else 0
-    return len(edges) - rank_d1 - rank_d2
+    return fs_h1(*fs_graph(n, bound))
 
 
-def fs_dot(n: int, bound: int) -> str:
+def fs_dot(verts: list[Vertex], edges: list[Edge]) -> str:
     """The 1-skeleton in DOT format."""
     lines = ["graph fs {"]
-    for v in fs_vertices(n, bound):
+    for v in verts:
         label = ",".join(str(x) for x in v)
         lines.append(f'  "{label}";')
-    for u, v in fs_edges(n, bound):
+    for u, v in edges:
         lu = ",".join(str(x) for x in u)
         lv = ",".join(str(x) for x in v)
         lines.append(f'  "{lu}" -- "{lv}";')

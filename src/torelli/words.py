@@ -126,9 +126,12 @@ def parse_word(text: str, rank: int) -> Word:
         body, negative = token, False
         if token.endswith("^-1"):
             body, negative = token[:-3], True
-        if not body.startswith("x") or not body[1:].isdigit():
+        digits = body[1:]
+        # ASCII only: str.isdigit admits every Unicode digit, which int() reads
+        if (not body.startswith("x") or not digits.isascii()
+                or not digits.isdigit() or len(digits) > 1 and digits[0] == "0"):
             raise ParseError(f"token {pos}: cannot read {token!r}")
-        k = int(body[1:])
+        k = int(digits)
         if not 1 <= k <= rank:
             raise ParseError(
                 f"token {pos}: index {k} out of range for rank {rank}")

@@ -1,4 +1,8 @@
+import contextlib
+import gc
+import io
 import json
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -54,6 +58,13 @@ def test_usage_error_exit_2(runner):
     assert "token 1" in result.output
 
 
+@pytest.mark.parametrize("word", ["x\u0663", "x01"])
+def test_word_index_must_be_plain_ascii_exit_2(runner, word):
+    result = invoke(runner, "word", "reduce", "--n", "3", "--word", word)
+    assert result.exit_code == 2
+    assert "cannot read" in result.output
+
+
 def test_domain_error_exit_1(runner):
     result = invoke(runner, "rho", "--n", "2", "--word", "x1")
     assert result.exit_code == 1
@@ -72,6 +83,17 @@ def test_config_field_types_exit_1(runner, config_text):
     assert result.exit_code == 1
     payload = json.loads(result.output.strip().splitlines()[-1])
     assert "error" in payload
+
+
+def test_rank_n1_without_boundary(runner):
+    config = '{"n":1,"b":0,"partition":[]}'
+    result = invoke(runner, "rank", "--config", config)
+    assert result.output.strip() == \
+        '{"computed_rank":0,"formula_rank":0,"match":true}'
+    result = invoke(runner, "verify", "--config", config, "--all")
+    data = json.loads(result.output)
+    assert data["ok"] is True
+    assert all(c["ok"] for c in data["checks"])
 
 
 def test_gens_and_reduced(runner):
@@ -204,3 +226,22 @@ def test_human_output_mode(runner):
     result = invoke(runner, "--output", "human", "rank", "--config", CFG31)
     assert result.exit_code == 0
     assert "computed_rank: 9" in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ("rank", "--config", CFG21),
+    ("--output", "human", "rank", "--config", CFG21),
+    ("rho", "--n", "2", "--word", "x1"),
+])
+def test_in_process_streams_are_released(args):
+    # click caches a wrapper per default stream that keeps its stream
+    # alive; every invocation must leave its buffers collectable
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit):
+            main.main(args=list(args), prog_name="torelli")
+    assert out.getvalue() or err.getvalue()
+    refs = weakref.ref(out), weakref.ref(err)
+    del out, err
+    gc.collect()
+    assert all(ref() is None for ref in refs)

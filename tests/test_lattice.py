@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
@@ -11,8 +11,11 @@ from torelli import (
     fs_connected,
     fs_dot,
     fs_edges,
+    fs_graph,
+    fs_h1,
     fs_h1_rank,
     fs_is_simplex,
+    fs_triangles,
     fs_vertices,
     is_primitive,
     matrix_rank,
@@ -50,6 +53,47 @@ def test_det_matches_sympy(m):
 @given(matrices(3, 4))
 def test_rank_matches_sympy(m):
     assert matrix_rank(m) == sympy.Matrix(m).rank()
+
+
+@st.composite
+def sparse_matrices(draw):
+    rows = draw(st.integers(min_value=0, max_value=8))
+    cols = draw(st.integers(min_value=1, max_value=8))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-20, 20))
+    return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
+@given(sparse_matrices())
+@example([[0, 0, 0], [4, 0, 6], [0, 0, 0], [6, 0, 9]])
+def test_sparse_rank_matches_sympy(m):
+    expected = sympy.Matrix(m).rank() if m else 0
+    assert matrix_rank(m) == expected
+
+
+def _d2(triangles, edges):
+    """Dense boundary matrix of oriented triangles u < v < w."""
+    index = {e: i for i, e in enumerate(edges)}
+    out = [[0] * len(edges) for _ in triangles]
+    for row, (u, v, w) in zip(out, triangles):
+        row[index[(v, w)]] = 1
+        row[index[(u, w)]] = -1
+        row[index[(u, v)]] = 1
+    return out
+
+
+def test_rank_is_over_q_not_mod_2():
+    # the 6-vertex real projective plane: H_2 vanishes over Q, so d2 is
+    # injective (rank 10), while over F_2 its rank is 9
+    triangles = [tuple(sorted(t)) for t in
+                 [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+                  (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]]
+    edges = sorted({e for u, v, w in triangles
+                    for e in ((u, v), (u, w), (v, w))})
+    assert len(edges) == 15
+    d2 = _d2(triangles, edges)
+    assert sympy.Matrix(d2).rank() == 10
+    assert matrix_rank(d2) == 10
 
 
 def test_snf_diagonal_example():
@@ -179,8 +223,56 @@ def test_fs_h1_small():
     assert fs_h1_rank(2, 1) == len(fs_edges(2, 1)) - len(fs_vertices(2, 1)) + 1
 
 
+def _dense_h1(verts, edges):
+    """H_1 rank with triangles from all C(V,3) triples, the minors
+    summand test and dense sympy ranks."""
+    edge_set = set(edges)
+    triangles = [(u, v, w) for u, v, w in itertools.combinations(verts, 3)
+                 if {(u, v), (u, w), (v, w)} <= edge_set
+                 and minors_spans_summand([list(u), list(v), list(w)])]
+    index = {v: i for i, v in enumerate(verts)}
+    d1 = [[0] * len(verts) for _ in edges]
+    for row, (u, v) in zip(d1, edges):
+        row[index[u]], row[index[v]] = -1, 1
+    rank_d1 = sympy.Matrix(d1).rank() if edges else 0
+    rank_d2 = sympy.Matrix(_d2(triangles, edges)).rank() if triangles else 0
+    return len(edges) - rank_d1 - rank_d2
+
+
+@pytest.mark.parametrize("n,bound", [(2, 1), (2, 2), (2, 3), (3, 1)])
+def test_fs_h1_matches_dense_oracle(n, bound):
+    verts = fs_vertices(n, bound)
+    edges = [e for e in itertools.combinations(verts, 2)
+             if minors_spans_summand([list(x) for x in e])]
+    assert fs_h1_rank(n, bound) == _dense_h1(verts, edges)
+
+
+def test_fs_h1_of_subcomplex_matches_dense_oracle():
+    # dropping edges leaves cycles that the remaining triangles do not
+    # fill, so the boundary ranks are tested where H_1 is not zero
+    verts, edges = fs_graph(3, 1)
+    for kept in (edges[::2], edges[::3], edges[1::4]):
+        h1 = fs_h1(verts, kept)
+        assert h1 == _dense_h1(verts, kept)
+        assert h1 > 0
+
+
+@pytest.mark.parametrize("n,bound", [(3, 1), (3, 2)])
+def test_fs_triangles_match_all_triples(n, bound):
+    verts, edges = fs_graph(n, bound)
+    triples = {t for t in itertools.combinations(verts, 3)
+               if fs_is_simplex(list(t))}
+    triangles = fs_triangles(edges)
+    assert len(set(triangles)) == len(triangles)
+    assert set(triangles) == triples
+
+
+def test_fs_h1_n4_bound1():
+    assert fs_h1_rank(4, 1) == 0
+
+
 def test_fs_dot_output():
-    text = fs_dot(2, 1)
+    text = fs_dot(*fs_graph(2, 1))
     assert text.startswith("graph fs {")
     assert '"0,1" -- "1,-1";' in text
     assert text.strip().endswith("}")

@@ -99,6 +99,12 @@ def test_parse_word_reports_token_position():
         parse_word("   ", 3)
 
 
+@pytest.mark.parametrize("text", ["x\u0663", "x01", "x1 x02^-1", "x\uff11"])
+def test_parse_word_rejects_non_ascii_and_zero_padded_indices(text):
+    with pytest.raises(ParseError, match="cannot read"):
+        parse_word(text, 3)
+
+
 def test_apply_substitutes_and_reduces():
     f = GroupMap(2, (conj(gen(2, 2), gen(2, 1)), gen(2, 2)))
     image = apply(f, comm(gen(2, 1), gen(2, 2)))
