@@ -15,6 +15,13 @@ word realizes left-to-right with the rightmost token acting first.
 Displayed relation products (where the leftmost factor acts first) are
 therefore realized from reversed token lists; the relation verifiers
 below do this explicitly.
+
+``realize_word`` evaluates a drag word in place instead of composing
+full maps: it keeps the images of the map built so far as letter lists
+and, token by token, rewrites only the generators the next drag moves,
+so letters cancel only where substituted images meet.  The inverse
+certificate is the realization of the inverse drag word by the same
+loop.  ``realize`` is its one-token case.
 """
 
 from __future__ import annotations
@@ -29,8 +36,9 @@ from .words import (
     ParseError,
     PreconditionError,
     Word,
+    _action_table,
+    _substitute,
     comm,
-    compose,
     conj,
     gen,
     identity_map,
@@ -279,17 +287,51 @@ def realize(config: PartitionConfig, g: DragGenerator) -> GroupMap:
     return realize_word(config, ((g, 1),))
 
 
+def _realize_images(m: int, w: DragWord, actions: dict) -> tuple[Word, ...]:
+    """Generator images of the realized word.
+
+    ``table`` holds the accumulated map acc in the layout of
+    ``words._action_table`` (the image of x_k at k, its inverse at -k),
+    as reduced letter lists.  Each token applies acc <- acc o g^e, which
+    rewrites only the generators g^e moves: their images under g^e are
+    substituted into the old acc, and every other image stays as it is.
+    """
+    table = _action_table((k,) for k in range(1, m + 1))
+    for token in w:
+        moved = [(k, _substitute(image, table)) for k, image in actions[token]]
+        for k, letters in moved:
+            table[k] = letters
+            table[-k] = [-x for x in reversed(letters)]
+    return tuple(Word(m, tuple(letters)) for letters in table[1:m + 1])
+
+
 def realize_word(config: PartitionConfig, w: DragWord) -> GroupMap:
-    """Left-to-right composition, rightmost token acting first."""
+    """The drag word as an automorphism of F_m, with certificate.
+
+    Tokens compose left to right with the rightmost token acting first.
+    The word is evaluated in place: the images of the accumulated map
+    are letter lists, and each token rewrites only the generators it
+    moves, cancelling letters where substituted images meet.  Every
+    token is validated before any work, exponents must be +-1, and the
+    action table of each (generator, sign) is built once per call.  The
+    inverse certificate is the realization of ``drag_word_inv(w)`` by
+    the same loop; both image families come back as reduced ``Word``s.
+    """
     basis = build_basis(config)
-    acc = None
+    m = basis.m
+    actions: dict[tuple[DragGenerator, int], tuple] = {}
     for g, e in w:
-        _check_generator(config, g)
-        fwd = _images(basis, _drag_action(basis, g, e))
-        bwd = _images(basis, _drag_action(basis, g, -e))
-        f = GroupMap(basis.m, fwd, bwd)
-        acc = f if acc is None else compose(acc, f)
-    return identity_map(basis.m) if acc is None else acc
+        if e not in (1, -1):
+            raise PreconditionError(
+                f"drag word exponents must be +-1, got {e!r}")
+        if (g, 1) not in actions:
+            _check_generator(config, g)
+            for sign in (1, -1):
+                actions[(g, sign)] = tuple(
+                    (k, image.letters)
+                    for k, image in _drag_action(basis, g, sign).items())
+    return GroupMap(m, _realize_images(m, w, actions),
+                    _realize_images(m, drag_word_inv(w), actions))
 
 
 # --- generating sets ------------------------------------------------------

@@ -16,7 +16,6 @@ from .words import (
     PreconditionError,
     Word,
     abelianization_vector,
-    apply,
     gen,
     inv,
     is_homology_trivial,
@@ -184,7 +183,7 @@ def tau(f: GroupMap) -> HomTable:
     if not is_homology_trivial(f):
         raise PreconditionError("tau needs a homology-trivial map")
     m = f.rank
-    cols = [rho(mul(apply(f, gen(m, i)), inv(gen(m, i))))
+    cols = [rho(mul(f.images[i - 1], inv(gen(m, i))))
             for i in range(1, m + 1)]
     return HomTable(m, tuple(cols))
 

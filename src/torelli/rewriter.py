@@ -176,6 +176,8 @@ def push_factorization(config: PartitionConfig, boundary: tuple[int, int],
     Factor by factor, push(m c m^-1) = W o push(c) o W^-1 where W is
     the handle-drag word acting as conjugation by m on the loops while
     fixing every arc and handle, and push([y_i, y_j]) = BCD(r,s,i,j)^-1.
+    The word is freely reduced: each token that meets its inverse at
+    the end of the word so far cancels against it.
     """
     if w.rank != config.n:
         raise PreconditionError(
@@ -193,5 +195,9 @@ def push_factorization(config: PartitionConfig, boundary: tuple[int, int],
                                   for a in range(1, config.n + 1) if a != idx)
         block = (*conjugator, (bcd(r, s, f.i, f.j), -e),
                  *drag_word_inv(tuple(conjugator)))
-        out.extend(block)
+        for g, sign in block:
+            if out and out[-1][1] == -sign and out[-1][0] == g:
+                out.pop()
+            else:
+                out.append((g, sign))
     return tuple(out)

@@ -180,31 +180,70 @@ def identity_map(rank: int) -> GroupMap:
     return GroupMap(rank, gens, gens)
 
 
+def _action_table(images) -> list:
+    """Image lookup by signed letter: ``table[k]`` is the image of x_k and,
+    through Python's negative indexing, ``table[-k]`` that of x_k^-1.
+    Entries are lists, like the output of ``_substitute``, so that
+    slices of the two compare."""
+    images = [list(image) for image in images]
+    inverses = [[-x for x in reversed(image)] for image in reversed(images)]
+    return [[], *images, *inverses]
+
+
+# letters compared per slice when scanning where two images cancel
+_CHUNK = 16
+
+
+def _substitute(letters, table) -> list[int]:
+    """The reduced image of the reduced letters under ``table``.
+
+    Every image is reduced, so letters cancel only where the output so
+    far meets the next image, and only as far as the output ends with
+    the inverse of that image, which the table holds at the negated
+    letter.  The overlap is scanned in slices of _CHUNK letters, then
+    letter by letter; the cancelled tail is deleted and the rest of the
+    image extended in one step.
+    """
+    out: list[int] = []
+    for letter in letters:
+        piece = table[letter]
+        if out and piece and out[-1] == -piece[0]:
+            back = table[-letter]
+            top, size = len(out), len(back)
+            limit = min(top, size)
+            k = 1
+            while (k + _CHUNK <= limit and out[top - k - _CHUNK:top - k]
+                   == back[size - k - _CHUNK:size - k]):
+                k += _CHUNK
+            while k < limit and out[top - 1 - k] == -piece[k]:
+                k += 1
+            del out[top - k:]
+            out.extend(piece[k:])
+        else:
+            out.extend(piece)
+    return out
+
+
 def apply(f: GroupMap, w: Word) -> Word:
     if f.rank != w.rank:
         raise ValueError(f"rank mismatch: map {f.rank} vs word {w.rank}")
-    out: list[int] = []
-    for letter in w.letters:
-        image = f.images[abs(letter) - 1].letters
-        if letter < 0:
-            image = tuple(-x for x in reversed(image))
-        for x in image:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-    return Word(f.rank, tuple(out))
+    table = _action_table(x.letters for x in f.images)
+    return Word(f.rank, tuple(_substitute(w.letters, table)))
 
 
 def compose(f: GroupMap, g: GroupMap) -> GroupMap:
     """(f o g): g acts first.  Inverse certificates compose the other way."""
     if f.rank != g.rank:
         raise ValueError(f"rank mismatch: {f.rank} vs {g.rank}")
-    images = tuple(apply(f, w) for w in g.images)
+    table = _action_table(w.letters for w in f.images)
+    images = tuple(Word(f.rank, tuple(_substitute(w.letters, table)))
+                   for w in g.images)
     inverse_images = None
     if f.inverse_images is not None and g.inverse_images is not None:
-        g_inv = GroupMap(g.rank, g.inverse_images)
-        inverse_images = tuple(apply(g_inv, w) for w in f.inverse_images)
+        table = _action_table(w.letters for w in g.inverse_images)
+        inverse_images = tuple(
+            Word(f.rank, tuple(_substitute(w.letters, table)))
+            for w in f.inverse_images)
     return GroupMap(f.rank, images, inverse_images)
 
 
@@ -226,10 +265,13 @@ def verify_certificate(f: GroupMap) -> bool:
     """Check the automorphism certificate by composing both ways."""
     if f.inverse_images is None:
         return False
-    finv = GroupMap(f.rank, f.inverse_images)
-    fwd = GroupMap(f.rank, f.images)
-    return (is_identity(GroupMap(f.rank, tuple(apply(fwd, w) for w in f.inverse_images)))
-            and is_identity(GroupMap(f.rank, tuple(apply(finv, w) for w in f.images))))
+    for images, other in ((f.inverse_images, f.images),
+                          (f.images, f.inverse_images)):
+        table = _action_table(w.letters for w in other)
+        for i, w in enumerate(images, start=1):
+            if _substitute(w.letters, table) != [i]:
+                return False
+    return True
 
 
 def inner_automorphism(rank: int, g: Word) -> GroupMap:

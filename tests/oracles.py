@@ -2,8 +2,9 @@
 
 Each oracle recomputes a quantity along a different route than the
 package: the Magnus projection by genuine truncated power-series
-multiplication, summand detection by maximal-minor gcds, and word
-strategies for property tests.
+multiplication, summand detection by maximal-minor gcds, substitution
+into words by concatenating whole images and reducing afterwards, and
+word strategies for property tests.
 """
 
 import itertools
@@ -50,6 +51,18 @@ def magnus_rho_coeffs(w: Word) -> dict:
     return {(i, j): c for (i, j), c in
             ((m, c) for m, c in series.items() if len(m) == 2)
             if i < j and c != 0}
+
+
+# --- substitution by concatenation -------------------------------------------
+
+def substitute_then_reduce(images, w: Word) -> Word:
+    """The image of w under x_k |-> images[k-1]: concatenate the images
+    (reversed and negated for inverse letters) and reduce once at the end."""
+    raw: list[int] = []
+    for letter in w.letters:
+        image = images[abs(letter) - 1].letters
+        raw.extend(image if letter > 0 else [-x for x in reversed(image)])
+    return reduce(raw, w.rank)
 
 
 # --- summand detection by minors -------------------------------------------
@@ -106,3 +119,21 @@ def commutator_words_strategy(rank: int):
         return out
 
     return st.lists(pair, min_size=1, max_size=3).map(build)
+
+
+def drag_words_strategy(generators, max_len: int = 6):
+    """Drag words of up to max_len drawn tokens over the given generators;
+    a drawn flag follows a token by its inverse, so adjacent cancelling
+    pairs are common."""
+    token = st.tuples(st.sampled_from(generators), st.sampled_from((1, -1)),
+                      st.booleans())
+
+    def build(picks):
+        out = []
+        for g, e, pair in picks:
+            out.append((g, e))
+            if pair:
+                out.append((g, -e))
+        return tuple(out)
+
+    return st.lists(token, max_size=max_len).map(build)

@@ -7,6 +7,7 @@ import weakref
 import pytest
 from click.testing import CliRunner
 
+from torelli import config_to_json, standard_grid
 from torelli.cli import main
 
 CFG21 = '{"n":2,"b":1,"partition":[[1]]}'
@@ -131,6 +132,22 @@ def test_verify_single_config(runner):
     names = {c["check"] for c in data["checks"]}
     assert {"membership", "pd_relation", "bcd_relation",
             "tau_table", "rank"} <= names
+
+
+@pytest.mark.slow
+def test_verify_sweep_n2_to_5_b_up_to_4(runner):
+    # the checks of `torelli verify --all` on every configuration with
+    # n in 2..5 and b <= 4; every failing check is reported
+    total, failures = 0, []
+    for config in standard_grid(ns=(2, 3, 4, 5), bs=(0, 1, 2, 3, 4)):
+        text = json.dumps(config_to_json(config), separators=(",", ":"))
+        result = invoke(runner, "verify", "--all", "--config", text)
+        assert result.exit_code == 0, result.output
+        checks = json.loads(result.output)["checks"]
+        total += len(checks)
+        failures.extend(c for c in checks if not c["ok"])
+    print(f"verify sweep: {total} checks, {len(failures)} failed")
+    assert not failures, failures
 
 
 def test_verify_membership_mode(runner):

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from torelli import (
     ParseError,
@@ -40,12 +41,16 @@ from torelli import (
 )
 from torelli.drags import DragGenerator
 
-from .oracles import words_strategy
+from .oracles import drag_words_strategy, words_strategy
 
 CFG21 = partition_config(2, 1, [[1]])
 CFG30 = partition_config(3, 0, [])
 CFG22 = partition_config(2, 2, [[1, 2]])
 CFG23 = partition_config(2, 3, [[1, 2], [3]])
+CFG243 = partition_config(2, 4, [[1, 2], [3], [4]])
+
+# b = 0, a singleton block, and three blocks of which one has two labels
+FOLD_CONFIGS = (CFG30, CFG21, CFG243)
 
 
 def test_token_round_trip():
@@ -263,3 +268,53 @@ def test_tau_star_formula_rejects_bad_generator():
 def test_realize_word_rejects_bad_generator():
     with pytest.raises(PreconditionError):
         realize_word(CFG21, drag_word(hd(1, 3)))
+
+
+@pytest.mark.parametrize("exponent", [2, 0, -2])
+def test_realize_word_rejects_exponent_not_unit(exponent):
+    w = ((hd(1, 2), exponent),)
+    with pytest.raises(PreconditionError, match="exponents must be"):
+        realize_word(CFG21, w)
+    with pytest.raises(PreconditionError, match="exponents must be"):
+        tau_star(CFG21, w)
+
+
+def test_realize_word_first_bad_token_raises():
+    with pytest.raises(PreconditionError, match="HD:1,3"):
+        realize_word(CFG21, ((hd(1, 2), 1), (hd(1, 3), 1), (hd(1, 2), 5)))
+    with pytest.raises(PreconditionError, match="exponents must be"):
+        realize_word(CFG21, ((hd(1, 2), 5), (hd(1, 3), 1)))
+
+
+def _fold(config, w):
+    """The realization by the definition: compose the single drags."""
+    acc = identity_map(capped_rank(config))
+    for g, e in w:
+        f = realize(config, g)
+        acc = compose(acc, f if e == 1 else inverse(f))
+    return acc
+
+
+@given(st.data())
+def test_realize_word_matches_compose_fold(data):
+    config = data.draw(st.sampled_from(FOLD_CONFIGS))
+    w = data.draw(drag_words_strategy(all_generators(config)))
+    got = realize_word(config, w)
+    want = _fold(config, w)
+    assert got.images == want.images
+    assert got.inverse_images == want.inverse_images
+    assert verify_certificate(got)
+
+
+@pytest.mark.parametrize("config", FOLD_CONFIGS)
+def test_realize_word_cancelling_pairs(config):
+    identity = identity_map(capped_rank(config))
+    for g in all_generators(config):
+        for e in (1, -1):
+            f = realize_word(config, ((g, e), (g, -e)))
+            assert f.images == identity.images
+            assert f.inverse_images == identity.inverse_images
+            h = realize_word(config, ((g, e), (g, -e), (g, e)))
+            want = _fold(config, ((g, e),))
+            assert h.images == want.images
+            assert h.inverse_images == want.inverse_images

@@ -132,6 +132,12 @@ def test_rho_of_single_factor_is_wedge():
 
 
 CFG22 = partition_config(2, 2, [[1, 2]])
+CFG31 = partition_config(3, 1, [[1]])
+CFG33 = partition_config(3, 3, [[1], [2, 3]])
+
+
+def _has_cancelling_pair(dw) -> bool:
+    return any(g == h and e == -f for (g, e), (h, f) in zip(dw, dw[1:]))
 
 
 def test_push_factorization_matches_push_boundary_example():
@@ -165,3 +171,25 @@ def test_push_factorization_requires_commutator_word():
         push_factorization(CFG22, (1, 1), gen(2, 1))
     with pytest.raises(PreconditionError):
         push_factorization(CFG22, (1, 1), gen(3, 1))
+
+
+def test_push_factorization_is_freely_reduced_example():
+    # two equal conjugated factors: ... HD:1,2^-1 | HD:1,2 ... meet and cancel
+    c = conj(gen(2, 2), comm(gen(2, 1), gen(2, 2)))
+    dw = push_factorization(CFG22, (1, 1), mul(c, c))
+    assert [(g.token(), e) for g, e in dw] == [
+        ("HD:1,2", 1), ("BCD:1,1,1,2", -1), ("BCD:1,1,1,2", -1),
+        ("HD:1,2", -1)]
+    assert same_map(realize_word(CFG22, dw),
+                    push_boundary(CFG22, (1, 1), mul(c, c)))
+
+
+@given(commutator_words_strategy(3))
+def test_push_factorization_reduced_and_realizes_push(w):
+    for config in (CFG31, CFG33):
+        for r in range(1, config.num_blocks + 1):
+            for s in range(1, len(config.block(r)) + 1):
+                dw = push_factorization(config, (r, s), w)
+                assert not _has_cancelling_pair(dw)
+                assert same_map(realize_word(config, dw),
+                                push_boundary(config, (r, s), w))

@@ -29,7 +29,7 @@ from torelli import (
     word_text,
 )
 
-from .oracles import letters_strategy, words_strategy
+from .oracles import letters_strategy, substitute_then_reduce, words_strategy
 
 
 def test_reduce_cancels_adjacent_inverses():
@@ -122,6 +122,19 @@ def test_compose_agrees_with_apply(w):
     f = GroupMap(2, (mul(gen(2, 1), gen(2, 2)), gen(2, 2)))
     g = GroupMap(2, (inv(gen(2, 1)), conj(gen(2, 1), gen(2, 2))))
     assert apply(compose(f, g), w) == apply(f, apply(g, w))
+
+
+@given(st.lists(words_strategy(3, 6), min_size=3, max_size=3),
+       st.lists(words_strategy(3, 6), min_size=3, max_size=3),
+       words_strategy(3))
+def test_apply_and_compose_match_concatenation(f_images, g_images, w):
+    # endomorphisms with arbitrary images: cancellation may reach deep
+    # into the output and consume whole images
+    f = GroupMap(3, tuple(f_images))
+    g = GroupMap(3, tuple(g_images))
+    assert apply(f, w) == substitute_then_reduce(f_images, w)
+    assert compose(f, g).images == tuple(
+        substitute_then_reduce(f_images, x) for x in g_images)
 
 
 def test_inverse_and_certificate():
