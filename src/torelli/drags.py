@@ -22,6 +22,11 @@ and, token by token, rewrites only the generators the next drag moves,
 so letters cancel only where substituted images meet.  The inverse
 certificate is the realization of the inverse drag word by the same
 loop.  ``realize`` is its one-token case.
+
+The action tables of the drags and pushes (``_drag_action``,
+``_push_action``) map each moved generator index to its image as a
+freely reduced tuple of letters; images leave the module only through
+the validating ``Word`` and ``GroupMap`` constructors.
 """
 
 from __future__ import annotations
@@ -37,15 +42,14 @@ from .words import (
     PreconditionError,
     Word,
     _action_table,
+    _reduce_letters,
     _substitute,
     comm,
     conj,
     gen,
     identity_map,
     inner_automorphism,
-    inv,
     is_homology_trivial,
-    mul,
     same_map,
 )
 
@@ -178,19 +182,24 @@ def _check_boundary(config: PartitionConfig, r: int, s: int) -> None:
 
 # --- realization ----------------------------------------------------------
 
-def _embed(w: Word, m: int) -> Word:
-    return Word(m, w.letters)
+Letters = tuple[int, ...]
 
 
-def _images(basis: CappedBasis, action: dict[int, Word]) -> tuple[Word, ...]:
+def _inv_letters(letters: Letters) -> Letters:
+    return tuple(-x for x in reversed(letters))
+
+
+def _images(basis: CappedBasis,
+            action: dict[int, Letters]) -> tuple[Word, ...]:
     m = basis.m
-    return tuple(action.get(i, gen(m, i)) for i in range(1, m + 1))
+    return tuple(Word(m, action[i]) if i in action else gen(m, i)
+                 for i in range(1, m + 1))
 
 
 def _push_action(basis: CappedBasis, r: int, s: int,
-                 gamma: Word) -> dict[int, Word]:
-    """Image table of the boundary (r, s) pushed around the loop word
-    gamma (already at rank m).  Fixed-side table:
+                 gamma: Letters) -> dict[int, Letters]:
+    """Image table of the boundary (r, s) pushed around the reduced loop
+    letters gamma.  Fixed-side table:
 
       r>1, s>1 : Arc(r,s) -> Arc(r,s) . gamma
       r=1, s>1 : Arc(1,s) -> gamma^-1 . Arc(1,s)
@@ -206,28 +215,29 @@ def _push_action(basis: CappedBasis, r: int, s: int,
     config = basis.config
     m = basis.m
     block = basis.block_indices(r)
-    action: dict[int, Word] = {}
+    gi = _inv_letters(gamma)
+    action: dict[int, Letters] = {}
     if r > 1:
         if s > 1:
             a = block[s - 2]
-            action[a] = mul(gen(m, a), gamma)
+            action[a] = _reduce_letters((a, *gamma))
         elif not config.is_singleton(r):
-            gi = inv(gamma)
             for a in block:
-                action[a] = mul(gi, gen(m, a))
+                action[a] = _reduce_letters((*gi, a))
         else:
-            action[block[0]] = conj(inv(gamma), gen(m, block[0]))
+            a = block[0]
+            action[a] = _reduce_letters((*gi, a, *gamma))
     else:
         if s > 1:
             a = block[s - 2]
-            action[a] = mul(inv(gamma), gen(m, a))
+            action[a] = _reduce_letters((*gi, a))
         else:
             for idx in range(1, m + 1):
                 if idx in block:
                     if not config.is_singleton(1):
-                        action[idx] = mul(gamma, gen(m, idx))
+                        action[idx] = _reduce_letters((*gamma, idx))
                 else:
-                    action[idx] = conj(gamma, gen(m, idx))
+                    action[idx] = _reduce_letters((*gamma, idx, *gi))
     return action
 
 
@@ -242,43 +252,41 @@ def push_boundary(config: PartitionConfig, boundary: tuple[int, int],
         raise PreconditionError(
             f"push loop must have rank n = {config.n}, got {gamma.rank}")
     basis = build_basis(config)
-    g = _embed(gamma, basis.m)
-    fwd = _images(basis, _push_action(basis, r, s, g))
-    bwd = _images(basis, _push_action(basis, r, s, inv(g)))
+    fwd = _images(basis, _push_action(basis, r, s, gamma.letters))
+    bwd = _images(basis, _push_action(basis, r, s,
+                                      _inv_letters(gamma.letters)))
     return GroupMap(basis.m, fwd, bwd)
 
 
 def _drag_action(basis: CappedBasis, g: DragGenerator,
-                 sigma: int) -> dict[int, Word]:
-    """Image table of g^sigma, sigma = +-1."""
-    config = basis.config
+                 sigma: int) -> dict[int, Letters]:
+    """Image table of g^sigma, sigma = +-1, as reduced letter tuples."""
     m = basis.m
     if g.kind == "HD":
         i, j = g.indices
-        t = gen(m, j) if sigma > 0 else inv(gen(m, j))
-        return {i: conj(t, gen(m, i))}
+        t = sigma * j
+        return {i: _reduce_letters((t, i, -t))}
     if g.kind == "CD-":
         i, j, k = g.indices
-        c = comm(gen(m, j), gen(m, k))
-        c = c if sigma > 0 else inv(c)
-        return {i: mul(c, gen(m, i))}
+        c = (j, k, -j, -k) if sigma > 0 else (k, j, -k, -j)
+        return {i: _reduce_letters((*c, i))}
     if g.kind == "CD+":
         i, j, k = g.indices
-        c = comm(gen(m, j), gen(m, k))
-        c = inv(c) if sigma > 0 else c
-        return {i: mul(gen(m, i), c)}
+        c = (k, j, -k, -j) if sigma > 0 else (j, k, -j, -k)
+        return {i: _reduce_letters((i, *c))}
     if g.kind == "BCD":
         r, s, i, j = g.indices
-        c = comm(gen(m, i), gen(m, j))
-        gamma = inv(c) if sigma > 0 else c
+        # gamma = [y_i, y_j]^-sigma
+        gamma = (j, i, -j, -i) if sigma > 0 else (i, j, -i, -j)
         return _push_action(basis, r, s, gamma)
     # PD
     r, j = g.indices
-    yj = gen(m, j) if sigma > 0 else inv(gen(m, j))
+    t = sigma * j
     if r > 1:
-        return {a: conj(yj, gen(m, a)) for a in basis.block_indices(r)}
+        return {a: _reduce_letters((t, a, -t))
+                for a in basis.block_indices(r)}
     block = set(basis.block_indices(1))
-    return {idx: conj(inv(yj), gen(m, idx))
+    return {idx: _reduce_letters((-t, idx, t))
             for idx in range(1, m + 1) if idx not in block}
 
 
@@ -328,8 +336,7 @@ def realize_word(config: PartitionConfig, w: DragWord) -> GroupMap:
             _check_generator(config, g)
             for sign in (1, -1):
                 actions[(g, sign)] = tuple(
-                    (k, image.letters)
-                    for k, image in _drag_action(basis, g, sign).items())
+                    _drag_action(basis, g, sign).items())
     return GroupMap(m, _realize_images(m, w, actions),
                     _realize_images(m, drag_word_inv(w), actions))
 
@@ -446,7 +453,7 @@ def verify_cd_identity(config: PartitionConfig, i: int, j: int,
                                             cd_minus(i, j, k)))
     m = capped_rank(config)
     c = comm(gen(m, j), gen(m, k))
-    expected = _images(build_basis(config), {i: conj(c, gen(m, i))})
+    expected = _images(build_basis(config), {i: conj(c, gen(m, i)).letters})
     if target.images != expected:
         return False, ""
     matches: list[DragWord] = []
@@ -527,9 +534,18 @@ def abelianization_rank(config: PartitionConfig) -> tuple[int, int, list[int]]:
     modulo the Johnson images of the inner automorphisms:
     rank(generators + inners) - rank(inners).
     """
+    return _rank_from_taus(config, {g: tau(realize(config, g))
+                                    for g in all_generators(config)})
+
+
+def _rank_from_taus(config: PartitionConfig,
+                    taus: dict[DragGenerator, HomTable]
+                    ) -> tuple[int, int, list[int]]:
+    """``abelianization_rank`` from the Johnson image of every generator
+    of ``all_generators(config)``, so that a caller holding them takes
+    no second realization."""
     m = capped_rank(config)
-    row_of = {g: list(flatten(tau(realize(config, g))))
-              for g in all_generators(config)}
+    row_of = {g: list(flatten(t)) for g, t in taus.items()}
     rows = list(row_of.values())
     if config.b == 0:
         inner_rows = [list(flatten(tau(inner_automorphism(m, gen(m, j)))))

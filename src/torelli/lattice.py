@@ -200,13 +200,15 @@ def _snf_raw(a: Matrix, track: bool = True
                 dirty = dirty or d[t][j] != 0
         if dirty:
             continue
-        # pivot must divide the rest of the block for the invariant chain
-        offender = next(((i, j) for i in range(t + 1, rows)
-                         for j in range(t + 1, cols)
-                         if d[i][j] % d[t][t] != 0), None)
-        if offender is not None:
-            row_add(offender[0], t, 1)
-            continue
+        # pivot must divide the rest of the block for the invariant
+        # chain; a unit divides everything
+        if abs(d[t][t]) != 1:
+            offender = next(((i, j) for i in range(t + 1, rows)
+                             for j in range(t + 1, cols)
+                             if d[i][j] % d[t][t] != 0), None)
+            if offender is not None:
+                row_add(offender[0], t, 1)
+                continue
         if d[t][t] < 0:
             row_neg(t)
         t += 1

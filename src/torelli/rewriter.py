@@ -28,7 +28,6 @@ from .words import (
     conj,
     gen,
     inv,
-    mul,
     reduce,
 )
 
@@ -84,11 +83,13 @@ class Factorization:
     factors: tuple[tuple[TomaszewskiFactor, int], ...]
 
     def multiply_back(self) -> Word:
-        out = Word(self.word.rank)
+        """The product of the factors, reduced in one pass over all of
+        their letters."""
+        letters: list[int] = []
         for f, e in self.factors:
             w = factor_word(f)
-            out = mul(out, w if e == 1 else inv(w))
-        return out
+            letters.extend(w.letters if e == 1 else inv(w).letters)
+        return reduce(letters, self.word.rank)
 
 
 def in_commutator_subgroup(w: Word) -> bool:

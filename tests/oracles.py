@@ -3,8 +3,9 @@
 Each oracle recomputes a quantity along a different route than the
 package: the Magnus projection by genuine truncated power-series
 multiplication, summand detection by maximal-minor gcds, substitution
-into words by concatenating whole images and reducing afterwards, and
-word strategies for property tests.
+into words by concatenating whole images and reducing afterwards, drag
+actions built from validated words, products by a left fold of ``mul``,
+and word strategies for property tests.
 """
 
 import itertools
@@ -12,7 +13,7 @@ from math import gcd
 
 from hypothesis import strategies as st
 
-from torelli import Word, comm, mul, reduce
+from torelli import Word, build_basis, comm, conj, gen, inv, mul, reduce
 
 # --- truncated Magnus series ------------------------------------------------
 #
@@ -63,6 +64,83 @@ def substitute_then_reduce(images, w: Word) -> Word:
         image = images[abs(letter) - 1].letters
         raw.extend(image if letter > 0 else [-x for x in reversed(image)])
     return reduce(raw, w.rank)
+
+
+# --- drag actions from validated words --------------------------------------
+#
+# The image tables of the drags, built one validated Word at a time with
+# gen/conj/comm/mul/inv, as {generator index: image}.
+
+def push_action_words(basis, r: int, s: int, gamma: Word) -> dict:
+    """The boundary (r, s) pushed around gamma, a rank-m word."""
+    config, m = basis.config, basis.m
+    block = basis.block_indices(r)
+    if r > 1:
+        if s > 1:
+            a = block[s - 2]
+            return {a: mul(gen(m, a), gamma)}
+        if not config.is_singleton(r):
+            return {a: mul(inv(gamma), gen(m, a)) for a in block}
+        return {block[0]: conj(inv(gamma), gen(m, block[0]))}
+    if s > 1:
+        a = block[s - 2]
+        return {a: mul(inv(gamma), gen(m, a))}
+    action = {}
+    for idx in range(1, m + 1):
+        if idx not in block:
+            action[idx] = conj(gamma, gen(m, idx))
+        elif not config.is_singleton(1):
+            action[idx] = mul(gamma, gen(m, idx))
+    return action
+
+
+def drag_action_words(basis, g, sigma: int) -> dict:
+    """The image table of the drag generator g to the power sigma = +-1."""
+    m = basis.m
+    if g.kind == "HD":
+        i, j = g.indices
+        t = gen(m, j) if sigma > 0 else inv(gen(m, j))
+        return {i: conj(t, gen(m, i))}
+    if g.kind in ("CD-", "CD+"):
+        i, j, k = g.indices
+        c = comm(gen(m, j), gen(m, k))
+        if g.kind == "CD-":
+            return {i: mul(c if sigma > 0 else inv(c), gen(m, i))}
+        return {i: mul(gen(m, i), inv(c) if sigma > 0 else c)}
+    if g.kind == "BCD":
+        r, s, i, j = g.indices
+        c = comm(gen(m, i), gen(m, j))
+        return push_action_words(basis, r, s, inv(c) if sigma > 0 else c)
+    r, j = g.indices
+    yj = gen(m, j) if sigma > 0 else inv(gen(m, j))
+    if r > 1:
+        return {a: conj(yj, gen(m, a)) for a in basis.block_indices(r)}
+    block = basis.block_indices(1)
+    return {idx: conj(inv(yj), gen(m, idx))
+            for idx in range(1, m + 1) if idx not in block}
+
+
+def push_boundary_words(config, boundary, gamma: Word) -> tuple:
+    """(images, inverse images) of the push of boundary (r, s) around
+    the rank-n loop gamma."""
+    basis = build_basis(config)
+    m = basis.m
+    gamma = Word(m, gamma.letters)
+    out = []
+    for loop in (gamma, inv(gamma)):
+        action = push_action_words(basis, *boundary, loop)
+        out.append(tuple(action.get(i, gen(m, i)) for i in range(1, m + 1)))
+    return tuple(out)
+
+
+# --- products by a left fold ------------------------------------------------
+
+def mul_fold(words, rank: int) -> Word:
+    """The product of the words, one ``mul`` at a time from the left."""
+    out = Word(rank)
+    for w in words:
+        out = mul(out, w)
+    return out
 
 
 # --- summand detection by minors -------------------------------------------

@@ -2,14 +2,23 @@ import contextlib
 import gc
 import io
 import json
+import pathlib
 import weakref
 
 import pytest
 from click.testing import CliRunner
 
-from torelli import config_to_json, standard_grid
+from torelli import (
+    all_generators,
+    config_from_json,
+    config_to_json,
+    drags,
+    johnson,
+    standard_grid,
+)
 from torelli.cli import main
 
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 CFG21 = '{"n":2,"b":1,"partition":[[1]]}'
 CFG31 = '{"n":3,"b":1,"partition":[[1]]}'
 CFG22 = '{"n":2,"b":2,"partition":[[1,2]]}'
@@ -132,6 +141,27 @@ def test_verify_single_config(runner):
     names = {c["check"] for c in data["checks"]}
     assert {"membership", "pd_relation", "bcd_relation",
             "tau_table", "rank"} <= names
+
+
+def test_verify_realizes_and_takes_tau_once_per_generator(runner,
+                                                         monkeypatch):
+    calls = {"realize": 0, "tau": 0}
+
+    def counted(name, func):
+        def wrapper(*args):
+            calls[name] += 1
+            return func(*args)
+        return wrapper
+
+    monkeypatch.setattr(drags, "realize", counted("realize", drags.realize))
+    tau = counted("tau", johnson.tau)
+    monkeypatch.setattr(johnson, "tau", tau)
+    monkeypatch.setattr(drags, "tau", tau)
+    config = '{"n":3,"b":2,"partition":[[1],[2]]}'
+    result = invoke(runner, "verify", "--all", "--config", config)
+    count = len(all_generators(config_from_json(config)))
+    assert calls == {"realize": count, "tau": count}
+    assert result.output == (GOLDEN / "verify_n3_b2.json").read_text()
 
 
 @pytest.mark.slow

@@ -7,6 +7,7 @@ from torelli import (
     PreconditionError,
     all_generators,
     bcd,
+    build_basis,
     capped_rank,
     cd_minus,
     cd_plus,
@@ -23,11 +24,13 @@ from torelli import (
     inverse,
     membership_IOP,
     parse_drag_word,
+    parse_word,
     partition_config,
     pd,
     push_boundary,
     realize,
     realize_word,
+    reduce,
     reduced_generating_set,
     same_map,
     standard_grid,
@@ -39,9 +42,14 @@ from torelli import (
     verify_pd_relation,
     word_text,
 )
-from torelli.drags import DragGenerator
+from torelli.drags import DragGenerator, _drag_action
 
-from .oracles import drag_words_strategy, words_strategy
+from .oracles import (
+    drag_action_words,
+    drag_words_strategy,
+    push_boundary_words,
+    words_strategy,
+)
 
 CFG21 = partition_config(2, 1, [[1]])
 CFG30 = partition_config(3, 0, [])
@@ -252,6 +260,37 @@ def test_push_sides_by_case():
     assert word_text(q.images[2]) == "x1 x3"
     assert word_text(q.images[1]) == "x1 x2 x1^-1"
     assert word_text(q.images[3]) == "x1 x4 x1^-1"
+
+
+def test_drag_actions_are_reduced_letters_matching_word_oracle():
+    # every generator of every configuration of the verify grid (n <= 4,
+    # b <= 3), both signs
+    for config in standard_grid(ns=(2, 3, 4), bs=(0, 1, 2, 3)):
+        basis = build_basis(config)
+        for g in all_generators(config):
+            for sigma in (1, -1):
+                action = _drag_action(basis, g, sigma)
+                for letters in action.values():
+                    assert type(letters) is tuple
+                    assert reduce(letters, basis.m).letters == letters
+                want = drag_action_words(basis, g, sigma)
+                assert action == {k: w.letters for k, w in want.items()}
+
+
+@pytest.mark.parametrize("config", (CFG21, CFG22))
+@pytest.mark.parametrize("gamma_text", (
+    "x1 x2", "x2 x1", "x1^-1 x2 x1", "x2 x1^-1", "x1 x2 x1^-1 x2^-1"))
+def test_push_at_first_boundary_cancels_inside_images(config, gamma_text):
+    # gamma begins or ends with a loop letter it conjugates, so the
+    # images of the push (ends) or of its inverse (begins) lose letters
+    gamma = parse_word(gamma_text, 2)
+    f = push_boundary(config, (1, 1), gamma)
+    images, inverse_images = push_boundary_words(config, (1, 1), gamma)
+    assert f.images == images
+    assert f.inverse_images == inverse_images
+    raw = 2 * len(gamma) + 1
+    assert len(f.images[abs(gamma.letters[-1]) - 1]) < raw
+    assert len(f.inverse_images[abs(gamma.letters[0]) - 1]) < raw
 
 
 def test_tau_star_matches_formula_samples():

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from torelli import (
+    Factorization,
     ParseError,
     PreconditionError,
     TomaszewskiFactor,
@@ -27,7 +29,7 @@ from torelli import (
 )
 from torelli.johnson import ext_vector
 
-from .oracles import commutator_words_strategy, words_strategy
+from .oracles import commutator_words_strategy, mul_fold, words_strategy
 
 
 def test_factor_validation_and_rank():
@@ -60,6 +62,28 @@ def test_factor_word_examples():
     w = factor_word(TomaszewskiFactor(1, 3, (1, 1, 0)))
     assert w == conj(mul(gen(3, 2), gen(3, 1)),
                      comm(gen(3, 1), gen(3, 3)))
+
+
+def _rank3_factors():
+    def factor(i, j, d):
+        return TomaszewskiFactor(i, j, tuple(d[:4 - i]))
+
+    pick = st.tuples(st.sampled_from(((1, 2), (1, 3), (2, 3))),
+                     st.lists(st.integers(-2, 2), min_size=3, max_size=3))
+    return st.tuples(pick.map(lambda p: factor(*p[0], p[1])),
+                     st.sampled_from((1, -1)))
+
+
+@given(st.lists(_rank3_factors(), max_size=6), st.data())
+def test_multiply_back_matches_mul_fold(head, data):
+    # the head is followed by the inverses of its last k factors, so
+    # whole factors cancel and the cancellation spans several of them
+    k = data.draw(st.integers(0, len(head)))
+    tail = data.draw(st.lists(_rank3_factors(), max_size=3))
+    factors = head + [(f, -e) for f, e in reversed(head)][:k] + tail
+    want = mul_fold([factor_word(f) if e == 1 else inv(factor_word(f))
+                     for f, e in factors], 3)
+    assert Factorization(want, tuple(factors)).multiply_back() == want
 
 
 def test_in_commutator_subgroup():
