@@ -14,6 +14,7 @@ handle generator Handle(r).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -125,7 +126,10 @@ class CappedBasis:
                      if role.kind != "loop" and role.r == r)
 
 
+@functools.cache
 def build_basis(config: PartitionConfig) -> CappedBasis:
+    """The capped basis of a configuration, built once per configuration:
+    both are frozen, so every caller can share the same object."""
     roles: list[BasisRole] = [loop_role(i) for i in range(1, config.n + 1)]
     for r, block in enumerate(config.partition, start=1):
         if len(block) == 1:

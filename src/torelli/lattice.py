@@ -4,15 +4,23 @@ Matrices are plain lists of rows of Python ints, so all arithmetic is
 arbitrary precision.  Smith normal form is computed by fraction-free
 elimination pivoting on a minimal absolute value; every snf() call
 verifies U A V = D and the unimodularity of U and V before returning.
+
+Summand tests use no Smith form.  By the extension lemma, rows
+v_1..v_k span a direct summand of Z^n exactly when v_1 is primitive and
+the images of v_2..v_k span a summand of Z^n/<v_1>, which is Z^(n-1)
+once column operations have turned v_1 into a unit vector.
+
 Ranks over Q come from one sparse fraction-free elimination, which the
-boundary matrix of the FS truncation feeds directly.
+boundary matrix of the FS truncation feeds directly.  Since
+rank d2 <= dim ker d1, the FS homology stops ranking d2 as soon as the
+rank reaches dim ker d1: H_1 = 0 is then exact.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from math import gcd
 
@@ -20,6 +28,7 @@ Matrix = list[list[int]]
 SparseRow = dict[int, int]
 Vertex = tuple[int, ...]
 Edge = tuple[Vertex, Vertex]
+Triangle = tuple[Vertex, Vertex, Vertex]
 
 
 def identity(k: int) -> Matrix:
@@ -71,7 +80,7 @@ def det(a: Matrix) -> int:
     return sign * m[k - 1][k - 1]
 
 
-def _sparse_rank(rows: Iterable[SparseRow]) -> int:
+def _sparse_rank(rows: Iterable[SparseRow], limit: int | None = None) -> int:
     """Rank over Q of integer rows given as {column: value}.
 
     Fraction-free elimination, each row divided by the gcd of its
@@ -79,6 +88,10 @@ def _sparse_rank(rows: Iterable[SparseRow]) -> int:
     the order of persistent-homology column reduction: on the FS
     boundary matrices it needs a small fraction of the row operations
     that pivoting on the smallest column does.
+
+    With a limit that the caller knows the rank cannot exceed, no row
+    is drawn once the rank reaches it, so a lazy row iterator is
+    consumed only as far as needed.
     """
     pivots: dict[int, SparseRow] = {}
     for row in rows:
@@ -103,6 +116,8 @@ def _sparse_rank(rows: Iterable[SparseRow]) -> int:
             g = gcd(*row.values())
             if g > 1:
                 row = {c: x // g for c, x in row.items()}
+        if len(pivots) == limit:
+            break
     return len(pivots)
 
 
@@ -123,50 +138,42 @@ class SnfResult:
                 if self.D[i][i] != 0]
 
 
-def _snf_raw(a: Matrix, track: bool = True
-             ) -> tuple[Matrix | None, Matrix, Matrix | None, Matrix | None]:
-    """(U, D, V, Vinv) with U a V = D, no verification.  Without track
-    the transforms are neither built nor updated, and U, V and Vinv are
-    None: the diagonal alone costs a fraction of the full form."""
+def _snf_raw(a: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix]:
+    """(U, D, V, Vinv) with U a V = D, no verification."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
     d = [row[:] for row in a]
-    u = identity(rows) if track else None
-    v = identity(cols) if track else None
-    vinv = identity(cols) if track else None
+    u = identity(rows)
+    v = identity(cols)
+    vinv = identity(cols)
 
     def row_swap(p, q):
         d[p], d[q] = d[q], d[p]
-        if track:
-            u[p], u[q] = u[q], u[p]
+        u[p], u[q] = u[q], u[p]
 
     def col_swap(p, q):
         for row in d:
             row[p], row[q] = row[q], row[p]
-        if track:
-            for row in v:
-                row[p], row[q] = row[q], row[p]
-            vinv[p], vinv[q] = vinv[q], vinv[p]
+        for row in v:
+            row[p], row[q] = row[q], row[p]
+        vinv[p], vinv[q] = vinv[q], vinv[p]
 
     def row_add(p, q, t):
         # row q += t * row p
         d[q] = [x + t * y for x, y in zip(d[q], d[p])]
-        if track:
-            u[q] = [x + t * y for x, y in zip(u[q], u[p])]
+        u[q] = [x + t * y for x, y in zip(u[q], u[p])]
 
     def col_add(p, q, t):
         # col q += t * col p
         for row in d:
             row[q] += t * row[p]
-        if track:
-            for row in v:
-                row[q] += t * row[p]
-            vinv[p] = [x - t * y for x, y in zip(vinv[p], vinv[q])]
+        for row in v:
+            row[q] += t * row[p]
+        vinv[p] = [x - t * y for x, y in zip(vinv[p], vinv[q])]
 
     def row_neg(p):
         d[p] = [-x for x in d[p]]
-        if track:
-            u[p] = [-x for x in u[p]]
+        u[p] = [-x for x in u[p]]
 
     t = 0
     while t < min(rows, cols):
@@ -259,7 +266,14 @@ def is_primitive(v: list[int]) -> bool:
 
 def spans_summand(vectors: list[list[int]]) -> bool:
     """True iff the span of the rows is a direct summand of Z^n of rank
-    len(vectors): full rank and every Smith invariant equal to 1."""
+    len(vectors).
+
+    By the extension lemma: the first row must be primitive, and the
+    images of the other rows in Z^n/<first row> must span a summand.
+    Column Euclid on the first row leaves one entry, a unit exactly when
+    the row is primitive; the same column operations on the other rows,
+    with that column dropped, give their images in the quotient Z^(n-1).
+    """
     if not vectors:
         return True
     n = len(vectors[0])
@@ -267,9 +281,33 @@ def spans_summand(vectors: list[list[int]]) -> bool:
         raise ValueError("mixed lengths")
     if len(vectors) > n:
         return False
-    _, d, _, _ = _snf_raw([list(v) for v in vectors], track=False)
-    diag = [d[i][i] for i in range(len(vectors))]
-    return all(x == 1 for x in diag)
+    rows = [list(v) for v in vectors]
+    while True:
+        head, rest = rows[0], rows[1:]
+        if gcd(*head) != 1:
+            return False
+        if not rest:
+            return True
+        while True:
+            # column Euclid: reduce every other entry of head modulo its
+            # smallest nonzero entry, until that entry is alone
+            p, size = 0, 0
+            for j, x in enumerate(head):
+                if x and (not size or abs(x) < size):
+                    p, size = j, abs(x)
+            pivot, alone = head[p], True
+            for j, x in enumerate(head):
+                if x and j != p:
+                    q = x // pivot
+                    head[j] = x - q * pivot
+                    for row in rest:
+                        row[j] -= q * row[p]
+                    alone = alone and not head[j]
+            if alone:
+                break
+        # head is now +-e_p, a basis vector, so the quotient by it drops
+        # coordinate p
+        rows = [row[:p] + row[p + 1:] for row in rest]
 
 
 def complete_basis(vectors: list[list[int]], n: int) -> Matrix:
@@ -352,30 +390,41 @@ def fs_connected(n: int, bound: int) -> bool:
     return fs_components(*fs_graph(n, bound)) == 1
 
 
-def fs_triangles(edges: list[Edge]) -> list[tuple[Vertex, Vertex, Vertex]]:
+def _fs_triangle_iter(edges: list[Edge]) -> Iterator[Triangle]:
+    adj: dict[Vertex, set[Vertex]] = defaultdict(set)
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return ((u, v, w) for u, v in edges
+            for w in sorted(adj[u] & adj[v])
+            if w > v and fs_is_simplex([u, v, w]))
+
+
+def fs_triangles(edges: list[Edge]) -> list[Triangle]:
     """The 2-simplices (u, v, w), u < v < w, in lexicographic order.
 
     Every 2-simplex is a triangle of the graph, so only the common
     neighbours w > v of each edge (u, v) are tested.
     """
-    adj: dict[Vertex, set[Vertex]] = defaultdict(set)
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return [(u, v, w) for u, v in edges
-            for w in sorted(adj[u] & adj[v])
-            if w > v and fs_is_simplex([u, v, w])]
+    return list(_fs_triangle_iter(edges))
 
 
 def fs_h1(verts: list[Vertex], edges: list[Edge]) -> int:
     """Rank of H_1 of the 2-skeleton on these vertices and edges, by
-    exact boundary ranks over Q."""
+    exact boundary ranks over Q.
+
+    rank d2 <= dim ker d1 = |E| - |V| + #components, so the triangles
+    are found and ranked lazily and the rank stops at that bound: once
+    it is reached, H_1 = 0 exactly and no further triangle can change
+    it.  When H_1 > 0 the bound is never reached and every triangle is
+    ranked.
+    """
     edge_index = {e: i for i, e in enumerate(edges)}
     d2 = ({edge_index[(v, w)]: 1, edge_index[(u, w)]: -1,
-           edge_index[(u, v)]: 1} for u, v, w in fs_triangles(edges))
-    # the graph's incidence matrix has rank |V| - #components
-    rank_d1 = len(verts) - fs_components(verts, edges)
-    return len(edges) - rank_d1 - _sparse_rank(d2)
+           edge_index[(u, v)]: 1} for u, v, w in _fs_triangle_iter(edges))
+    # dim ker d1: the graph's incidence matrix has rank |V| - #components
+    cycles = len(edges) - len(verts) + fs_components(verts, edges)
+    return cycles - _sparse_rank(d2, limit=cycles)
 
 
 def fs_h1_rank(n: int, bound: int) -> int:

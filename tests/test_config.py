@@ -49,6 +49,15 @@ def test_capped_rank_and_layout_anchor():
     assert basis.block_indices(3) == (7,)
 
 
+def test_build_basis_is_built_once_per_config():
+    config = partition_config(3, 3, [[1, 3], [2]])
+    basis = build_basis(config)
+    assert build_basis(config) is basis
+    # an equal configuration built separately hits the same entry
+    assert build_basis(partition_config(3, 3, [[1, 3], [2]])) is basis
+    assert build_basis(partition_config(3, 3, [[2], [1, 3]])) is not basis
+
+
 def test_boundary_address():
     config = partition_config(2, 3, [[1, 3], [2]])
     assert config.boundary_address(1) == (1, 1)

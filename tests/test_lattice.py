@@ -23,6 +23,7 @@ from torelli import (
     snf,
     spans_summand,
 )
+from torelli import lattice
 from torelli.lattice import det, identity, mat_mul
 
 from .oracles import minors_spans_summand
@@ -156,6 +157,51 @@ def test_spans_summand_matches_minors_oracle(rows):
     assert spans_summand(rows) == minors_spans_summand(rows)
 
 
+big_int = st.one_of(st.just(0), st.integers(-3, 3),
+                    st.integers(-10**6, 10**6))
+
+
+@st.composite
+def summand_candidates(draw):
+    """Row families of up to n + 1 rows in Z^n, n <= 4, with entries up
+    to 10^6, biased towards the cases the quotient recursion branches
+    on: a zero, repeated or non-primitive first row, and summands of
+    large entries (leading rows of a unimodular matrix)."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, n + 1))
+    rows = draw(st.lists(st.lists(big_int, min_size=n, max_size=n),
+                         min_size=k, max_size=k))
+    kind = draw(st.sampled_from(
+        ["random", "zero", "duplicate", "scaled", "unimodular"]))
+    if kind == "zero":
+        rows[0] = [0] * n
+    elif kind == "duplicate" and k > 1:
+        rows[draw(st.integers(1, k - 1))] = list(rows[0])
+    elif kind == "scaled":
+        factor = draw(st.integers(2, 1000))
+        rows[0] = [factor * x for x in rows[0]]
+    elif kind == "unimodular":
+        rows = identity(n)
+        for _ in range(draw(st.integers(0, 6))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            if i != j:
+                t = draw(st.integers(-30, 30))
+                for row in rows:
+                    row[j] += t * row[i]
+        rows = rows[:min(k, n)]
+    return rows
+
+
+@given(summand_candidates())
+@example([[0, 0]])
+@example([[2, 4, 6]])
+@example([[1, 0, 0], [1, 0, 0]])
+@example([[999999, 1000000], [1000000, 999999]])
+@example([[999999, 1000000], [1, 1]])
+def test_spans_summand_matches_minors_oracle_large_entries(rows):
+    assert spans_summand(rows) == minors_spans_summand(rows)
+
+
 @given(st.lists(st.lists(small_int, min_size=4, max_size=4),
                 min_size=2, max_size=3))
 def test_spans_summand_downward_closed(rows):
@@ -269,6 +315,87 @@ def test_fs_triangles_match_all_triples(n, bound):
 
 def test_fs_h1_n4_bound1():
     assert fs_h1_rank(4, 1) == 0
+
+
+@pytest.mark.parametrize("n,bound", [(5, 1), (3, 3)])
+def test_fs_h1_larger_truncations(n, bound):
+    # 6930 edges and 240,090 triangles at (5, 1), 7725 edges and 26,701
+    # triangles at (3, 3); the full-rank path gives 0 at both
+    assert fs_h1_rank(n, bound) == 0
+
+
+@pytest.mark.slow
+def test_fs_h1_n4_bound2():
+    # 272 vertices, 32,914 edges, 1,959,784 triangles
+    assert fs_h1_rank(4, 2) == 0
+
+
+def _record_simplices(monkeypatch, is_simplex=None):
+    """Replace fs_is_simplex by a wrapper that counts its calls and
+    records, in order, the families it accepts."""
+    real = is_simplex or lattice.fs_is_simplex
+    seen = {"calls": 0, "simplices": []}
+
+    def recording(vertices):
+        seen["calls"] += 1
+        ok = real(vertices)
+        if ok:
+            seen["simplices"].append(tuple(vertices))
+        return ok
+
+    monkeypatch.setattr(lattice, "fs_is_simplex", recording)
+    return seen
+
+
+def _cycle_rank(verts, edges):
+    return len(edges) - len(verts) + lattice.fs_components(verts, edges)
+
+
+def test_fs_h1_stops_once_the_cycle_space_is_filled(monkeypatch):
+    verts, edges = fs_graph(4, 1)
+    seen = _record_simplices(monkeypatch)
+    triangles = fs_triangles(edges)
+    all_calls = seen["calls"]
+    seen["calls"], seen["simplices"] = 0, []
+    assert fs_h1(verts, edges) == 0
+    consumed = seen["simplices"]
+    assert seen["calls"] < all_calls
+    assert len(consumed) < len(triangles) == 7040
+    assert consumed == triangles[:len(consumed)]
+    # the exit fires exactly when rank d2 reaches dim ker d1, and not
+    # one triangle earlier
+    cycles = _cycle_rank(verts, edges)
+    assert matrix_rank(_d2(consumed, edges)) == cycles
+    assert matrix_rank(_d2(consumed[:-1], edges)) == cycles - 1
+
+
+def test_fs_h1_ranks_every_triangle_when_h1_is_not_zero(monkeypatch):
+    verts, edges = fs_graph(3, 1)
+    seen = _record_simplices(monkeypatch)
+    for kept in (edges[::2], edges[::3], edges[1::4]):
+        seen["calls"], seen["simplices"] = 0, []
+        triangles = fs_triangles(kept)
+        tested = seen["calls"]
+        assert fs_h1(verts, kept) > 0
+        # fs_h1 tests every candidate and ranks every triangle again
+        assert seen["calls"] == 2 * tested
+        assert seen["simplices"] == triangles + triangles
+
+
+def test_fs_h1_of_rp2_consumes_every_face(monkeypatch):
+    # H_1(RP^2; Q) = 0, and d2 is injective, so rank d2 reaches
+    # dim ker d1 = 10 only at the last of the 10 faces
+    faces = {tuple(sorted(t)) for t in
+             [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+              (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]}
+    verts = list(range(6))
+    edges = list(itertools.combinations(verts, 2))
+    seen = _record_simplices(
+        monkeypatch, lambda vertices: tuple(sorted(vertices)) in faces)
+    assert _cycle_rank(verts, edges) == 10
+    assert fs_h1(verts, edges) == 0
+    assert set(seen["simplices"]) == faces
+    assert len(seen["simplices"]) == 10
 
 
 def test_fs_dot_output():

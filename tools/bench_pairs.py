@@ -1,0 +1,141 @@
+"""Paired benchmark runs of a base commit against the working tree.
+
+    python3 tools/bench_pairs.py --pr 6 --pairs 10 --seconds 30 \
+        --workload fs-h1 --workload verify-grid --workload push-long
+
+The committed files of ``--base`` (default ``HEAD~1``) are exported with
+``git archive`` into a temporary directory, so no worktree is registered
+in the repository and nothing is left behind if a run is interrupted.
+For each workload and pair, ``perfbench/run.py`` runs once in that copy
+and once in the working tree, on the same seed, alternating which side
+goes first.  The last line of each run's stdout is its JSON record.
+The result is written to ``BENCH_<pr>.json`` in the working tree: per
+pair the end-to-end metrics and failure counts of both sides, and per
+metric the medians and quartiles of each side and how many pairs the
+change won (was strictly better in, by the direction declared in
+``BENCHMARK.json``).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One perfbench run in ``tree``; its final JSON record."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True, check=False)
+    if proc.returncode != 0 or not proc.stdout.strip():
+        raise RuntimeError(f"perfbench failed in {tree} ({workload}, seed "
+                           f"{seed}, exit {proc.returncode}): "
+                           f"{proc.stderr.strip()}")
+    return last_record(proc.stdout)
+
+
+def last_record(stdout: str) -> dict:
+    """The JSON record on the last line of a run's report."""
+    return json.loads(stdout.strip().splitlines()[-1])
+
+
+def _values(record: dict) -> dict[str, float]:
+    return {name: m["value"] for name, m in record["metrics"].items()}
+
+
+def _side(xs: list[float]) -> dict[str, float]:
+    q1, med, q3 = (statistics.quantiles(xs, n=4, method="inclusive")
+                   if len(xs) > 1 else xs * 3)
+    return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+    """Per metric: medians and quartiles of both sides, and the number
+    of pairs in which the change is strictly better.  ``pairs`` hold
+    ``base`` and ``change`` metric dicts; ``better`` maps each metric
+    name to "lower" or "higher"."""
+    out = {}
+    for name, direction in better.items():
+        base = [p["base"][name] for p in pairs]
+        change = [p["change"][name] for p in pairs]
+        if direction == "lower":
+            wins = sum(c < b for b, c in zip(base, change))
+        else:
+            wins = sum(c > b for b, c in zip(base, change))
+        out[name] = {"better": direction, "pairs": len(pairs),
+                     "change_wins": wins,
+                     "base": _side(base), "change": _side(change)}
+    return out
+
+
+def export_commit(rev: str, dest: Path) -> str:
+    """Write the committed files of ``rev`` into ``dest``; its hash."""
+    commit = subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"],
+                            cwd=ROOT, capture_output=True, text=True,
+                            check=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", commit], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return commit
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--pr", required=True,
+                        help="label of the change; names BENCH_<pr>.json")
+    parser.add_argument("--base", default="HEAD~1",
+                        help="commit to compare against (default HEAD~1)")
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--first-seed", type=int, default=1000)
+    args = parser.parse_args(argv)
+
+    better = {m["name"]: m["better"] for m in
+              json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    result = {"pr": args.pr, "base": None, "change": "working tree",
+              "command": "python3 tools/bench_pairs.py "
+                         + " ".join(argv if argv is not None else sys.argv[1:]),
+              "seconds": args.seconds, "python": platform.python_version(),
+              "machine": platform.machine(), "workloads": {}}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        base_tree = Path(tmp) / "base"
+        base_tree.mkdir()
+        result["base"] = export_commit(args.base, base_tree)
+        for workload in args.workload:
+            pairs = []
+            for i in range(args.pairs):
+                seed = args.first_seed + i
+                order = ("base", "change") if i % 2 == 0 else ("change", "base")
+                records = {side: run_once(base_tree if side == "base" else ROOT,
+                                          workload, seed, args.seconds)
+                           for side in order}
+                pairs.append({"seed": seed, "first": order[0],
+                              "failed": {side: records[side]["failed"]
+                                         for side in ("base", "change")},
+                              "base": _values(records["base"]),
+                              "change": _values(records["change"])})
+                print(f"{workload} pair {i + 1}/{args.pairs} seed {seed}: "
+                      + ", ".join(f"{k} {pairs[-1]['base'][k]:.4g} -> "
+                                  f"{pairs[-1]['change'][k]:.4g}"
+                                  for k in ("pass_norm_s", "peak_rss_mib")),
+                      flush=True)
+            result["workloads"][workload] = {
+                "pairs": pairs, "summary": summarize(pairs, better)}
+    out = ROOT / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps(result, indent=1) + "\n")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
