@@ -302,8 +302,9 @@ def push_factor(ctx, config_text: str, boundary: str, word_text: str) -> None:
     addr = _parse_boundary(boundary)
     w = words.parse_word(word_text, config.n)
     dw = rewriter.push_factorization(config, addr, w)
-    matches = words.same_map(drags.realize_word(config, dw),
-                             drags.push_boundary(config, addr, w))
+    # maps are equal when their images are; no inverse word is realized
+    matches = (drags.realize_images(config, dw)
+               == drags.push_boundary(config, addr, w).images)
     _emit(ctx, {"drags": drags.drag_word_text(dw), "matches_push": matches})
 
 

@@ -16,12 +16,17 @@ Displayed relation products (where the leftmost factor acts first) are
 therefore realized from reversed token lists; the relation verifiers
 below do this explicitly.
 
-``realize_word`` evaluates a drag word in place instead of composing
+``realize_images`` evaluates a drag word in place instead of composing
 full maps: it keeps the images of the map built so far as letter lists
 and, token by token, rewrites only the generators the next drag moves,
-so letters cancel only where substituted images meet.  The inverse
-certificate is the realization of the inverse drag word by the same
-loop.  ``realize`` is its one-token case.
+so letters cancel only where substituted images meet.  ``realize_word``
+adds the inverse certificate, the realization of the inverse drag word
+by the same loop; ``realize`` is its one-token case.  Equality of two
+maps is decided on images alone (``same_map``), so the relation
+verifiers, ``tau_star`` and the ``push-factor`` check realize images
+only.  Inverse certificates are read by the membership check, which
+runs ``verify_certificate`` on every generator, and printed by
+``torelli realize``.
 
 The action tables of the drags and pushes (``_drag_action``,
 ``_push_action``) map each moved generator index to its image as a
@@ -50,7 +55,6 @@ from .words import (
     identity_map,
     inner_automorphism,
     is_homology_trivial,
-    same_map,
 )
 
 _KINDS = ("HD", "CD+", "CD-", "BCD", "PD")
@@ -313,20 +317,15 @@ def _realize_images(m: int, w: DragWord, actions: dict) -> tuple[Word, ...]:
     return tuple(Word(m, tuple(letters)) for letters in table[1:m + 1])
 
 
-def realize_word(config: PartitionConfig, w: DragWord) -> GroupMap:
-    """The drag word as an automorphism of F_m, with certificate.
+def _word_actions(config: PartitionConfig,
+                  w: DragWord) -> tuple[int, dict]:
+    """(capped rank, action table of every (generator, sign) of w).
 
-    Tokens compose left to right with the rightmost token acting first.
-    The word is evaluated in place: the images of the accumulated map
-    are letter lists, and each token rewrites only the generators it
-    moves, cancelling letters where substituted images meet.  Every
-    token is validated before any work, exponents must be +-1, and the
-    action table of each (generator, sign) is built once per call.  The
-    inverse certificate is the realization of ``drag_word_inv(w)`` by
-    the same loop; both image families come back as reduced ``Word``s.
+    Every token is validated before any work, in order, so the first
+    bad token raises; exponents must be +-1.  Both signs of each
+    generator are tabled, so the inverse word needs no second pass.
     """
     basis = build_basis(config)
-    m = basis.m
     actions: dict[tuple[DragGenerator, int], tuple] = {}
     for g, e in w:
         if e not in (1, -1):
@@ -337,6 +336,37 @@ def realize_word(config: PartitionConfig, w: DragWord) -> GroupMap:
             for sign in (1, -1):
                 actions[(g, sign)] = tuple(
                     _drag_action(basis, g, sign).items())
+    return basis.m, actions
+
+
+def realize_images(config: PartitionConfig, w: DragWord) -> tuple[Word, ...]:
+    """The generator images of the drag word, without a certificate.
+
+    Equality of two maps is decided on images (``same_map``), so the
+    checks that compare maps call this and build no inverse images.
+    Validation and the realization loop are those of ``realize_word``.
+    """
+    m, actions = _word_actions(config, w)
+    return _realize_images(m, w, actions)
+
+
+def realize_word(config: PartitionConfig, w: DragWord) -> GroupMap:
+    """The drag word as an automorphism of F_m, with certificate.
+
+    Tokens compose left to right with the rightmost token acting first.
+    The word is evaluated in place: the images of the accumulated map
+    are letter lists, and each token rewrites only the generators it
+    moves, cancelling letters where substituted images meet.  Every
+    token is validated before any work, exponents must be +-1, and the
+    action table of each (generator, sign) is built once per call.  The
+    images are ``realize_images(config, w)``; the inverse certificate is
+    the realization of ``drag_word_inv(w)`` by the same loop, and both
+    image families come back as reduced ``Word``s.  The certificate is
+    read by the membership check (``verify_certificate``) and printed by
+    ``torelli realize``; checks that only compare maps use
+    ``realize_images``.
+    """
+    m, actions = _word_actions(config, w)
     return GroupMap(m, _realize_images(m, w, actions),
                     _realize_images(m, drag_word_inv(w), actions))
 
@@ -407,9 +437,10 @@ def membership_IOP(config: PartitionConfig, f: GroupMap) -> bool:
 
 # --- relations ------------------------------------------------------------
 
-def _realize_displayed(config: PartitionConfig, tokens: DragWord) -> GroupMap:
+def _realize_displayed(config: PartitionConfig,
+                       tokens: DragWord) -> tuple[Word, ...]:
     # displayed products act leftmost-first; realize the reversed word
-    return realize_word(config, tuple(reversed(tokens)))
+    return realize_images(config, tuple(reversed(tokens)))
 
 
 def verify_pd_relation(config: PartitionConfig, j: int) -> bool:
@@ -425,10 +456,10 @@ def verify_pd_relation(config: PartitionConfig, j: int) -> bool:
     tokens = drag_word(*[pd(r, j) for r in range(1, config.num_blocks + 1)],
                        *[hd(i, j) for i in range(1, n + 1) if i != j])
     composite = _realize_displayed(config, tokens)
+    m = len(composite)
     if config.b == 0:
-        target = inner_automorphism(composite.rank, gen(composite.rank, j))
-        return same_map(composite, target)
-    return same_map(composite, identity_map(composite.rank))
+        return composite == inner_automorphism(m, gen(m, j)).images
+    return composite == identity_map(m).images
 
 
 def verify_bcd_relation(config: PartitionConfig, r: int, i: int, j: int) -> bool:
@@ -441,7 +472,7 @@ def verify_bcd_relation(config: PartitionConfig, r: int, i: int, j: int) -> bool
         config, drag_word(*[bcd(r, s, i, j) for s in range(1, b_r + 1)]))
     rhs = _realize_displayed(
         config, drag_word(pd(r, i), pd(r, j), (pd(r, i), -1), (pd(r, j), -1)))
-    return same_map(lhs, rhs)
+    return lhs == rhs
 
 
 def verify_cd_identity(config: PartitionConfig, i: int, j: int,
@@ -449,19 +480,19 @@ def verify_cd_identity(config: PartitionConfig, i: int, j: int,
     """CD+(i,j,k) o CD-(i,j,k) conjugates y_i by [y_j, y_k]; search the
     eight ordered/sign commutator variants of HD(i,j), HD(i,k) for the
     unique exact match and return its drag-word text."""
-    target = realize_word(config, drag_word(cd_plus(i, j, k),
-                                            cd_minus(i, j, k)))
+    target = realize_images(config, drag_word(cd_plus(i, j, k),
+                                              cd_minus(i, j, k)))
     m = capped_rank(config)
     c = comm(gen(m, j), gen(m, k))
     expected = _images(build_basis(config), {i: conj(c, gen(m, i)).letters})
-    if target.images != expected:
+    if target != expected:
         return False, ""
     matches: list[DragWord] = []
     for x, y in ((hd(i, k), hd(i, j)), (hd(i, j), hd(i, k))):
         for a in (1, -1):
             for b in (1, -1):
                 candidate = drag_word((x, a), (y, b), (x, -a), (y, -b))
-                if same_map(realize_word(config, candidate), target):
+                if realize_images(config, candidate) == target:
                     matches.append(candidate)
     if len(matches) != 1:
         return False, "; ".join(drag_word_text(w) for w in matches)
@@ -471,7 +502,8 @@ def verify_cd_identity(config: PartitionConfig, i: int, j: int,
 # --- Johnson images -------------------------------------------------------
 
 def tau_star(config: PartitionConfig, w: DragWord) -> HomTable:
-    return tau(realize_word(config, w))
+    images = realize_images(config, w)
+    return tau(GroupMap(len(images), images))
 
 
 def tau_star_formula(config: PartitionConfig, g: DragGenerator) -> HomTable:

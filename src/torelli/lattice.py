@@ -318,6 +318,8 @@ def complete_basis(vectors: list[list[int]], n: int) -> Matrix:
     the input rows extended by the trailing rows of V^-1 have
     determinant det(U^-1) times det(V^-1), which is a unit.
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     k = len(vectors)
     if k > n or any(len(v) != n for v in vectors):
         raise ValueError(f"need at most {n} vectors of length {n}")

@@ -23,11 +23,8 @@ from .words import (
     ParseError,
     PreconditionError,
     Word,
+    _reduce_letters,
     abelianization_vector,
-    comm,
-    conj,
-    gen,
-    inv,
     reduce,
 )
 
@@ -66,15 +63,20 @@ def parse_factor(text: str) -> TomaszewskiFactor:
     return TomaszewskiFactor(i, j, d)
 
 
+def _factor_letters(f: TomaszewskiFactor) -> tuple[int, ...]:
+    """The letters of m [x_i, x_j] m^-1, freely reduced in one pass;
+    letters cancel where the conjugator meets the commutator (d_i < 0)."""
+    m: list[int] = []
+    for idx in range(f.rank, f.i - 1, -1):
+        e = f.d[idx - f.i]
+        m.extend([idx if e > 0 else -idx] * abs(e))
+    return _reduce_letters((*m, f.i, f.j, -f.i, -f.j,
+                            *(-x for x in reversed(m))))
+
+
 def factor_word(f: TomaszewskiFactor) -> Word:
     """The conjugated commutator m [x_i, x_j] m^-1, reduced."""
-    n = f.rank
-    letters: list[int] = []
-    for idx in range(n, f.i - 1, -1):
-        e = f.d[idx - f.i]
-        letters.extend([idx if e > 0 else -idx] * abs(e))
-    m = Word(n, tuple(letters))
-    return conj(m, comm(gen(n, f.i), gen(n, f.j)))
+    return Word(f.rank, _factor_letters(f))
 
 
 @dataclass(frozen=True)
@@ -84,11 +86,11 @@ class Factorization:
 
     def multiply_back(self) -> Word:
         """The product of the factors, reduced in one pass over all of
-        their letters."""
+        their letters and validated as one ``Word``."""
         letters: list[int] = []
         for f, e in self.factors:
-            w = factor_word(f)
-            letters.extend(w.letters if e == 1 else inv(w).letters)
+            piece = _factor_letters(f)
+            letters.extend(piece if e == 1 else [-x for x in reversed(piece)])
         return reduce(letters, self.word.rank)
 
 

@@ -116,6 +116,10 @@ def power(u: Word, k: int) -> Word:
 # Whitespace-separated tokens `x<k>` / `x<k>^-1`; the empty word is `e`.
 
 def parse_word(text: str, rank: int) -> Word:
+    # the rank is checked before any token, so a bad rank is one domain
+    # error whatever the text is
+    if rank < 1:
+        raise PreconditionError(f"rank must be >= 1, got {rank}")
     tokens = text.split()
     if not tokens:
         raise ParseError("empty input; the identity is written 'e'")

@@ -4,8 +4,8 @@ Each oracle recomputes a quantity along a different route than the
 package: the Magnus projection by genuine truncated power-series
 multiplication, summand detection by maximal-minor gcds, substitution
 into words by concatenating whole images and reducing afterwards, drag
-actions built from validated words, products by a left fold of ``mul``,
-and word strategies for property tests.
+actions and Tomaszewski factors built from validated words, products by
+a left fold of ``mul``, and word strategies for property tests.
 """
 
 import itertools
@@ -131,6 +131,19 @@ def push_boundary_words(config, boundary, gamma: Word) -> tuple:
         action = push_action_words(basis, *boundary, loop)
         out.append(tuple(action.get(i, gen(m, i)) for i in range(1, m + 1)))
     return tuple(out)
+
+
+# --- Tomaszewski factors from validated words --------------------------------
+
+def factor_word_words(f) -> Word:
+    """The factor m [x_i, x_j] m^-1 by ``conj`` and ``comm`` of validated
+    words, m = x_n^{d_n} ... x_i^{d_i}."""
+    n = f.rank
+    letters: list[int] = []
+    for idx in range(n, f.i - 1, -1):
+        e = f.d[idx - f.i]
+        letters.extend([idx if e > 0 else -idx] * abs(e))
+    return conj(Word(n, tuple(letters)), comm(gen(n, f.i), gen(n, f.j)))
 
 
 # --- products by a left fold ------------------------------------------------

@@ -164,6 +164,49 @@ def test_verify_realizes_and_takes_tau_once_per_generator(runner,
     assert result.output == (GOLDEN / "verify_n3_b2.json").read_text()
 
 
+def _count_image_realizations(monkeypatch) -> list:
+    """Record the drag word of every ``drags._realize_images`` call."""
+    seen: list = []
+    loop = drags._realize_images
+
+    def counted(m, w, actions):
+        seen.append(w)
+        return loop(m, w, actions)
+
+    monkeypatch.setattr(drags, "_realize_images", counted)
+    return seen
+
+
+def test_verify_relations_realize_no_inverse_word(runner, monkeypatch):
+    seen = _count_image_realizations(monkeypatch)
+    config = '{"n":3,"b":2,"partition":[[1],[2]]}'
+    result = invoke(runner, "verify", "--relations", "--config", config)
+    # one realization per displayed product, none for its inverse: 3 PD
+    # relations, two sides of each of the 2 x 3 BCD relations, and the
+    # target and 8 candidates of each of the 3 CD identities (the parent
+    # made twice as many calls)
+    assert len(seen) == 3 + 2 * 6 + 9 * 3
+    golden = json.loads((GOLDEN / "verify_n3_b2.json").read_text())
+    relations = {"pd_relation", "bcd_relation", "cd_identity"}
+    assert json.loads(result.output)["checks"] == [
+        c for c in golden["checks"] if c["check"] in relations]
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_push_factor_matches_golden_realizing_once(runner, monkeypatch,
+                                                    index):
+    # one input per push case: r = 1, s = 1; r > 1, s = 1; s > 1.  The
+    # check realizes images only, so the drag word is realized once and
+    # its inverse never
+    seen = _count_image_realizations(monkeypatch)
+    case = json.loads((GOLDEN / "push_factor.json").read_text())[index]
+    result = invoke(runner, *case["args"])
+    assert result.exit_code == 0
+    assert result.output == case["stdout"]
+    assert json.loads(result.output)["matches_push"] is True
+    assert len(seen) == 1
+
+
 @pytest.mark.slow
 def test_verify_sweep_n2_to_5_b_up_to_4(runner):
     # the checks of `torelli verify --all` on every configuration with
@@ -257,6 +300,39 @@ def test_complete_basis_subcommand(runner):
                         "--vectors", bad)
         assert result.exit_code == 2
         assert "vector entries must be integers" in result.output
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_complete_basis_rank_bounds(runner, n):
+    result = invoke(runner, "complete-basis", "--n", n, "--vectors", "[]")
+    if n == "0":
+        # Z^0 has the empty basis
+        assert result.exit_code == 0
+        assert json.loads(result.output) == {"matrix": [], "det": 1}
+        result = invoke(runner, "complete-basis", "--n", n,
+                        "--vectors", "[[1]]")
+        assert result.exit_code == 1
+        return
+    assert result.exit_code == 1
+    payload = json.loads(result.output.strip().splitlines()[-1])
+    assert payload["error"] == "n must be >= 0, got -1"
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize("word", ["x1", "e", "x2^-1 x1", "y1"])
+@pytest.mark.parametrize("command", [
+    ("word", "reduce"), ("word", "inv"), ("word", "mul"), ("rho",),
+    ("rewrite",)])
+def test_rank_below_1_is_one_domain_error(runner, command, word, n):
+    # the rank is refused before any token is read, so every word text,
+    # readable or not, gives the same exit code and message
+    args = [*command, "--n", n, "--word", word]
+    if command == ("word", "mul"):
+        args += ["--other", word]
+    result = invoke(runner, *args)
+    assert result.exit_code == 1
+    payload = json.loads(result.output.strip().splitlines()[-1])
+    assert payload == {"error": f"rank must be >= 1, got {n}"}
 
 
 def test_output_is_byte_stable(runner):

@@ -29,6 +29,7 @@ from torelli import (
     pd,
     push_boundary,
     realize,
+    realize_images,
     realize_word,
     reduce,
     reduced_generating_set,
@@ -353,7 +354,33 @@ def test_realize_word_cancelling_pairs(config):
             f = realize_word(config, ((g, e), (g, -e)))
             assert f.images == identity.images
             assert f.inverse_images == identity.inverse_images
+            assert realize_images(config, ((g, e), (g, -e))) == f.images
             h = realize_word(config, ((g, e), (g, -e), (g, e)))
             want = _fold(config, ((g, e),))
             assert h.images == want.images
             assert h.inverse_images == want.inverse_images
+            assert realize_images(config, ((g, e), (g, -e), (g, e))) == \
+                want.images
+
+
+@given(st.data())
+def test_realize_images_are_the_images_of_realize_word(data):
+    config = data.draw(st.sampled_from(FOLD_CONFIGS))
+    w = data.draw(drag_words_strategy(all_generators(config)))
+    assert realize_images(config, w) == realize_word(config, w).images
+
+
+@pytest.mark.parametrize("w", [
+    ((hd(1, 2), 2),),
+    ((hd(1, 2), 0),),
+    ((hd(1, 2), -2),),
+    ((hd(1, 2), 1), (hd(1, 3), 1), (hd(1, 2), 5)),
+    ((hd(1, 2), 5), (hd(1, 3), 1)),
+])
+def test_realize_images_rejects_as_realize_word(w):
+    # the same validation, so the same first bad token and message
+    with pytest.raises(PreconditionError) as want:
+        realize_word(CFG21, w)
+    with pytest.raises(PreconditionError) as got:
+        realize_images(CFG21, w)
+    assert str(got.value) == str(want.value)

@@ -29,7 +29,12 @@ from torelli import (
 )
 from torelli.johnson import ext_vector
 
-from .oracles import commutator_words_strategy, mul_fold, words_strategy
+from .oracles import (
+    commutator_words_strategy,
+    factor_word_words,
+    mul_fold,
+    words_strategy,
+)
 
 
 def test_factor_validation_and_rank():
@@ -64,6 +69,34 @@ def test_factor_word_examples():
                      comm(gen(3, 1), gen(3, 3)))
 
 
+@st.composite
+def _factors(draw):
+    """Factors of rank 2..5 with exponents in [-3, 3]."""
+    rank = draw(st.integers(2, 5))
+    i = draw(st.integers(1, rank - 1))
+    j = draw(st.integers(i + 1, rank))
+    d = draw(st.lists(st.integers(-3, 3), min_size=rank - i + 1,
+                      max_size=rank - i + 1))
+    return TomaszewskiFactor(i, j, tuple(d))
+
+
+@given(_factors())
+def test_factor_word_matches_word_oracle(f):
+    assert factor_word(f) == factor_word_words(f)
+
+
+def test_factor_word_conjugator_cancels_into_commutator():
+    # d_i < 0 ends the conjugator with x_i^-1, which meets the leading
+    # x_i of the commutator; with d_i = -1 and d_j < 0, x_j^-1 then
+    # meets x_j as well, leaving [x_1^-1, x_2^-1]
+    f = TomaszewskiFactor(1, 2, (-1, -1))
+    assert factor_word(f) == factor_word_words(f)
+    assert word_text(factor_word(f)) == "x1^-1 x2^-1 x1 x2"
+    f = TomaszewskiFactor(1, 3, (-2, 0, 1))
+    assert factor_word(f) == factor_word_words(f)
+    assert len(factor_word(f)) < 2 * 3 + 4
+
+
 def _rank3_factors():
     def factor(i, j, d):
         return TomaszewskiFactor(i, j, tuple(d[:4 - i]))
@@ -81,8 +114,8 @@ def test_multiply_back_matches_mul_fold(head, data):
     k = data.draw(st.integers(0, len(head)))
     tail = data.draw(st.lists(_rank3_factors(), max_size=3))
     factors = head + [(f, -e) for f, e in reversed(head)][:k] + tail
-    want = mul_fold([factor_word(f) if e == 1 else inv(factor_word(f))
-                     for f, e in factors], 3)
+    want = mul_fold([factor_word_words(f) if e == 1
+                     else inv(factor_word_words(f)) for f, e in factors], 3)
     assert Factorization(want, tuple(factors)).multiply_back() == want
 
 
