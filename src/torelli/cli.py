@@ -16,6 +16,15 @@ import click
 from . import config as cfg
 from . import drags, johnson, lattice, rewriter, words
 
+# Inputs whose work would explode are refused, with exit 1, before any
+# work starts.  `fs` enumerates (2 bound + 1)^n candidate vectors and
+# then tests pairs of them.  The cap admits n <= 6 at bound 1 and
+# (n, bound) = (4, 2) and (3, 4); the slowest of these, (3, 4), takes
+# 17 s of CPU with --homology on a 2-vCPU Xeon host.
+FS_MAX_CANDIDATES = 729
+# `complete-basis` builds, checks and prints an n x n matrix.
+COMPLETE_BASIS_MAX_N = 100
+
 
 def _emit(ctx: click.Context, obj: dict) -> None:
     if ctx.obj and ctx.obj.get("human"):
@@ -310,6 +319,17 @@ def push_factor(ctx, config_text: str, boundary: str, word_text: str) -> None:
 
 # --- lattices ---------------------------------------------------------------
 
+def _power_exceeds(base: int, exponent: int, limit: int) -> bool:
+    """Whether base^exponent > limit, for base >= 2, multiplying up and
+    stopping once past the limit instead of forming the power."""
+    power = 1
+    for _ in range(exponent):
+        power *= base
+        if power > limit:
+            return True
+    return False
+
+
 @main.command()
 @click.option("--n", type=int, required=True)
 @click.option("--bound", type=int, required=True)
@@ -321,6 +341,11 @@ def push_factor(ctx, config_text: str, boundary: str, word_text: str) -> None:
 @_domain
 def fs(ctx, n: int, bound: int, homology: bool, dot_path: str | None) -> None:
     """Truncation of the complex of rank-1 summands of Z^n."""
+    if n >= 1 and bound >= 1 and _power_exceeds(2 * bound + 1, n,
+                                                 FS_MAX_CANDIDATES):
+        raise words.PreconditionError(
+            f"fs: (2*bound+1)^n candidate vectors exceed FS_MAX_CANDIDATES"
+            f" = {FS_MAX_CANDIDATES} (n={n}, bound={bound})")
     verts, edges = lattice.fs_graph(n, bound)
     out = {
         "vertices": [list(v) for v in verts],
@@ -344,6 +369,10 @@ def fs(ctx, n: int, bound: int, homology: bool, dot_path: str | None) -> None:
 @_domain
 def complete_basis_cmd(ctx, n: int, vectors_text: str) -> None:
     """Extend summand-spanning rows to a basis of Z^n."""
+    if n > COMPLETE_BASIS_MAX_N:
+        raise words.PreconditionError(
+            f"complete-basis: n={n} exceeds COMPLETE_BASIS_MAX_N"
+            f" = {COMPLETE_BASIS_MAX_N}")
     try:
         vectors = json.loads(vectors_text)
     except json.JSONDecodeError as exc:

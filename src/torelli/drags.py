@@ -22,9 +22,9 @@ and, token by token, rewrites only the generators the next drag moves,
 so letters cancel only where substituted images meet.  ``realize_word``
 adds the inverse certificate, the realization of the inverse drag word
 by the same loop; ``realize`` is its one-token case.  Equality of two
-maps is decided on images alone (``same_map``), so the relation
-verifiers, ``tau_star`` and the ``push-factor`` check realize images
-only.  Inverse certificates are read by the membership check, which
+maps is decided on images alone (``same_map``), and tau reads images
+only, so the relation verifiers, ``tau_star``, ``abelianization_rank``
+and the ``push-factor`` check realize images only.  Inverse certificates are read by the membership check, which
 runs ``verify_certificate`` on every generator, and printed by
 ``torelli realize``.
 
@@ -566,7 +566,7 @@ def abelianization_rank(config: PartitionConfig) -> tuple[int, int, list[int]]:
     modulo the Johnson images of the inner automorphisms:
     rank(generators + inners) - rank(inners).
     """
-    return _rank_from_taus(config, {g: tau(realize(config, g))
+    return _rank_from_taus(config, {g: tau_star(config, ((g, 1),))
                                     for g in all_generators(config)})
 
 
@@ -587,5 +587,5 @@ def _rank_from_taus(config: PartitionConfig,
     else:
         computed = matrix_rank(rows)
     reduced_rows = [row_of[g] for g in reduced_generating_set(config)]
-    invariants = smith_invariants(reduced_rows) if reduced_rows else []
+    invariants = smith_invariants(reduced_rows)
     return computed, formula_rank(config), invariants

@@ -4,11 +4,13 @@ rho sends an element of the commutator subgroup [F_m, F_m] to its class
 in wedge^2 Z^m, read off from the degree-2 coefficients of the Magnus
 expansion (x |-> 1 + X, x^-1 |-> 1 - X + X^2 - ...).  tau sends a
 homology-trivial endomorphism f to the table of columns
-rho(f(x_i) x_i^-1).
+rho(f(x_i) x_i^-1).  Both run one letter kernel, which needs no reduced
+word: the Magnus coefficients are those of the group element.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .words import (
@@ -16,10 +18,7 @@ from .words import (
     PreconditionError,
     Word,
     abelianization_vector,
-    gen,
-    inv,
     is_homology_trivial,
-    mul,
 )
 
 
@@ -102,21 +101,19 @@ def ext_scale(a: ExtVector, k: int) -> ExtVector:
     return ExtVector(a.rank, tuple((i, j, k * c) for i, j, c in a.coeffs))
 
 
-def rho(w: Word) -> ExtVector:
-    """Projection [F_m, F_m] -> wedge^2 Z^m.
+def _rho_letters(rank: int, letters: Iterable[int]) -> ExtVector:
+    """rho of a letter sequence whose exponent sums are all zero.
 
     Single left-to-right scan: the (i, j) coefficient (i < j) is
     sum over positions s < t of eps_s eps_t [idx_s = i][idx_t = j],
     which is exactly the X_i X_j Magnus coefficient.  The degree-2
     self-term of x^-1 never lands on an i < j monomial and is dropped.
+    A cancelling pair x^e x^-e adds eps and -eps against every other
+    letter, so the letters need not be freely reduced.
     """
-    if any(abelianization_vector(w)):
-        raise PreconditionError(
-            "rho needs a word with zero abelianization, got "
-            f"{abelianization_vector(w)}")
-    prefix = [0] * (w.rank + 1)
+    prefix = [0] * (rank + 1)
     table: dict[tuple[int, int], int] = {}
-    for letter in w.letters:
+    for letter in letters:
         k = abs(letter)
         eps = 1 if letter > 0 else -1
         for i in range(1, k):
@@ -124,7 +121,17 @@ def rho(w: Word) -> ExtVector:
                 key = (i, k)
                 table[key] = table.get(key, 0) + prefix[i] * eps
         prefix[k] += eps
-    return ext_vector(w.rank, table)
+    return ext_vector(rank, table)
+
+
+def rho(w: Word) -> ExtVector:
+    """Projection [F_m, F_m] -> wedge^2 Z^m; the word must have zero
+    abelianization."""
+    if any(abelianization_vector(w)):
+        raise PreconditionError(
+            "rho needs a word with zero abelianization, got "
+            f"{abelianization_vector(w)}")
+    return _rho_letters(w.rank, w.letters)
 
 
 @dataclass(frozen=True)
@@ -179,12 +186,18 @@ def table_neg(a: HomTable) -> HomTable:
 
 
 def tau(f: GroupMap) -> HomTable:
-    """Johnson homomorphism: column i = rho(f(x_i) x_i^-1)."""
+    """Johnson homomorphism: column i = rho(f(x_i) x_i^-1).
+
+    Each column runs the letter kernel of ``rho`` on the letters of
+    f(x_i) followed by x_i^-1, with no product word built: rho does not
+    see free reduction, and homology triviality, checked first, gives
+    every column word zero abelianization.
+    """
     if not is_homology_trivial(f):
         raise PreconditionError("tau needs a homology-trivial map")
     m = f.rank
-    cols = [rho(mul(f.images[i - 1], inv(gen(m, i))))
-            for i in range(1, m + 1)]
+    cols = [_rho_letters(m, (*image.letters, -i))
+            for i, image in enumerate(f.images, 1)]
     return HomTable(m, tuple(cols))
 
 

@@ -8,7 +8,10 @@ verifies U A V = D and the unimodularity of U and V before returning.
 Summand tests use no Smith form.  By the extension lemma, rows
 v_1..v_k span a direct summand of Z^n exactly when v_1 is primitive and
 the images of v_2..v_k span a summand of Z^n/<v_1>, which is Z^(n-1)
-once column operations have turned v_1 into a unit vector.
+once column operations have turned v_1 into a unit vector.  The same
+test decides the all-unit case of smith_invariants: k rows span a
+summand of rank k exactly when their k invariants are all 1, and only
+rows that fail it go through snf().
 
 Ranks over Q come from one sparse fraction-free elimination, which the
 boundary matrix of the FS truncation feeds directly.  Since
@@ -254,6 +257,15 @@ def snf(a: Matrix) -> SnfResult:
 
 
 def smith_invariants(a: Matrix) -> list[int]:
+    """The nonzero Smith invariants of the rows of a.
+
+    Rows that span a summand of rank len(a) have invariants all 1,
+    since Z^n / span is then free; ``spans_summand`` decides that by
+    primitive quotients, with no Smith form.  Any other rows, the
+    dependent ones included, get the verified ``snf(a).invariants()``.
+    """
+    if spans_summand(a):
+        return [1] * len(a)
     return snf(a).invariants()
 
 

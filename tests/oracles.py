@@ -2,7 +2,8 @@
 
 Each oracle recomputes a quantity along a different route than the
 package: the Magnus projection by genuine truncated power-series
-multiplication, summand detection by maximal-minor gcds, substitution
+multiplication, the Johnson homomorphism by rho of validated product
+words, summand detection by maximal-minor gcds, substitution
 into words by concatenating whole images and reducing afterwards, drag
 actions and Tomaszewski factors built from validated words, products by
 a left fold of ``mul``, and word strategies for property tests.
@@ -13,7 +14,18 @@ from math import gcd
 
 from hypothesis import strategies as st
 
-from torelli import Word, build_basis, comm, conj, gen, inv, mul, reduce
+from torelli import (
+    HomTable,
+    Word,
+    build_basis,
+    comm,
+    conj,
+    gen,
+    inv,
+    mul,
+    reduce,
+    rho,
+)
 
 # --- truncated Magnus series ------------------------------------------------
 #
@@ -131,6 +143,16 @@ def push_boundary_words(config, boundary, gamma: Word) -> tuple:
         action = push_action_words(basis, *boundary, loop)
         out.append(tuple(action.get(i, gen(m, i)) for i in range(1, m + 1)))
     return tuple(out)
+
+
+# --- the Johnson homomorphism from validated words ------------------------
+
+def tau_words(f) -> HomTable:
+    """tau(f) with column i the public ``rho`` of the validated, freely
+    reduced product word f(x_i) x_i^-1, built by ``mul`` and ``inv``."""
+    m = f.rank
+    return HomTable(m, tuple(rho(mul(f.images[i - 1], inv(gen(m, i))))
+                             for i in range(1, m + 1)))
 
 
 # --- Tomaszewski factors from validated words --------------------------------

@@ -52,3 +52,46 @@ def test_final_record_is_the_last_stdout_line():
     record = bench_pairs.last_record(stdout)
     assert record["failed"] == 0
     assert bench_pairs._values(record) == {"pass_norm_s": 0.2}
+
+
+def test_summarize_marks_regression_beyond_the_bound():
+    # lower is better: base median 0.43; a change median above
+    # 0.43 * 1.25 regresses, one below it does not
+    base = [0.42, 0.43, 0.44]
+    better = {"pass_norm_s": "lower", "units_per_norm_s": "higher"}
+    bounds = {"pass_norm_s": 0.25, "units_per_norm_s": 0.25}
+    slow = [_pair(b, c, 100, r) for b, c, r in
+            zip(base, (0.53, 0.54, 0.55), (80, 74, 70))]
+    out = bench_pairs.summarize(slow, better, bounds)
+    assert out["pass_norm_s"]["regressed"] is True
+    assert out["pass_norm_s"]["bound"] == 0.25
+    # higher is better: 74 is below 100 * 0.75
+    assert out["units_per_norm_s"]["regressed"] is True
+    near = [_pair(b, c, 100, r) for b, c, r in
+            zip(base, (0.52, 0.53, 0.54), (80, 76, 70))]
+    out = bench_pairs.summarize(near, better, bounds)
+    assert out["pass_norm_s"]["regressed"] is False
+    assert out["units_per_norm_s"]["regressed"] is False
+    # no bound, no regression
+    out = bench_pairs.summarize(slow, better)
+    assert out["pass_norm_s"]["regressed"] is False
+    assert out["pass_norm_s"]["bound"] is None
+
+
+def test_verdict_lines():
+    better = {"pass_norm_s": "lower"}
+    bounds = {"pass_norm_s": 0.25}
+    gain = [_pair(0.93 + 0.01 * (i % 3), 0.71, 100, 100) for i in range(10)]
+    s = bench_pairs.summarize(gain, better, bounds)["pass_norm_s"]
+    line = bench_pairs.verdict("verify-grid", "pass_norm_s", s)
+    assert line.startswith("verify-grid pass_norm_s: 0.94 -> 0.71 (-24.5%)")
+    assert "change wins 10/10" in line and "bound 25%" in line
+    assert line.endswith(": gain")
+    # 8 of 10 wins is not a gain
+    mixed = gain[:8] + [_pair(0.93, 0.95, 100, 100)] * 2
+    s = bench_pairs.summarize(mixed, better, bounds)["pass_norm_s"]
+    assert bench_pairs.verdict("w", "pass_norm_s", s).endswith(
+        ": within bound")
+    slow = [_pair(0.4, 0.6, 100, 100)] * 3
+    s = bench_pairs.summarize(slow, better, bounds)["pass_norm_s"]
+    assert bench_pairs.verdict("w", "pass_norm_s", s).endswith(": REGRESSED")

@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import pathlib
@@ -14,8 +15,10 @@ from torelli import (
     config_to_json,
     drags,
     johnson,
+    lattice,
     standard_grid,
 )
+from torelli import cli
 from torelli.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -192,6 +195,43 @@ def test_verify_relations_realize_no_inverse_word(runner, monkeypatch):
         c for c in golden["checks"] if c["check"] in relations]
 
 
+def test_verify_all_runs_no_smith_form(runner, monkeypatch):
+    # every reduced set of the rank check spans a summand, which the
+    # primitive-quotient test decides with no Smith form
+    calls = []
+    real = lattice.snf
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(lattice, "snf", counted)
+    config = '{"n":3,"b":2,"partition":[[1],[2]]}'
+    result = invoke(runner, "verify", "--all", "--config", config)
+    assert calls == []
+    assert result.output == (GOLDEN / "verify_n3_b2.json").read_text()
+
+
+def test_rank_realizes_images_once_per_generator(runner, monkeypatch):
+    # tau reads images only, so no inverse word is realized (the parent
+    # made two calls per generator)
+    seen = _count_image_realizations(monkeypatch)
+    config = '{"n":3,"b":2,"partition":[[1],[2]]}'
+    result = invoke(runner, "rank", "--config", config)
+    gens = all_generators(config_from_json(config))
+    assert seen == [((g, 1),) for g in gens]
+    assert result.output == \
+        '{"computed_rank":12,"formula_rank":12,"match":true}\n'
+
+
+def test_standard_grid_verify_stdout_is_pinned(runner):
+    # `torelli verify` over the standard grid, n in {2, 3} and b <= 3
+    out = invoke(runner, "verify").output.encode()
+    assert len(out) == 173036
+    assert hashlib.sha256(out).hexdigest() == (
+        "8e66347940c0c0915dd3e64ea7154ce316a28042daff7a6a9e2f0afb23b7e744")
+
+
 @pytest.mark.parametrize("index", range(3))
 def test_push_factor_matches_golden_realizing_once(runner, monkeypatch,
                                                     index):
@@ -281,6 +321,57 @@ def test_fs_rejects_n_below_1(runner, n):
     assert result.exit_code == 1
     payload = json.loads(result.output.strip().splitlines()[-1])
     assert payload["error"] == "n must be >= 1"
+
+
+def _refuse_work(monkeypatch, name):
+    def work(*args):
+        raise AssertionError(f"{name} must not run")
+    monkeypatch.setattr(lattice, name, work)
+
+
+@pytest.mark.parametrize("n, bound", [
+    ("3", "1000000"), ("7", "1"), ("2", "14"), ("1000000000", "1"),
+    ("2", str(10 ** 40))])
+def test_fs_refuses_too_many_candidates(runner, monkeypatch, n, bound):
+    _refuse_work(monkeypatch, "fs_graph")
+    result = invoke(runner, "fs", "--n", n, "--bound", bound, "--homology")
+    assert result.exit_code == 1
+    error = json.loads(result.output.strip().splitlines()[-1])["error"]
+    assert f"FS_MAX_CANDIDATES = {cli.FS_MAX_CANDIDATES}" in error
+
+
+@pytest.mark.parametrize("n, bound", [("4", "2"), ("6", "1"), ("3", "4")])
+def test_fs_admits_candidate_counts_up_to_the_cap(runner, monkeypatch, n,
+                                                  bound):
+    # (4, 2) has 625 candidates, (6, 1) and (3, 4) have 729
+    calls = []
+    monkeypatch.setattr(lattice, "fs_graph",
+                        lambda *args: calls.append(args) or ([], []))
+    result = invoke(runner, "fs", "--n", n, "--bound", bound)
+    assert result.exit_code == 0
+    assert calls == [(int(n), int(bound))]
+
+
+def test_power_exceeds_stops_past_the_limit():
+    assert not cli._power_exceeds(5, 4, 625)
+    assert cli._power_exceeds(5, 5, 625)
+    assert not cli._power_exceeds(3, 0, 1)
+    # the loop ends long before 10**9 factors
+    assert cli._power_exceeds(3, 10 ** 9, 729)
+
+
+def test_complete_basis_refuses_n_over_the_cap(runner, monkeypatch):
+    limit = cli.COMPLETE_BASIS_MAX_N
+    result = invoke(runner, "complete-basis", "--n", str(limit),
+                    "--vectors", "[]")
+    assert result.exit_code == 0
+    assert json.loads(result.output)["det"] == 1
+    _refuse_work(monkeypatch, "complete_basis")
+    result = invoke(runner, "complete-basis", "--n", str(limit + 1),
+                    "--vectors", "[]")
+    assert result.exit_code == 1
+    error = json.loads(result.output.strip().splitlines()[-1])["error"]
+    assert f"COMPLETE_BASIS_MAX_N = {limit}" in error
 
 
 def test_complete_basis_subcommand(runner):

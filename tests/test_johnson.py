@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from torelli import (
     ExtVector,
@@ -13,14 +14,16 @@ from torelli import (
     inner_automorphism,
     inverse,
     mul,
+    reduce,
     rho,
     tau,
     wedge,
 )
 from torelli.config import partition_config
-from torelli.drags import all_generators, realize
+from torelli.drags import all_generators, realize, realize_word
 from torelli.johnson import (
     HomTable,
+    _rho_letters,
     ext_add,
     ext_neg,
     ext_scale,
@@ -31,7 +34,13 @@ from torelli.johnson import (
     zero_table,
 )
 
-from .oracles import commutator_words_strategy, magnus_rho_coeffs
+from .oracles import (
+    commutator_words_strategy,
+    drag_words_strategy,
+    letters_strategy,
+    magnus_rho_coeffs,
+    tau_words,
+)
 
 
 def test_rho_of_basic_commutator():
@@ -61,6 +70,13 @@ def test_rho_homomorphism(u, v):
 def test_rho_conjugation_invariant(w):
     for g in (gen(3, 1), mul(gen(3, 2), gen(3, 3))):
         assert rho(conj(g, w)) == rho(w)
+
+
+@given(letters_strategy(3, 8), letters_strategy(3, 8))
+def test_rho_letter_kernel_ignores_free_reduction(a, b):
+    # the unreduced letters of a b a^-1 b^-1 have zero abelianization
+    letters = [*a, *b, *(-x for x in reversed(a)), *(-x for x in reversed(b))]
+    assert _rho_letters(3, letters) == rho(reduce(letters, 3))
 
 
 def test_ext_vector_normalizes_and_validates():
@@ -101,6 +117,20 @@ def test_tau_of_inner_automorphism():
 
 def _drag_maps(config):
     return [realize(config, g) for g in all_generators(config)]
+
+
+_TAU_CONFIGS = (partition_config(3, 2, [[1], [2]]),
+                partition_config(2, 3, [[1, 2], [3]]),
+                partition_config(3, 0, []))
+
+
+@given(st.sampled_from(_TAU_CONFIGS).flatmap(
+    lambda c: drag_words_strategy(all_generators(c)).map(lambda w: (c, w))))
+def test_tau_matches_product_word_oracle(case):
+    # the letter kernel against rho of each reduced word f(x_i) x_i^-1
+    config, w = case
+    f = realize_word(config, w)
+    assert tau(f) == tau_words(f)
 
 
 def test_tau_additive_under_composition():

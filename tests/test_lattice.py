@@ -8,6 +8,7 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from torelli import (
     complete_basis,
+    flatten,
     fs_connected,
     fs_dot,
     fs_edges,
@@ -19,9 +20,12 @@ from torelli import (
     fs_vertices,
     is_primitive,
     matrix_rank,
+    reduced_generating_set,
     smith_invariants,
     snf,
     spans_summand,
+    standard_grid,
+    tau_star,
 )
 from torelli import lattice
 from torelli.lattice import det, identity, mat_mul
@@ -123,6 +127,57 @@ def test_snf_empty_and_zero():
     assert smith_invariants([[0, 0], [0, 0]]) == []
     res = snf([[0]])
     assert res.D == [[0]]
+
+
+@st.composite
+def wide_matrices(draw):
+    """k x n integer matrices with k <= n <= 6; entries are small, so
+    that rows spanning a summand are common."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    k = draw(st.integers(min_value=0, max_value=n))
+    entries = st.integers(min_value=-3, max_value=3)
+    return draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                         min_size=k, max_size=k))
+
+
+@given(wide_matrices())
+def test_smith_invariants_match_snf(a):
+    assert smith_invariants(a) == snf(a).invariants()
+
+
+@pytest.mark.parametrize("a, expected, snf_calls", [
+    # not a summand: the Smith form decides
+    ([[2, 0, 0], [0, 1, 0]], [1, 2], 1),
+    ([[1, 2], [2, 4]], [1], 1),
+    ([[0, 0, 0]], [], 1),
+    ([[1, 0, 0], [0, 0, 0]], [1], 1),
+    # a summand: all invariants are 1, and no Smith form runs
+    ([], [], 0),
+    ([[1, 2, 3]], [1], 0),
+    ([[2, 3], [1, 1]], [1, 1], 0),
+])
+def test_smith_invariants_pinned(monkeypatch, a, expected, snf_calls):
+    oracle = snf(a).invariants()
+    calls = []
+    real = lattice.snf
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(lattice, "snf", counted)
+    assert smith_invariants(a) == expected == oracle
+    assert len(calls) == snf_calls
+
+
+def test_smith_invariants_of_verify_grid_reduced_sets():
+    # the rows of the rank check of `verify --all` on the 54 benchmark
+    # configurations, n <= 4 and b <= 3
+    for config in standard_grid(ns=(2, 3, 4)):
+        rows = [list(flatten(tau_star(config, ((g, 1),))))
+                for g in reduced_generating_set(config)]
+        assert (smith_invariants(rows) == snf(rows).invariants()
+                == [1] * len(rows))
 
 
 def test_is_primitive():

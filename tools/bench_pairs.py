@@ -11,9 +11,12 @@ and once in the working tree, on the same seed, alternating which side
 goes first.  The last line of each run's stdout is its JSON record.
 The result is written to ``BENCH_<pr>.json`` in the working tree: per
 pair the end-to-end metrics and failure counts of both sides, and per
-metric the medians and quartiles of each side and how many pairs the
+metric the medians and quartiles of each side, how many pairs the
 change won (was strictly better in, by the direction declared in
-``BENCHMARK.json``).
+``BENCHMARK.json``), and whether it regressed: its median is worse than
+the base median by more than the metric's relative ``bound`` in
+``BENCHMARK.json``.  One verdict line per workload and metric is
+printed at the end.
 """
 
 from __future__ import annotations
@@ -58,23 +61,54 @@ def _side(xs: list[float]) -> dict[str, float]:
     return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: medians and quartiles of both sides, and the number
-    of pairs in which the change is strictly better.  ``pairs`` hold
-    ``base`` and ``change`` metric dicts; ``better`` maps each metric
-    name to "lower" or "higher"."""
+def summarize(pairs: list[dict], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
+    """Per metric: medians and quartiles of both sides, the number of
+    pairs in which the change is strictly better, and whether the
+    change's median is worse than the base median by more than the
+    metric's relative bound.  ``pairs`` hold ``base`` and ``change``
+    metric dicts; ``better`` maps each metric name to "lower" or
+    "higher", and ``bounds`` maps it to its bound (no bound, no
+    regression)."""
+    bounds = bounds or {}
     out = {}
     for name, direction in better.items():
         base = [p["base"][name] for p in pairs]
         change = [p["change"][name] for p in pairs]
-        if direction == "lower":
-            wins = sum(c < b for b, c in zip(base, change))
-        else:
-            wins = sum(c > b for b, c in zip(base, change))
+        sign = 1 if direction == "lower" else -1
+        wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
+        sides = {"base": _side(base), "change": _side(change)}
+        bound = bounds.get(name)
+        worse_by = sign * (sides["change"]["median"]
+                           - sides["base"]["median"])
+        regressed = (bound is not None
+                     and worse_by > bound * abs(sides["base"]["median"]))
         out[name] = {"better": direction, "pairs": len(pairs),
-                     "change_wins": wins,
-                     "base": _side(base), "change": _side(change)}
+                     "change_wins": wins, "bound": bound,
+                     "regressed": regressed, **sides}
     return out
+
+
+def verdict(workload: str, name: str, s: dict) -> str:
+    """One line: the medians, the change in percent, the wins, the base
+    IQR and the verdict.  REGRESSED is worse beyond the bound; "gain"
+    is better in at least nine of ten pairs and by more than the base
+    IQR in the median; anything else is "within bound"."""
+    base, change = s["base"]["median"], s["change"]["median"]
+    pct = 100 * (change - base) / base if base else 0.0
+    sign = 1 if s["better"] == "lower" else -1
+    if s["regressed"]:
+        word = "REGRESSED"
+    elif (10 * s["change_wins"] >= 9 * s["pairs"]
+          and sign * (base - change) > s["base"]["iqr"]):
+        word = "gain"
+    else:
+        word = "within bound"
+    bound = "none" if s["bound"] is None else f"{100 * s['bound']:.0f}%"
+    return (f"{workload} {name}: {base:.4g} -> {change:.4g} ({pct:+.1f}%),"
+            f" {s['better']} is better, change wins {s['change_wins']}/"
+            f"{s['pairs']}, base IQR {s['base']['iqr']:.3g}, bound {bound}:"
+            f" {word}")
 
 
 def export_commit(rev: str, dest: Path) -> str:
@@ -100,8 +134,9 @@ def main(argv=None) -> int:
     parser.add_argument("--first-seed", type=int, default=1000)
     args = parser.parse_args(argv)
 
-    better = {m["name"]: m["better"] for m in
-              json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    better = {m["name"]: m["better"] for m in metrics}
+    bounds = {m["name"]: m["bound"] for m in metrics if "bound" in m}
     result = {"pr": args.pr, "base": None, "change": "working tree",
               "command": "python3 tools/bench_pairs.py "
                          + " ".join(argv if argv is not None else sys.argv[1:]),
@@ -130,9 +165,12 @@ def main(argv=None) -> int:
                                   for k in ("pass_norm_s", "peak_rss_mib")),
                       flush=True)
             result["workloads"][workload] = {
-                "pairs": pairs, "summary": summarize(pairs, better)}
+                "pairs": pairs, "summary": summarize(pairs, better, bounds)}
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(result, indent=1) + "\n")
+    for workload, data in result["workloads"].items():
+        for name, s in data["summary"].items():
+            print(verdict(workload, name, s))
     print(f"wrote {out}")
     return 0
 
