@@ -19,8 +19,8 @@ from . import drags, johnson, lattice, rewriter, words
 # Inputs whose work would explode are refused, with exit 1, before any
 # work starts.  `fs` enumerates (2 bound + 1)^n candidate vectors and
 # then tests pairs of them.  The cap admits n <= 6 at bound 1 and
-# (n, bound) = (4, 2) and (3, 4); the slowest of these, (3, 4), takes
-# 17 s of CPU with --homology on a 2-vCPU Xeon host.
+# (n, bound) = (4, 2) and (3, 4); with --homology, (3, 4) takes 5-6 s
+# of CPU and (4, 2) about 8 s on a 2-vCPU Xeon host.
 FS_MAX_CANDIDATES = 729
 # `complete-basis` builds, checks and prints an n x n matrix.
 COMPLETE_BASIS_MAX_N = 100
@@ -33,6 +33,36 @@ def _emit(ctx: click.Context, obj: dict) -> None:
                        file=sys.stdout)
     else:
         click.echo(json.dumps(obj, separators=(",", ":")), file=sys.stdout)
+
+
+def _show_help(ctx: click.Context, param: click.Parameter,
+               value: bool) -> None:
+    """The --help callback: click's own, but printing through the
+    current sys.stdout like ``_emit``.  Click's default echoes on a
+    wrapper it caches per stream, which would keep an in-process
+    caller's replacement stdout alive."""
+    if value and not ctx.resilient_parsing:
+        click.echo(ctx.get_help(), color=ctx.color, file=sys.stdout)
+        ctx.exit()
+
+
+class _HelpOnStdout:
+    """Commands and groups whose --help prints through ``_show_help``."""
+
+    def get_help_option(self, ctx: click.Context) -> click.Option | None:
+        option = super().get_help_option(ctx)
+        if option is not None:
+            option.callback = _show_help
+        return option
+
+
+class _Command(_HelpOnStdout, click.Command):
+    pass
+
+
+class _Group(_HelpOnStdout, click.Group):
+    command_class = _Command
+    group_class = type
 
 
 def _fail(exc: Exception) -> None:
@@ -73,7 +103,7 @@ def _parse_boundary(text: str) -> tuple[int, int]:
         raise words.ParseError(f"boundary must be 'r,s', got {text!r}") from None
 
 
-@click.group()
+@click.group(cls=_Group)
 @click.option("--output", type=click.Choice(["json", "human"]),
               default="json", help="output mode")
 @click.pass_context
@@ -311,9 +341,10 @@ def push_factor(ctx, config_text: str, boundary: str, word_text: str) -> None:
     addr = _parse_boundary(boundary)
     w = words.parse_word(word_text, config.n)
     dw = rewriter.push_factorization(config, addr, w)
-    # maps are equal when their images are; no inverse word is realized
+    # maps are equal when their images are; no inverse image is built
+    # on either side
     matches = (drags.realize_images(config, dw)
-               == drags.push_boundary(config, addr, w).images)
+               == drags._push_images(config, addr, w))
     _emit(ctx, {"drags": drags.drag_word_text(dw), "matches_push": matches})
 
 

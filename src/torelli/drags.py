@@ -24,9 +24,11 @@ adds the inverse certificate, the realization of the inverse drag word
 by the same loop; ``realize`` is its one-token case.  Equality of two
 maps is decided on images alone (``same_map``), and tau reads images
 only, so the relation verifiers, ``tau_star``, ``abelianization_rank``
-and the ``push-factor`` check realize images only.  Inverse certificates are read by the membership check, which
-runs ``verify_certificate`` on every generator, and printed by
-``torelli realize``.
+and the ``push-factor`` check realize images only; that check compares
+them with ``_push_images``, the push without its inverse family.
+Inverse certificates are read by the membership check, which runs
+``verify_certificate`` on every generator, and printed by ``torelli
+realize`` and ``torelli push``.
 
 The action tables of the drags and pushes (``_drag_action``,
 ``_push_action``) map each moved generator index to its image as a
@@ -54,6 +56,7 @@ from .words import (
     gen,
     identity_map,
     inner_automorphism,
+    inv,
     is_homology_trivial,
 )
 
@@ -245,21 +248,27 @@ def _push_action(basis: CappedBasis, r: int, s: int,
     return action
 
 
-def push_boundary(config: PartitionConfig, boundary: tuple[int, int],
-                  gamma: Word) -> GroupMap:
-    """Realize the point-push of boundary (r, s) around the loop gamma
-    (a rank-n word).  Homomorphism in gamma; inverse certificate from
-    the push of gamma^-1."""
+def _push_images(config: PartitionConfig, boundary: tuple[int, int],
+                 gamma: Word) -> tuple[Word, ...]:
+    """The generator images of the push of boundary (r, s) around the
+    loop gamma (a rank-n word), without a certificate."""
     r, s = boundary
     _check_boundary(config, r, s)
     if gamma.rank != config.n:
         raise PreconditionError(
             f"push loop must have rank n = {config.n}, got {gamma.rank}")
     basis = build_basis(config)
-    fwd = _images(basis, _push_action(basis, r, s, gamma.letters))
-    bwd = _images(basis, _push_action(basis, r, s,
-                                      _inv_letters(gamma.letters)))
-    return GroupMap(basis.m, fwd, bwd)
+    return _images(basis, _push_action(basis, r, s, gamma.letters))
+
+
+def push_boundary(config: PartitionConfig, boundary: tuple[int, int],
+                  gamma: Word) -> GroupMap:
+    """Realize the point-push of boundary (r, s) around the loop gamma
+    (a rank-n word).  Homomorphism in gamma; inverse certificate from
+    the push of gamma^-1."""
+    images = _push_images(config, boundary, gamma)
+    return GroupMap(len(images), images,
+                    _push_images(config, boundary, inv(gamma)))
 
 
 def _drag_action(basis: CappedBasis, g: DragGenerator,

@@ -13,6 +13,14 @@ test decides the all-unit case of smith_invariants: k rows span a
 summand of rank k exactly when their k invariants are all 1, and only
 rows that fail it go through snf().
 
+The elimination keeps its column operations and the columns it leaves
+(``_summand_quotient``), which give coordinates on the quotient
+Z^n/<rows>.  A quotient is built once and then tests any number of
+further vectors w, each by the primitivity of its image there, which
+is the lemma's next step.  The FS truncation builds Z^n/<u> once per
+vertex u to find its edges and Z^n/<u, v> once per edge to find its
+triangles.
+
 Ranks over Q come from one sparse fraction-free elimination, which the
 boundary matrix of the FS truncation feeds directly.  Since
 rank d2 <= dim ker d1, the FS homology stops ranking d2 as soon as the
@@ -21,9 +29,10 @@ rank reaches dim ker d1: H_1 = 0 is then exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import defaultdict
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from math import gcd
 
@@ -32,6 +41,8 @@ SparseRow = dict[int, int]
 Vertex = tuple[int, ...]
 Edge = tuple[Vertex, Vertex]
 Triangle = tuple[Vertex, Vertex, Vertex]
+# column operations (j, q, p), col j -= q * col p, and the columns left
+Quotient = tuple[list[tuple[int, int, int]], list[int]]
 
 
 def identity(k: int) -> Matrix:
@@ -276,42 +287,43 @@ def is_primitive(v: list[int]) -> bool:
     return g == 1
 
 
-def spans_summand(vectors: list[list[int]]) -> bool:
-    """True iff the span of the rows is a direct summand of Z^n of rank
-    len(vectors).
+def _summand_quotient(rows: list[list[int]], n: int) -> Quotient | None:
+    """Coordinates on Z^n/<rows>, or None if the rows span no summand
+    of Z^n of rank len(rows).
 
     By the extension lemma: the first row must be primitive, and the
     images of the other rows in Z^n/<first row> must span a summand.
     Column Euclid on the first row leaves one entry, a unit exactly when
     the row is primitive; the same column operations on the other rows,
     with that column dropped, give their images in the quotient Z^(n-1).
+
+    Returns (ops, live): the column operations (j, q, p), meaning
+    col j -= q * col p, in the order applied, and the columns left.
+    Replaying ops on a vector and reading its live entries gives its
+    image in Z^n/<rows> = Z^len(live) (``_primitive_image``).
     """
-    if not vectors:
-        return True
-    n = len(vectors[0])
-    if any(len(v) != n for v in vectors):
-        raise ValueError("mixed lengths")
-    if len(vectors) > n:
-        return False
-    rows = [list(v) for v in vectors]
-    while True:
-        head, rest = rows[0], rows[1:]
-        if gcd(*head) != 1:
-            return False
-        if not rest:
-            return True
+    rows = [list(v) for v in rows]
+    ops: list[tuple[int, int, int]] = []
+    live = list(range(n))
+    for k, head in enumerate(rows):
+        if gcd(*[head[c] for c in live]) != 1:
+            return None
+        rest = rows[k + 1:]
         while True:
             # column Euclid: reduce every other entry of head modulo its
             # smallest nonzero entry, until that entry is alone
             p, size = 0, 0
-            for j, x in enumerate(head):
+            for j in live:
+                x = head[j]
                 if x and (not size or abs(x) < size):
                     p, size = j, abs(x)
             pivot, alone = head[p], True
-            for j, x in enumerate(head):
+            for j in live:
+                x = head[j]
                 if x and j != p:
                     q = x // pivot
                     head[j] = x - q * pivot
+                    ops.append((j, q, p))
                     for row in rest:
                         row[j] -= q * row[p]
                     alone = alone and not head[j]
@@ -319,7 +331,32 @@ def spans_summand(vectors: list[list[int]]) -> bool:
                 break
         # head is now +-e_p, a basis vector, so the quotient by it drops
         # coordinate p
-        rows = [row[:p] + row[p + 1:] for row in rest]
+        live.remove(p)
+    return ops, live
+
+
+def _primitive_image(quotient: Quotient, w: Iterable[int]) -> bool:
+    """Whether the image of w in Z^n/<rows> is primitive, for the
+    quotient ``_summand_quotient(rows, n)``: by the extension lemma,
+    exactly when rows + [w] span a summand."""
+    ops, live = quotient
+    w = list(w)
+    for j, q, p in ops:
+        w[j] -= q * w[p]
+    return gcd(*[w[c] for c in live]) == 1
+
+
+def spans_summand(vectors: list[list[int]]) -> bool:
+    """True iff the span of the rows is a direct summand of Z^n of rank
+    len(vectors), by primitive quotients (``_summand_quotient``)."""
+    if not vectors:
+        return True
+    n = len(vectors[0])
+    if any(len(v) != n for v in vectors):
+        raise ValueError("mixed lengths")
+    if len(vectors) > n:
+        return False
+    return _summand_quotient(vectors, n) is not None
 
 
 def complete_basis(vectors: list[list[int]], n: int) -> Matrix:
@@ -373,10 +410,18 @@ def fs_is_simplex(vertices: list[tuple[int, ...]]) -> bool:
 
 
 def fs_graph(n: int, bound: int) -> tuple[list[Vertex], list[Edge]]:
-    """Vertices and edges (u, v), u < v, in lexicographic order."""
+    """Vertices and edges (u, v), u < v, in lexicographic order.
+
+    The quotient Z^n/<u> is built once per vertex u, and each later
+    vertex v is an edge exactly when its image there is primitive.
+    """
     verts = fs_vertices(n, bound)
-    return verts, [(u, v) for u, v in itertools.combinations(verts, 2)
-                   if spans_summand([list(u), list(v)])]
+    edges = []
+    for i, u in enumerate(verts):
+        quotient = _summand_quotient([u], n)
+        edges.extend((u, v) for v in verts[i + 1:]
+                     if _primitive_image(quotient, v))
+    return verts, edges
 
 
 def fs_edges(n: int, bound: int) -> list[Edge]:
@@ -404,21 +449,37 @@ def fs_connected(n: int, bound: int) -> bool:
     return fs_components(*fs_graph(n, bound)) == 1
 
 
+def _fs_edge_test(u: Vertex, v: Vertex) -> Callable[[Vertex], bool]:
+    """The simplex test of (u, v, w) for a third vertex w: the quotient
+    Z^n/<u, v> is built once, and w passes when its image there is
+    primitive."""
+    quotient = _summand_quotient([u, v], len(u))
+    if quotient is None:
+        return lambda w: False
+    return functools.partial(_primitive_image, quotient)
+
+
 def _fs_triangle_iter(edges: list[Edge]) -> Iterator[Triangle]:
     adj: dict[Vertex, set[Vertex]] = defaultdict(set)
     for u, v in edges:
         adj[u].add(v)
         adj[v].add(u)
-    return ((u, v, w) for u, v in edges
-            for w in sorted(adj[u] & adj[v])
-            if w > v and fs_is_simplex([u, v, w]))
+    for u, v in edges:
+        common = sorted(w for w in adj[u] & adj[v] if w > v)
+        if common:
+            test = _fs_edge_test(u, v)
+            for w in common:
+                if test(w):
+                    yield u, v, w
 
 
 def fs_triangles(edges: list[Edge]) -> list[Triangle]:
     """The 2-simplices (u, v, w), u < v < w, in lexicographic order.
 
     Every 2-simplex is a triangle of the graph, so only the common
-    neighbours w > v of each edge (u, v) are tested.
+    neighbours w > v of each edge (u, v) are tested, each by the
+    primitivity of its image in Z^n/<u, v>, a quotient built once per
+    edge that has such neighbours.
     """
     return list(_fs_triangle_iter(edges))
 

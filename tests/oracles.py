@@ -3,13 +3,15 @@
 Each oracle recomputes a quantity along a different route than the
 package: the Magnus projection by genuine truncated power-series
 multiplication, the Johnson homomorphism by rho of validated product
-words, summand detection by maximal-minor gcds, substitution
+words, summand detection by maximal-minor gcds, the FS truncation by
+one whole summand test per vertex pair and per triangle, substitution
 into words by concatenating whole images and reducing afterwards, drag
 actions and Tomaszewski factors built from validated words, products by
 a left fold of ``mul``, and word strategies for property tests.
 """
 
 import itertools
+from collections import defaultdict
 from math import gcd
 
 from hypothesis import strategies as st
@@ -20,11 +22,14 @@ from torelli import (
     build_basis,
     comm,
     conj,
+    fs_is_simplex,
+    fs_vertices,
     gen,
     inv,
     mul,
     reduce,
     rho,
+    spans_summand,
 )
 
 # --- truncated Magnus series ------------------------------------------------
@@ -208,6 +213,27 @@ def minors_spans_summand(vectors: list) -> bool:
         if g == 1:
             return True
     return False
+
+
+# --- FS(Z^n) by one summand test per candidate -------------------------------
+
+def fs_graph_per_pair(n: int, bound: int) -> tuple[list, list]:
+    """Vertices and edges of the FS truncation, with one whole summand
+    test of every vertex pair."""
+    verts = fs_vertices(n, bound)
+    return verts, [(u, v) for u, v in itertools.combinations(verts, 2)
+                   if spans_summand([list(u), list(v)])]
+
+
+def fs_triangles_per_candidate(edges: list) -> list:
+    """The 2-simplices (u, v, w), u < v < w, with one whole simplex test
+    of every common neighbour w > v of each edge (u, v)."""
+    adj: dict = defaultdict(set)
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return [(u, v, w) for u, v in edges for w in sorted(adj[u] & adj[v])
+            if w > v and fs_is_simplex([u, v, w])]
 
 
 # --- hypothesis strategies --------------------------------------------------

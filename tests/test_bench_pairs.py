@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -95,3 +96,59 @@ def test_verdict_lines():
     slow = [_pair(0.4, 0.6, 100, 100)] * 3
     s = bench_pairs.summarize(slow, better, bounds)["pass_norm_s"]
     assert bench_pairs.verdict("w", "pass_norm_s", s).endswith(": REGRESSED")
+
+
+def _failed(base, change):
+    return {"failed": {"base": base, "change": change}}
+
+
+def test_failure_verdict_flags_any_failing_change_pair():
+    clean = [_failed(0, 0)] * 10
+    assert bench_pairs.failure_verdict("fs-h1", clean) is None
+    # the base failing alone is not the change's fault
+    assert bench_pairs.failure_verdict(
+        "fs-h1", [_failed(2, 0)] + clean[1:]) is None
+    # one failing output of the change in one pair is flagged, even
+    # when the base fails as often
+    line = bench_pairs.failure_verdict(
+        "fs-h1", [_failed(1, 1)] + clean[1:])
+    assert line == ("fs-h1: FAILURES: the change failed outputs in 1/10"
+                    " pairs, 1 in all against 1 for the base")
+    line = bench_pairs.failure_verdict(
+        "push-long", [_failed(0, 3), _failed(0, 1)])
+    assert line.startswith("push-long: FAILURES:")
+    assert "in 2/2 pairs, 4 in all against 0" in line
+
+
+def test_main_exits_nonzero_when_the_change_fails(monkeypatch, tmp_path,
+                                                  capsys):
+    # the change fails one push-long output per run: the file is still
+    # written and the exit code is 1; with no failures it is 0
+    failing = {"push-long"}
+
+    def fake_run(tree, workload, seed, seconds):
+        failed = tree == bench_pairs.ROOT and workload in failing
+        return {"failed": int(failed),
+                "metrics": {"pass_norm_s": {"value": 1.0},
+                            "peak_rss_mib": {"value": 25.0}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    monkeypatch.setattr(bench_pairs, "export_commit",
+                        lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "pass_norm_s", "better": "lower",'
+        ' "bound": 0.25}, {"name": "peak_rss_mib", "better": "lower",'
+        ' "bound": 0.1}]}')
+    args = ["--pr", "t", "--pairs", "2", "--seconds", "1",
+            "--workload", "fs-h1", "--workload", "push-long"]
+    assert bench_pairs.main(args) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [x for x in lines if "FAILURES" in x] == [
+        "push-long: FAILURES: the change failed outputs in 2/2 pairs, 2 in"
+        " all against 0 for the base"]
+    written = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert [p["failed"] for p in written["workloads"]["push-long"]["pairs"]] \
+        == [{"base": 0, "change": 1}] * 2
+    failing.clear()
+    assert bench_pairs.main(args) == 0

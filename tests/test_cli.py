@@ -247,6 +247,29 @@ def test_push_factor_matches_golden_realizing_once(runner, monkeypatch,
     assert len(seen) == 1
 
 
+@pytest.mark.parametrize("index", range(3))
+def test_push_factor_builds_push_images_only(runner, monkeypatch, index):
+    # the check reads only the images of the push: one images-only push
+    # per input, and no push with its inverse family; stdout stays golden
+    pushes: list = []
+    images_only = drags._push_images
+
+    def counted(config, boundary, gamma):
+        pushes.append(gamma)
+        return images_only(config, boundary, gamma)
+
+    def refused(*args):
+        raise AssertionError("push-factor built the inverse push")
+
+    monkeypatch.setattr(drags, "_push_images", counted)
+    monkeypatch.setattr(drags, "push_boundary", refused)
+    case = json.loads((GOLDEN / "push_factor.json").read_text())[index]
+    result = invoke(runner, *case["args"])
+    assert result.exit_code == 0
+    assert result.output == case["stdout"]
+    assert len(pushes) == 1
+
+
 @pytest.mark.slow
 def test_verify_sweep_n2_to_5_b_up_to_4(runner):
     # the checks of `torelli verify --all` on every configuration with
@@ -446,6 +469,8 @@ def test_human_output_mode(runner):
     ("rank", "--config", CFG21),
     ("--output", "human", "rank", "--config", CFG21),
     ("rho", "--n", "2", "--word", "x1"),
+    ("--help",),
+    ("verify", "--help"),
 ])
 def test_in_process_streams_are_released(args):
     # click caches a wrapper per default stream that keeps its stream

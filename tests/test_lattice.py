@@ -30,7 +30,11 @@ from torelli import (
 from torelli import lattice
 from torelli.lattice import det, identity, mat_mul
 
-from .oracles import minors_spans_summand
+from .oracles import (
+    fs_graph_per_pair,
+    fs_triangles_per_candidate,
+    minors_spans_summand,
+)
 
 small_int = st.integers(min_value=-9, max_value=9)
 
@@ -217,12 +221,12 @@ big_int = st.one_of(st.just(0), st.integers(-3, 3),
 
 
 @st.composite
-def summand_candidates(draw):
-    """Row families of up to n + 1 rows in Z^n, n <= 4, with entries up
-    to 10^6, biased towards the cases the quotient recursion branches
+def summand_candidates(draw, max_n=4):
+    """Row families of up to n + 1 rows in Z^n, n <= max_n, with entries
+    up to 10^6, biased towards the cases the quotient recursion branches
     on: a zero, repeated or non-primitive first row, and summands of
     large entries (leading rows of a unimodular matrix)."""
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, max_n))
     k = draw(st.integers(1, n + 1))
     rows = draw(st.lists(st.lists(big_int, min_size=n, max_size=n),
                          min_size=k, max_size=k))
@@ -255,6 +259,21 @@ def summand_candidates(draw):
 @example([[999999, 1000000], [1, 1]])
 def test_spans_summand_matches_minors_oracle_large_entries(rows):
     assert spans_summand(rows) == minors_spans_summand(rows)
+
+
+@given(summand_candidates(max_n=5))
+@example([[0, 0, 0]])
+@example([[1, 0], [0, 1], [1, 1]])
+@example([[999999, 1000000], [1000000, 999999]])
+@example([[999999, 1000000, 0], [0, 0, 1], [1, 1, 0]])
+def test_quotient_then_primitive_image_matches_minors_oracle(rows):
+    # the extension lemma's step: rows span a summand exactly when
+    # rows[:-1] do and the image of rows[-1] in their quotient is
+    # primitive
+    n = len(rows[0])
+    quotient = lattice._summand_quotient(rows[:-1], n)
+    ok = quotient is not None and lattice._primitive_image(quotient, rows[-1])
+    assert ok == minors_spans_summand(rows)
 
 
 @given(st.lists(st.lists(small_int, min_size=4, max_size=4),
@@ -368,6 +387,17 @@ def test_fs_triangles_match_all_triples(n, bound):
     assert set(triangles) == triples
 
 
+@pytest.mark.parametrize("n,bound", [(2, 1), (2, 2), (2, 3), (3, 1),
+                                     (3, 2), (4, 1)])
+def test_fs_graph_and_triangles_match_per_candidate_tests(n, bound):
+    # one quotient per vertex and per edge gives the same edges and
+    # triangles, in the same order, as a whole summand test per pair
+    # and per common neighbour
+    verts, edges = fs_graph(n, bound)
+    assert (verts, edges) == fs_graph_per_pair(n, bound)
+    assert fs_triangles(edges) == fs_triangles_per_candidate(edges)
+
+
 def test_fs_h1_n4_bound1():
     assert fs_h1_rank(4, 1) == 0
 
@@ -385,20 +415,30 @@ def test_fs_h1_n4_bound2():
     assert fs_h1_rank(4, 2) == 0
 
 
-def _record_simplices(monkeypatch, is_simplex=None):
-    """Replace fs_is_simplex by a wrapper that counts its calls and
-    records, in order, the families it accepts."""
-    real = is_simplex or lattice.fs_is_simplex
+@pytest.mark.slow
+def test_fs_h1_n3_bound4():
+    # 729 candidate vectors, the most that FS_MAX_CANDIDATES admits
+    assert fs_h1_rank(3, 4) == 0
+
+
+def _record_simplices(monkeypatch, edge_test=None):
+    """Wrap the per-edge test seam so that every candidate test is
+    counted and the accepted triangles are recorded in order."""
+    real = edge_test or lattice._fs_edge_test
     seen = {"calls": 0, "simplices": []}
 
-    def recording(vertices):
-        seen["calls"] += 1
-        ok = real(vertices)
-        if ok:
-            seen["simplices"].append(tuple(vertices))
-        return ok
+    def recording_edge_test(u, v):
+        test = real(u, v)
 
-    monkeypatch.setattr(lattice, "fs_is_simplex", recording)
+        def recording(w):
+            seen["calls"] += 1
+            ok = test(w)
+            if ok:
+                seen["simplices"].append((u, v, w))
+            return ok
+        return recording
+
+    monkeypatch.setattr(lattice, "_fs_edge_test", recording_edge_test)
     return seen
 
 
@@ -446,7 +486,7 @@ def test_fs_h1_of_rp2_consumes_every_face(monkeypatch):
     verts = list(range(6))
     edges = list(itertools.combinations(verts, 2))
     seen = _record_simplices(
-        monkeypatch, lambda vertices: tuple(sorted(vertices)) in faces)
+        monkeypatch, lambda u, v: lambda w: tuple(sorted((u, v, w))) in faces)
     assert _cycle_rank(verts, edges) == 10
     assert fs_h1(verts, edges) == 0
     assert set(seen["simplices"]) == faces

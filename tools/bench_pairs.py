@@ -17,6 +17,11 @@ change won (was strictly better in, by the direction declared in
 the base median by more than the metric's relative ``bound`` in
 ``BENCHMARK.json``.  One verdict line per workload and metric is
 printed at the end.
+
+``perfbench/run.py`` exits 0 even when some of its outputs fail their
+checks, so each run's ``failed`` count is read as well: a workload
+whose change side fails outputs in any pair gets a FAILURES line, and
+the command then exits 1 (after writing the file).
 """
 
 from __future__ import annotations
@@ -111,6 +116,20 @@ def verdict(workload: str, name: str, s: dict) -> str:
             f" {word}")
 
 
+def failure_verdict(workload: str, pairs: list[dict]) -> str | None:
+    """A FAILURES line when the change side failed outputs in any pair,
+    which includes every case of it failing more often than the base;
+    None otherwise."""
+    failing = sum(p["failed"]["change"] > 0 for p in pairs)
+    if not failing:
+        return None
+    base = sum(p["failed"]["base"] for p in pairs)
+    change = sum(p["failed"]["change"] for p in pairs)
+    return (f"{workload}: FAILURES: the change failed outputs in {failing}/"
+            f"{len(pairs)} pairs, {change} in all against {base} for the"
+            f" base")
+
+
 def export_commit(rev: str, dest: Path) -> str:
     """Write the committed files of ``rev`` into ``dest``; its hash."""
     commit = subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"],
@@ -168,11 +187,16 @@ def main(argv=None) -> int:
                 "pairs": pairs, "summary": summarize(pairs, better, bounds)}
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(result, indent=1) + "\n")
+    failed = False
     for workload, data in result["workloads"].items():
         for name, s in data["summary"].items():
             print(verdict(workload, name, s))
+        line = failure_verdict(workload, data["pairs"])
+        if line:
+            failed = True
+            print(line)
     print(f"wrote {out}")
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
