@@ -19,11 +19,18 @@ from . import drags, johnson, lattice, rewriter, words
 # Inputs whose work would explode are refused, with exit 1, before any
 # work starts.  `fs` enumerates (2 bound + 1)^n candidate vectors and
 # then tests pairs of them.  The cap admits n <= 6 at bound 1 and
-# (n, bound) = (4, 2) and (3, 4); with --homology, (3, 4) takes 5-6 s
-# of CPU and (4, 2) about 8 s on a 2-vCPU Xeon host.
+# (n, bound) = (4, 2) and (3, 4); with --homology, each of those takes
+# 1.5-3.5 s of CPU on a 2-vCPU Xeon host, depending on its load.
 FS_MAX_CANDIDATES = 729
 # `complete-basis` builds, checks and prints an n x n matrix.
 COMPLETE_BASIS_MAX_N = 100
+# `rewrite` and `push-factor` expand each letter of the word into
+# Schreier factors; the raw count, before any cancels, is known from
+# one scan.  At n = 3, x1^k x2^k x1^-k x2^-k has k^2 of them: `push-factor`
+# takes about 0.75 s of CPU at k = 40, 2.6 s at k = 64 (the cap) and
+# 5.3 s at k = 80 on a 2-vCPU Xeon host.  Seeded words of about 100
+# letters, as in the push-long benchmark, stay below 100.
+REWRITE_MAX_FACTORS = 4096
 
 
 def _emit(ctx: click.Context, obj: dict) -> None:
@@ -63,6 +70,16 @@ class _Command(_HelpOnStdout, click.Command):
 class _Group(_HelpOnStdout, click.Group):
     command_class = _Command
     group_class = type
+
+    def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
+        """Print the no-argument help through the current sys.stderr,
+        with exit 2.  Click raises ``NoArgsIsHelpError``, whose message
+        goes to its cached default stderr wrapper, the leak that
+        ``_show_help`` avoids on stdout."""
+        if not args and self.no_args_is_help and not ctx.resilient_parsing:
+            click.echo(ctx.get_help(), color=ctx.color, file=sys.stderr)
+            ctx.exit(2)
+        return super().parse_args(ctx, args)
 
 
 def _fail(exc: Exception) -> None:
@@ -294,6 +311,14 @@ def rank(ctx, config_text: str) -> None:
 
 # --- rewriting --------------------------------------------------------------
 
+def _check_rewrite_size(command: str, w: words.Word) -> None:
+    size = rewriter._schreier_size(w)
+    if size > REWRITE_MAX_FACTORS:
+        raise words.PreconditionError(
+            f"{command}: {size} Schreier factors exceed REWRITE_MAX_FACTORS"
+            f" = {REWRITE_MAX_FACTORS}")
+
+
 @main.command()
 @click.option("--n", type=int, required=True)
 @click.option("--word", "word_text", required=True)
@@ -302,6 +327,7 @@ def rank(ctx, config_text: str) -> None:
 def rewrite(ctx, n: int, word_text: str) -> None:
     """Tomaszewski factorization of a commutator-subgroup word."""
     w = words.parse_word(word_text, n)
+    _check_rewrite_size("rewrite", w)
     fact = rewriter.tomaszewski_factor(w)
     _emit(ctx, {"word": words.word_text(w),
                 "factors": [{"factor": f.text(), "exp": e}
@@ -340,6 +366,7 @@ def push_factor(ctx, config_text: str, boundary: str, word_text: str) -> None:
     config = cfg.config_from_json(config_text)
     addr = _parse_boundary(boundary)
     w = words.parse_word(word_text, config.n)
+    _check_rewrite_size("push-factor", w)
     dw = rewriter.push_factorization(config, addr, w)
     # maps are equal when their images are; no inverse image is built
     # on either side

@@ -21,17 +21,19 @@ is the lemma's next step.  The FS truncation builds Z^n/<u> once per
 vertex u to find its edges and Z^n/<u, v> once per edge to find its
 triangles.
 
-Ranks over Q come from one sparse fraction-free elimination, which the
-boundary matrix of the FS truncation feeds directly.  Since
-rank d2 <= dim ker d1, the FS homology stops ranking d2 as soon as the
-rank reaches dim ker d1: H_1 = 0 is then exact.
+Ranks over Q come from one sparse fraction-free elimination.  The FS
+homology ranks its boundary matrix d2 first over GF(2), each row an int
+with three bits: rank_Q d2 >= rank_GF(2) d2, and rank d2 <= dim ker d1,
+so it stops as soon as the GF(2) rank reaches dim ker d1, and H_1 = 0 is
+then exact.  Otherwise the rows found are ranked over Q by the sparse
+elimination.  Common neighbours in the graph are the AND of two ints
+whose bits mark higher neighbours.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from math import gcd
@@ -460,17 +462,24 @@ def _fs_edge_test(u: Vertex, v: Vertex) -> Callable[[Vertex], bool]:
 
 
 def _fs_triangle_iter(edges: list[Edge]) -> Iterator[Triangle]:
-    adj: dict[Vertex, set[Vertex]] = defaultdict(set)
+    # vertices indexed in sorted order; above[i] has bit j set for each
+    # neighbour j > i, so the common neighbours w > v of an edge (u, v)
+    # are the bits of above[u] & above[v], lowest (smallest w) first
+    verts = sorted({x for edge in edges for x in edge})
+    index = {x: i for i, x in enumerate(verts)}
+    above = [0] * len(verts)
     for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
+        above[index[u]] |= 1 << index[v]
     for u, v in edges:
-        common = sorted(w for w in adj[u] & adj[v] if w > v)
+        common = above[index[u]] & above[index[v]]
         if common:
             test = _fs_edge_test(u, v)
-            for w in common:
+            while common:
+                low = common & -common
+                w = verts[low.bit_length() - 1]
                 if test(w):
                     yield u, v, w
+                common ^= low
 
 
 def fs_triangles(edges: list[Edge]) -> list[Triangle]:
@@ -479,26 +488,44 @@ def fs_triangles(edges: list[Edge]) -> list[Triangle]:
     Every 2-simplex is a triangle of the graph, so only the common
     neighbours w > v of each edge (u, v) are tested, each by the
     primitivity of its image in Z^n/<u, v>, a quotient built once per
-    edge that has such neighbours.
+    edge that has such neighbours.  Each vertex keeps its higher
+    neighbours as the bits of one int, so an edge's common neighbours
+    are the AND of two ints, read from the lowest bit up.
     """
     return list(_fs_triangle_iter(edges))
 
 
 def fs_h1(verts: list[Vertex], edges: list[Edge]) -> int:
     """Rank of H_1 of the 2-skeleton on these vertices and edges, by
-    exact boundary ranks over Q.
+    boundary ranks over Q, certified over GF(2) where that suffices.
 
-    rank d2 <= dim ker d1 = |E| - |V| + #components, so the triangles
-    are found and ranked lazily and the rank stops at that bound: once
-    it is reached, H_1 = 0 exactly and no further triangle can change
-    it.  When H_1 > 0 the bound is never reached and every triangle is
-    ranked.
+    rank d2 <= dim ker d1 = |E| - |V| + #components.  The triangles are
+    found lazily and each row of d2 is reduced over GF(2) as an int
+    with three bits, on its highest bit.  An odd minor is a nonzero
+    integer, so rank_Q d2 >= rank_GF(2) d2: once the GF(2) rank reaches
+    dim ker d1, H_1 = 0 exactly and no further triangle is tested.  If
+    the triangles run out first (H_1 > 0, or 2-torsion as in RP^2),
+    the stored rows are ranked exactly over Q by ``_sparse_rank``.
     """
     edge_index = {e: i for i, e in enumerate(edges)}
-    d2 = ({edge_index[(v, w)]: 1, edge_index[(u, w)]: -1,
-           edge_index[(u, v)]: 1} for u, v, w in _fs_triangle_iter(edges))
     # dim ker d1: the graph's incidence matrix has rank |V| - #components
     cycles = len(edges) - len(verts) + fs_components(verts, edges)
+    rows: list[tuple[int, int, int]] = []
+    pivots: dict[int, int] = {}
+    for u, v, w in _fs_triangle_iter(edges):
+        face = edge_index[(v, w)], edge_index[(u, w)], edge_index[(u, v)]
+        rows.append(face)
+        row = (1 << face[0]) | (1 << face[1]) | (1 << face[2])
+        while row:
+            lead = row.bit_length() - 1
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            row ^= pivot
+        if len(pivots) == cycles:
+            return 0
+    d2 = ({a: 1, b: -1, c: 1} for a, b, c in rows)
     return cycles - _sparse_rank(d2, limit=cycles)
 
 

@@ -133,6 +133,20 @@ def _expand_gamma(a: list[int], k: int) -> list[tuple[TomaszewskiFactor, int]]:
     return out
 
 
+def _schreier_size(w: Word) -> int:
+    """How many factors ``tomaszewski_factor`` emits for w before it
+    cancels any: the letter x_k^(+-1) expands into sum_{q<k} |a_q|
+    factors, a the abelianized prefix.  a_k itself is not summed, so it
+    does not matter whether the letter has moved it yet."""
+    a = [0] * w.rank
+    total = 0
+    for letter in w.letters:
+        k = abs(letter)
+        total += sum(abs(x) for x in a[:k - 1])
+        a[k - 1] += 1 if letter > 0 else -1
+    return total
+
+
 def tomaszewski_factor(w: Word) -> Factorization:
     """Deterministic factorization in the Tomaszewski basis.
 

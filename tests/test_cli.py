@@ -16,6 +16,7 @@ from torelli import (
     drags,
     johnson,
     lattice,
+    rewriter,
     standard_grid,
 )
 from torelli import cli
@@ -383,6 +384,49 @@ def test_power_exceeds_stops_past_the_limit():
     assert cli._power_exceeds(3, 10 ** 9, 729)
 
 
+def _square_commutator(k):
+    # x1^k x2^k x1^-k x2^-k: k^2 Schreier factors, before any cancel
+    return " ".join(["x1"] * k + ["x2"] * k + ["x1^-1"] * k + ["x2^-1"] * k)
+
+
+def _rewrite_args(command, word):
+    if command == "rewrite":
+        return ["rewrite", "--n", "3", "--word", word]
+    return ["push-factor", "--config", CFG31, "--boundary", "1,1",
+            "--word", word]
+
+
+@pytest.mark.parametrize("command", ["rewrite", "push-factor"])
+def test_rewrite_commands_refuse_words_over_the_cap(runner, monkeypatch,
+                                                    command):
+    limit = cli.REWRITE_MAX_FACTORS
+    assert limit == 64 ** 2
+    for name in ("tomaszewski_factor", "push_factorization"):
+        monkeypatch.setattr(rewriter, name, lambda *args: pytest.fail(
+            "the word must be refused before any factor is built"))
+    result = invoke(runner, *_rewrite_args(command, _square_commutator(65)))
+    assert result.exit_code == 1
+    error = json.loads(result.output.strip().splitlines()[-1])["error"]
+    assert error == (f"{command}: 4225 Schreier factors exceed "
+                     f"REWRITE_MAX_FACTORS = {limit}")
+
+
+@pytest.mark.parametrize("command", ["rewrite", "push-factor"])
+def test_rewrite_commands_admit_words_up_to_the_cap(runner, monkeypatch,
+                                                    command):
+    word = _square_commutator(2)
+    monkeypatch.setattr(cli, "REWRITE_MAX_FACTORS", 4)
+    assert invoke(runner, *_rewrite_args(command, word)).exit_code == 0
+    monkeypatch.setattr(cli, "REWRITE_MAX_FACTORS", 3)
+    assert invoke(runner, *_rewrite_args(command, word)).exit_code == 1
+
+
+def test_rewrite_admits_the_largest_square_commutator(runner):
+    result = invoke(runner, *_rewrite_args("rewrite", _square_commutator(64)))
+    assert result.exit_code == 0
+    assert len(json.loads(result.output)["factors"]) == 64 ** 2
+
+
 def test_complete_basis_refuses_n_over_the_cap(runner, monkeypatch):
     limit = cli.COMPLETE_BASIS_MAX_N
     result = invoke(runner, "complete-basis", "--n", str(limit),
@@ -471,6 +515,8 @@ def test_human_output_mode(runner):
     ("rho", "--n", "2", "--word", "x1"),
     ("--help",),
     ("verify", "--help"),
+    (),
+    ("word",),
 ])
 def test_in_process_streams_are_released(args):
     # click caches a wrapper per default stream that keeps its stream
@@ -484,3 +530,21 @@ def test_in_process_streams_are_released(args):
     del out, err
     gc.collect()
     assert all(ref() is None for ref in refs)
+
+
+def _run_in_process(args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            main.main(args=list(args), prog_name="torelli")
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("group", [(), ("word",)])
+def test_group_without_arguments_prints_help_on_stderr(group):
+    # the --help text, byte for byte, on stderr and with exit 2
+    code, out, err = _run_in_process(group)
+    help_code, help_out, _ = _run_in_process((*group, "--help"))
+    assert (code, out) == (2, "")
+    assert help_code == 0
+    assert err == help_out and err.startswith("Usage: torelli")

@@ -5,6 +5,7 @@ import sympy
 from hypothesis import example, given
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
+from sympy.polys.matrices import DomainMatrix
 
 from torelli import (
     complete_basis,
@@ -491,6 +492,59 @@ def test_fs_h1_of_rp2_consumes_every_face(monkeypatch):
     assert fs_h1(verts, edges) == 0
     assert set(seen["simplices"]) == faces
     assert len(seen["simplices"]) == 10
+
+
+def _record_sparse_rank(monkeypatch):
+    """Record the limit of every call of the exact rank kernel."""
+    real = lattice._sparse_rank
+    limits = []
+
+    def recording(rows, limit=None):
+        limits.append(limit)
+        return real(rows, limit)
+
+    monkeypatch.setattr(lattice, "_sparse_rank", recording)
+    return limits
+
+
+@pytest.mark.parametrize("n,bound", [(4, 1), (3, 2), (5, 1)])
+def test_fs_h1_zero_is_certified_over_gf2(monkeypatch, n, bound):
+    # the GF(2) rank of d2 reaches dim ker d1, so the exact kernel never
+    # runs
+    verts, edges = fs_graph(n, bound)
+    limits = _record_sparse_rank(monkeypatch)
+    assert fs_h1(verts, edges) == 0
+    assert limits == []
+
+
+def test_fs_h1_of_rp2_falls_back_to_the_exact_rank(monkeypatch):
+    # H_1(RP^2; Z) = Z/2: over GF(2) the ten faces have rank 9 against
+    # 10 cycles, so only the exact rank over Q shows H_1(RP^2; Q) = 0
+    faces = sorted(tuple(sorted(t)) for t in
+                   [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+                    (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)])
+    verts = list(range(6))
+    edges = list(itertools.combinations(verts, 2))
+    d2 = DomainMatrix.from_Matrix(sympy.Matrix(_d2(faces, edges)))
+    assert d2.convert_to(sympy.GF(2)).rank() == 9
+    seen = _record_simplices(
+        monkeypatch, lambda u, v: lambda w: (u, v, w) in faces)
+    limits = _record_sparse_rank(monkeypatch)
+    assert fs_h1(verts, edges) == 0
+    assert limits == [_cycle_rank(verts, edges)] == [10]
+    # the fallback ranks the stored rows: no face is tested twice
+    assert seen["simplices"] == faces
+
+
+def test_fs_h1_with_h1_positive_matches_dense_oracle_at_n3_bound2(
+        monkeypatch):
+    verts, edges = fs_graph(3, 2)
+    limits = _record_sparse_rank(monkeypatch)
+    for kept in (edges[::3], edges[1::4], edges[2::5]):
+        h1 = fs_h1(verts, kept)
+        assert h1 == _dense_h1(verts, kept)
+        assert h1 > 0
+    assert len(limits) == 3
 
 
 def test_fs_dot_output():

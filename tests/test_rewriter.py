@@ -27,6 +27,7 @@ from torelli import (
     wedge,
     word_text,
 )
+from torelli import rewriter
 from torelli.johnson import ext_vector
 
 from .oracles import (
@@ -250,3 +251,38 @@ def test_push_factorization_reduced_and_realizes_push(w):
                 assert not _has_cancelling_pair(dw)
                 assert same_map(realize_word(config, dw),
                                 push_boundary(config, (r, s), w))
+
+
+def _raw_factor_count(w):
+    """Factors emitted by the Schreier scan of tomaszewski_factor before
+    cancellation, counted from ``_expand_gamma`` itself."""
+    a = [0] * w.rank
+    count = 0
+    for letter in w.letters:
+        k = abs(letter)
+        if letter > 0:
+            count += len(rewriter._expand_gamma(a, k))
+            a[k - 1] += 1
+        else:
+            a[k - 1] -= 1
+            count += len(rewriter._expand_gamma(a, k))
+    return count
+
+
+@given(commutator_words_strategy(3))
+def test_schreier_size_counts_the_raw_expansion(w):
+    size = rewriter._schreier_size(w)
+    assert size == _raw_factor_count(w)
+    assert size >= len(tomaszewski_factor(w).factors)
+
+
+@given(words_strategy(4, 20))
+def test_schreier_size_needs_no_commutator_word(w):
+    assert rewriter._schreier_size(w) == _raw_factor_count(w)
+
+
+def test_schreier_size_of_square_commutators():
+    for k in (1, 5, 40):
+        w = comm(power(gen(3, 1), k), power(gen(3, 2), k))
+        assert rewriter._schreier_size(w) == k * k
+        assert len(tomaszewski_factor(w).factors) == k * k
