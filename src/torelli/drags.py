@@ -16,19 +16,15 @@ Displayed relation products (where the leftmost factor acts first) are
 therefore realized from reversed token lists; the relation verifiers
 below do this explicitly.
 
-``realize_images`` evaluates a drag word in place instead of composing
-full maps: it keeps the images of the map built so far as letter lists
-and, token by token, rewrites only the generators the next drag moves,
-so letters cancel only where substituted images meet.  ``realize_word``
-adds the inverse certificate, the realization of the inverse drag word
-by the same loop; ``realize`` is its one-token case.  Equality of two
-maps is decided on images alone (``same_map``), and tau reads images
-only, so the relation verifiers, ``tau_star``, ``abelianization_rank``
-and the ``push-factor`` check realize images only; that check compares
-them with ``_push_images``, the push without its inverse family.
-Inverse certificates are read by the membership check, which runs
-``verify_certificate`` on every generator, and printed by ``torelli
-realize`` and ``torelli push``.
+``realize_images`` evaluates a drag word in place, rewriting token by
+token only the generators the next drag moves; ``realize_word`` adds
+the inverse certificate by the same loop, and ``realize`` is its
+one-token case.  Maps are compared on images alone, so only the
+membership check and ``torelli realize`` and ``push`` build inverses.
+
+``verify_config`` is the one verifier: it decides which checks verify
+a configuration, in what order, for ``torelli verify``, the acceptance
+gate and the sweeps.
 
 The action tables of the drags and pushes (``_drag_action``,
 ``_push_action``) map each moved generator index to its image as a
@@ -39,6 +35,7 @@ the validating ``Word`` and ``GroupMap`` constructors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import CappedBasis, PartitionConfig, build_basis, capped_rank
 from .johnson import HomTable, flatten, table_from_entries, tau
@@ -58,6 +55,7 @@ from .words import (
     inner_automorphism,
     inv,
     is_homology_trivial,
+    verify_certificate,
 )
 
 _KINDS = ("HD", "CD+", "CD-", "BCD", "PD")
@@ -405,34 +403,22 @@ def all_generators(config: PartitionConfig) -> list[DragGenerator]:
 def reduced_generating_set(config: PartitionConfig) -> list[DragGenerator]:
     """Generating set of size R = n*C(n,2) + (b-|P|)*C(n,2) + (|P|*n - n).
 
-    Dropped from the full set: all CD+ (a commutator of handle drags
-    times CD-), the s = 1 boundary drag of every block (the block
-    relation expresses it), and the block-1 P-drags (the grand drag
-    relation expresses them).  With b = 0 there are no P-drags and the
-    grand relation instead removes one handle drag per conjugator index.
+    ``all_generators`` less all CD+ (a commutator of handle drags times
+    CD-), the s = 1 boundary drag of every block (the block relation
+    expresses it) and the block-1 P-drags (the grand drag relation
+    expresses them); with b = 0 there are no P-drags, and the grand
+    relation removes HD(max{k != j}, j) for each j instead.
     """
     n = config.n
-    out: list[DragGenerator] = []
-    if config.b == 0:
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i != j and i != max(k for k in range(1, n + 1) if k != j):
-                    out.append(hd(i, j))
-    else:
-        out.extend(hd(i, j) for i in range(1, n + 1)
-                   for j in range(1, n + 1) if i != j)
-    out.extend(cd_minus(i, j, k)
-               for i in range(1, n + 1)
-               for j in range(1, n + 1)
-               for k in range(j + 1, n + 1)
-               if i != j and i != k)
-    for r, block in enumerate(config.partition, start=1):
-        out.extend(bcd(r, s, i, j)
-                   for s in range(2, len(block) + 1)
-                   for i in range(1, n + 1) for j in range(i + 1, n + 1))
-    for r in range(2, config.num_blocks + 1):
-        out.extend(pd(r, j) for j in range(1, n + 1))
-    return out
+
+    def dropped(g: DragGenerator) -> bool:
+        if g.kind == "HD":
+            i, j = g.indices
+            return config.b == 0 and i == (n - 1 if j == n else n)
+        return (g.kind == "CD+" or (g.kind == "BCD" and g.indices[1] == 1)
+                or (g.kind == "PD" and g.indices[0] == 1))
+
+    return [g for g in all_generators(config) if not dropped(g)]
 
 
 def membership_IOP(config: PartitionConfig, f: GroupMap) -> bool:
@@ -582,9 +568,8 @@ def abelianization_rank(config: PartitionConfig) -> tuple[int, int, list[int]]:
 def _rank_from_taus(config: PartitionConfig,
                     taus: dict[DragGenerator, HomTable]
                     ) -> tuple[int, int, list[int]]:
-    """``abelianization_rank`` from the Johnson image of every generator
-    of ``all_generators(config)``, so that a caller holding them takes
-    no second realization."""
+    """``abelianization_rank`` from the Johnson images of
+    ``all_generators(config)``, for a caller that holds them."""
     m = capped_rank(config)
     row_of = {g: list(flatten(t)) for g, t in taus.items()}
     rows = list(row_of.values())
@@ -598,3 +583,53 @@ def _rank_from_taus(config: PartitionConfig,
     reduced_rows = [row_of[g] for g in reduced_generating_set(config)]
     invariants = smith_invariants(reduced_rows)
     return computed, formula_rank(config), invariants
+
+
+# --- the verifier ---------------------------------------------------------
+
+class Check(NamedTuple):
+    """One verdict of ``verify_config``."""
+
+    name: str
+    detail: str
+    ok: bool
+
+
+def verify_config(config: PartitionConfig, mode: str = "all") -> list[Check]:
+    """The checks of ``torelli verify`` on one configuration, in order:
+    "membership" certifies each generator in the Torelli group,
+    "relations" checks the PD and BCD relations and the CD identities,
+    and "all" does both, then each generator's tau and the rank formula.
+    """
+    if mode not in ("membership", "relations", "all"):
+        raise ValueError(f"unknown verify mode {mode!r}")
+    n, gens = config.n, all_generators(config)
+    checks: list[Check] = []
+    if mode != "relations":
+        maps = {g: realize(config, g) for g in gens}
+        checks.extend(Check("membership", g.token(), membership_IOP(config, f)
+                            and verify_certificate(f))
+                      for g, f in maps.items())
+    if mode != "membership":
+        checks.extend(Check("pd_relation", f"j={j}",
+                            verify_pd_relation(config, j))
+                      for j in range(1, n + 1))
+        checks.extend(Check("bcd_relation", f"r={r},i={i},j={j}",
+                            verify_bcd_relation(config, r, i, j))
+                      for r in range(1, config.num_blocks + 1)
+                      for i in range(1, n + 1) for j in range(i + 1, n + 1))
+        for i, j, k in (g.indices for g in gens if g.kind == "CD-"):
+            ok, expr = verify_cd_identity(config, i, j, k)
+            checks.append(Check("cd_identity",
+                                f"i={i},j={j},k={k} -> {expr}", ok))
+    if mode == "all":
+        taus = {g: tau(f) for g, f in maps.items()}
+        checks.extend(Check("tau_table", g.token(),
+                            t == tau_star_formula(config, g))
+                      for g, t in taus.items())
+        computed, formula, invariants = _rank_from_taus(config, taus)
+        checks.append(Check(
+            "rank", f"computed={computed} formula={formula} "
+            f"invariants={invariants}",
+            computed == formula and all(x == 1 for x in invariants)))
+    return checks

@@ -7,7 +7,8 @@ words, summand detection by maximal-minor gcds, the FS truncation by
 one whole summand test per vertex pair and per triangle, substitution
 into words by concatenating whole images and reducing afterwards, drag
 actions and Tomaszewski factors built from validated words, products by
-a left fold of ``mul``, and word strategies for property tests.
+a left fold of ``mul``, the reduced generating set enumerated family by
+family, and word strategies for property tests.
 """
 
 import itertools
@@ -19,14 +20,18 @@ from hypothesis import strategies as st
 from torelli import (
     HomTable,
     Word,
+    bcd,
     build_basis,
+    cd_minus,
     comm,
     conj,
     fs_is_simplex,
     fs_vertices,
     gen,
+    hd,
     inv,
     mul,
+    pd,
     reduce,
     rho,
     spans_summand,
@@ -180,6 +185,31 @@ def mul_fold(words, rank: int) -> Word:
     out = Word(rank)
     for w in words:
         out = mul(out, w)
+    return out
+
+
+# --- generating sets -----------------------------------------------------
+
+def reduced_generating_set_direct(config) -> list:
+    """The reduced generating set enumerated directly, family by family
+    in the order of ``all_generators``: HD (with b = 0, less
+    HD(max{k != j}, j) for each j), CD-, the BCDs with s >= 2, and the
+    PDs of blocks 2 and up."""
+    n = config.n
+    out = [hd(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+           if i != j and (config.b > 0
+                          or i != max(k for k in range(1, n + 1) if k != j))]
+    out.extend(cd_minus(i, j, k)
+               for i in range(1, n + 1)
+               for j in range(1, n + 1)
+               for k in range(j + 1, n + 1)
+               if i != j and i != k)
+    for r, block in enumerate(config.partition, start=1):
+        out.extend(bcd(r, s, i, j)
+                   for s in range(2, len(block) + 1)
+                   for i in range(1, n + 1) for j in range(i + 1, n + 1))
+    for r in range(2, config.num_blocks + 1):
+        out.extend(pd(r, j) for j in range(1, n + 1))
     return out
 
 

@@ -18,6 +18,7 @@ from torelli import (
     lattice,
     rewriter,
     standard_grid,
+    words,
 )
 from torelli import cli
 from torelli.cli import main
@@ -425,6 +426,44 @@ def test_rewrite_admits_the_largest_square_commutator(runner):
     result = invoke(runner, *_rewrite_args("rewrite", _square_commutator(64)))
     assert result.exit_code == 0
     assert len(json.loads(result.output)["factors"]) == 64 ** 2
+
+
+def _rank_args(command, n, word):
+    if command == "push-factor":
+        config = json.dumps({"n": n, "b": 1, "partition": [[1]]})
+        return ["push-factor", "--config", config, "--boundary", "1,1",
+                "--word", word]
+    return [command, "--n", str(n), "--word", word]
+
+
+@pytest.mark.parametrize("command", ["rho", "rewrite", "push-factor"])
+@pytest.mark.parametrize("n", [1001, 10 ** 12, 10 ** 20])
+def test_word_commands_refuse_ranks_over_the_cap(runner, monkeypatch,
+                                                 command, n):
+    limit = cli.WORD_MAX_RANK
+    assert limit == 1000
+
+    def refused(*args):
+        raise AssertionError("the rank must be refused before any work")
+
+    monkeypatch.setattr(words, "parse_word", refused)
+    monkeypatch.setattr(johnson, "rho", refused)
+    for name in ("_schreier_size", "tomaszewski_factor",
+                 "push_factorization"):
+        monkeypatch.setattr(rewriter, name, refused)
+    for word in ("e", "x1"):
+        result = invoke(runner, *_rank_args(command, n, word))
+        assert result.exit_code == 1
+        error = json.loads(result.output.strip().splitlines()[-1])["error"]
+        assert error == (f"{command}: rank {n} exceeds WORD_MAX_RANK"
+                         f" = {limit}")
+
+
+@pytest.mark.parametrize("command", ["rho", "rewrite", "push-factor"])
+def test_word_commands_admit_ranks_up_to_the_cap(runner, command):
+    word = "x1 x2 x1^-1 x2^-1"
+    result = invoke(runner, *_rank_args(command, cli.WORD_MAX_RANK, word))
+    assert result.exit_code == 0
 
 
 def test_complete_basis_refuses_n_over_the_cap(runner, monkeypatch):

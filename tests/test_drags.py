@@ -40,6 +40,7 @@ from torelli import (
     verify_bcd_relation,
     verify_cd_identity,
     verify_certificate,
+    verify_config,
     verify_pd_relation,
     word_text,
 )
@@ -49,6 +50,7 @@ from .oracles import (
     drag_action_words,
     drag_words_strategy,
     push_boundary_words,
+    reduced_generating_set_direct,
     words_strategy,
 )
 
@@ -158,6 +160,14 @@ def test_all_generator_counts():
 def test_reduced_set_size_matches_formula_rank():
     for config in standard_grid():
         assert len(reduced_generating_set(config)) == formula_rank(config)
+
+
+def test_reduced_set_equals_the_direct_enumeration():
+    # the filter of all_generators keeps the list, and its order, of an
+    # enumeration family by family
+    for config in standard_grid(ns=(1, 2, 3, 4, 5), bs=(0, 1, 2, 3, 4)):
+        assert (reduced_generating_set(config)
+                == reduced_generating_set_direct(config)), config
 
 
 def test_reduced_set_is_subset_of_full():
@@ -384,3 +394,60 @@ def test_realize_images_rejects_as_realize_word(w):
     with pytest.raises(PreconditionError) as got:
         realize_images(CFG21, w)
     assert str(got.value) == str(want.value)
+
+
+def test_verify_config_depends_only_on_n_and_block_sizes():
+    # build_basis and all_generators read only len(block), so two configs
+    # with the same n and sequence of block sizes get the same checks
+    classes: dict = {}
+    for config in standard_grid():
+        key = (config.n, tuple(len(block) for block in config.partition))
+        classes.setdefault(key, []).append(verify_config(config))
+    assert len(classes) == 16
+    for key, lists in classes.items():
+        assert all(checks == lists[0] for checks in lists), key
+
+
+def test_verify_config_modes_split_the_checks():
+    checks = verify_config(CFG23)
+    membership = verify_config(CFG23, "membership")
+    relations = verify_config(CFG23, "relations")
+    assert checks[:len(membership) + len(relations)] == membership + relations
+    assert {c.name for c in checks} == {
+        "membership", "pd_relation", "bcd_relation", "tau_table", "rank"}
+    assert all(c.ok for c in checks)
+    with pytest.raises(ValueError):
+        verify_config(CFG23, "relation")
+
+
+def _compositions(b: int) -> list[tuple[int, ...]]:
+    """Every sequence of positive block sizes with sum b."""
+    if b == 0:
+        return [()]
+    return [(first, *rest) for first in range(1, b + 1)
+            for rest in _compositions(b - first)]
+
+
+def _composition_config(n: int, sizes: tuple[int, ...]):
+    labels = iter(range(1, sum(sizes) + 1))
+    return partition_config(n, sum(sizes), [[next(labels) for _ in range(k)]
+                                            for k in sizes])
+
+
+@pytest.mark.slow
+def test_verify_sweep_one_config_per_composition_n2_to_6_b_up_to_6():
+    # the checks depend only on n and the block sizes (see the label
+    # invariance test), so one configuration per composition of b covers
+    # every partition; every failing check is reported
+    configs = [_composition_config(n, sizes) for n in range(2, 7)
+               for b in range(7) for sizes in _compositions(b)]
+    assert len(configs) == 5 * 64
+    total, failures = 0, []
+    for config in configs:
+        checks = verify_config(config)
+        total += len(checks)
+        failures.extend((config, c) for c in checks if not c.ok)
+    print(f"composition sweep: {len(configs)} configs, {total} checks, "
+          f"{len(failures)} failed")
+    assert total == 81030
+    assert not failures, failures
