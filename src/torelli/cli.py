@@ -28,14 +28,25 @@ COMPLETE_BASIS_MAX_N = 100
 # `rewrite` and `push-factor` expand each letter of the word into
 # Schreier factors; the raw count, before any cancels, is known from
 # one scan.  At n = 3, x1^k x2^k x1^-k x2^-k has k^2 of them: `push-factor`
-# takes about 0.75 s of CPU at k = 40, 2.6 s at k = 64 (the cap) and
-# 5.3 s at k = 80 on a 2-vCPU Xeon host.  Seeded words of about 100
-# letters, as in the push-long benchmark, stay below 100.
+# takes about 0.55 s of CPU at k = 40 and 2.6 s at k = 64 (the cap), and
+# its work at k = 80 takes 4.5 s in the library, on a 2-vCPU Xeon host.
+# Seeded words of about 100 letters, as in the push-long benchmark, stay
+# below 100.
 REWRITE_MAX_FACTORS = 4096
+# `push-factor` writes each Schreier factor m [x_i, x_j] m^-1 as
+# 2 (n - 1) |d|_1 + 1 drag tokens, d the exponents of m, before it
+# reduces the drag word; the raw count is known from one scan.  At the
+# cap it admits x1^64 x2^64 x1^-64 x2^-64 at n = 3 (1,036,288 tokens,
+# 2.5 s of CPU) and x1^8 x2^8 x1^-8 x2^-8 at n = 1000 (895,168 tokens,
+# 4.5 s), and refuses the same word with exponent 16 at n = 300
+# (2,296,576 tokens, 9.7 s), on a 2-vCPU Xeon host.  Seeded words of
+# about 100 letters, as in the push-long benchmark, build a few hundred
+# (at most 632 over seeds 0-11).
+PUSH_MAX_TOKENS = 2 ** 20
 # `rho`, `rewrite` and `push-factor` allocate rank-sized lists, and each
 # Schreier factor carries up to n conjugator exponents.  At the cap,
 # `rewrite` of x1^64 x2^64 x1^-64 x2^-64 (4096 factors) takes 2.4 s of
-# CPU and 75 MiB, printing 8.3 MB, on a 2-vCPU Xeon host; `rho`,
+# CPU and peaks at 99 MiB, printing 8.3 MB, on a 2-vCPU Xeon host; `rho`,
 # `rewrite` and `push-factor` of x1 x2 x1^-1 x2^-1 take under 0.02 s.
 WORD_MAX_RANK = 1000
 
@@ -342,6 +353,11 @@ def push_factor(ctx, config_text: str, boundary: str, word_text: str) -> None:
     _check_rank("push-factor", config.n)
     w = words.parse_word(word_text, config.n)
     _check_rewrite_size("push-factor", w)
+    tokens = rewriter._push_tokens(w)
+    if tokens > PUSH_MAX_TOKENS:
+        raise words.PreconditionError(
+            f"push-factor: {tokens} drag tokens exceed PUSH_MAX_TOKENS"
+            f" = {PUSH_MAX_TOKENS}")
     dw = rewriter.push_factorization(config, addr, w)
     # maps are equal when their images are; no inverse image is built
     # on either side

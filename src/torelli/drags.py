@@ -22,14 +22,24 @@ the inverse certificate by the same loop, and ``realize`` is its
 one-token case.  Maps are compared on images alone, so only the
 membership check and ``torelli realize`` and ``push`` build inverses.
 
+A push at boundary (1, 1) and a block-1 drag PD(1, j) move every
+generator outside block 1 by one conjugation.  Their ``Action`` states
+that as an inner automorphism followed by a correction on block 1, and
+the loop keeps the accumulated map as acc = iota_u o phi: iota_u is
+conjugation by the reduced word u, and phi is the letter table that
+every other drag rewrites.  A token iota_c o B sets u <- u . phi(c)
+and rewrites only the generators B moves; each image is conjugated by
+u once, at the end.
+
 ``verify_config`` is the one verifier: it decides which checks verify
 a configuration, in what order, for ``torelli verify``, the acceptance
 gate and the sweeps.
 
-The action tables of the drags and pushes (``_drag_action``,
-``_push_action``) map each moved generator index to its image as a
-freely reduced tuple of letters; images leave the module only through
-the validating ``Word`` and ``GroupMap`` constructors.
+The actions of the drags and pushes (``_drag_action``,
+``_push_action``) are an inner conjugator and a table from each moved
+generator index to its image, all freely reduced tuples of letters;
+images leave the module only through the validating ``Word`` and
+``GroupMap`` constructors.
 """
 
 from __future__ import annotations
@@ -46,6 +56,7 @@ from .words import (
     PreconditionError,
     Word,
     _action_table,
+    _join,
     _reduce_letters,
     _substitute,
     comm,
@@ -194,31 +205,48 @@ def _inv_letters(letters: Letters) -> Letters:
     return tuple(-x for x in reversed(letters))
 
 
-def _images(basis: CappedBasis,
-            action: dict[int, Letters]) -> tuple[Word, ...]:
-    m = basis.m
-    return tuple(Word(m, action[i]) if i in action else gen(m, i)
-                 for i in range(1, m + 1))
+class Action(NamedTuple):
+    """The map x |-> c . B(x) . c^-1 for c = ``inner`` and B = ``table``.
+
+    ``table`` maps each generator B moves to its image, and ``inner``
+    is empty unless the drag conjugates every generator outside block 1;
+    both hold freely reduced letter tuples.
+    """
+
+    inner: Letters
+    table: dict[int, Letters]
+
+
+def _images(basis: CappedBasis, action: Action) -> tuple[Word, ...]:
+    m, inner = basis.m, action.inner
+    images = (action.table.get(i, (i,)) for i in range(1, m + 1))
+    if inner:
+        outer = _inv_letters(inner)
+        images = (_reduce_letters((*inner, *x, *outer)) for x in images)
+    return tuple(Word(m, x) for x in images)
 
 
 def _push_action(basis: CappedBasis, r: int, s: int,
-                 gamma: Letters) -> dict[int, Letters]:
-    """Image table of the boundary (r, s) pushed around the reduced loop
-    letters gamma.  Fixed-side table:
+                 gamma: Letters) -> Action:
+    """The boundary (r, s) pushed around the reduced loop letters gamma.
+    Fixed-side table:
 
       r>1, s>1 : Arc(r,s) -> Arc(r,s) . gamma
       r=1, s>1 : Arc(1,s) -> gamma^-1 . Arc(1,s)
       r>1, s=1 : Arc(r,t) -> gamma^-1 . Arc(r,t)  (all t)   [multi block]
                  Handle(r) -> gamma^-1 . Handle(r) . gamma  [singleton]
-      r=1, s=1 : y -> gamma . y . gamma^-1 off the block, and
-                 Arc(1,t) -> gamma . Arc(1,t)               [multi block]
-                 Handle(1) fixed                            [singleton]
+      r=1, s=1 : iota_gamma (y -> gamma . y . gamma^-1), then the
+                 block-1 correction
+                 Arc(1,t) -> Arc(1,t) . gamma               [multi block]
+                 Handle(1) -> gamma^-1 . Handle(1) . gamma  [singleton]
 
-    The sides are forced by push(uv) = push(u) o push(v) together with
-    the relation verifiers; tests pin every case.
+    Expanded, the r = 1, s = 1 push conjugates every generator off
+    block 1 by gamma, sends Arc(1,t) to gamma . Arc(1,t) and fixes a
+    singleton's Handle(1).  The sides are forced by
+    push(uv) = push(u) o push(v) together with the relation verifiers;
+    tests pin every case.
     """
     config = basis.config
-    m = basis.m
     block = basis.block_indices(r)
     gi = _inv_letters(gamma)
     action: dict[int, Letters] = {}
@@ -232,18 +260,16 @@ def _push_action(basis: CappedBasis, r: int, s: int,
         else:
             a = block[0]
             action[a] = _reduce_letters((*gi, a, *gamma))
+    elif s > 1:
+        a = block[s - 2]
+        action[a] = _reduce_letters((*gi, a))
     else:
-        if s > 1:
-            a = block[s - 2]
-            action[a] = _reduce_letters((*gi, a))
-        else:
-            for idx in range(1, m + 1):
-                if idx in block:
-                    if not config.is_singleton(1):
-                        action[idx] = _reduce_letters((*gamma, idx))
-                else:
-                    action[idx] = _reduce_letters((*gamma, idx, *gi))
-    return action
+        for a in block:
+            action[a] = _reduce_letters((*gi, a, *gamma)
+                                        if config.is_singleton(1)
+                                        else (a, *gamma))
+        return Action(gamma, action)
+    return Action((), action)
 
 
 def _push_images(config: PartitionConfig, boundary: tuple[int, int],
@@ -270,21 +296,20 @@ def push_boundary(config: PartitionConfig, boundary: tuple[int, int],
 
 
 def _drag_action(basis: CappedBasis, g: DragGenerator,
-                 sigma: int) -> dict[int, Letters]:
-    """Image table of g^sigma, sigma = +-1, as reduced letter tuples."""
-    m = basis.m
+                 sigma: int) -> Action:
+    """The action of g^sigma, sigma = +-1, as reduced letter tuples."""
     if g.kind == "HD":
         i, j = g.indices
         t = sigma * j
-        return {i: _reduce_letters((t, i, -t))}
+        return Action((), {i: _reduce_letters((t, i, -t))})
     if g.kind == "CD-":
         i, j, k = g.indices
         c = (j, k, -j, -k) if sigma > 0 else (k, j, -k, -j)
-        return {i: _reduce_letters((*c, i))}
+        return Action((), {i: _reduce_letters((*c, i))})
     if g.kind == "CD+":
         i, j, k = g.indices
         c = (k, j, -k, -j) if sigma > 0 else (j, k, -j, -k)
-        return {i: _reduce_letters((i, *c))}
+        return Action((), {i: _reduce_letters((i, *c))})
     if g.kind == "BCD":
         r, s, i, j = g.indices
         # gamma = [y_i, y_j]^-sigma
@@ -293,12 +318,11 @@ def _drag_action(basis: CappedBasis, g: DragGenerator,
     # PD
     r, j = g.indices
     t = sigma * j
-    if r > 1:
-        return {a: _reduce_letters((t, a, -t))
-                for a in basis.block_indices(r)}
-    block = set(basis.block_indices(1))
-    return {idx: _reduce_letters((-t, idx, t))
-            for idx in range(1, m + 1) if idx not in block}
+    table = {a: _reduce_letters((t, a, -t)) for a in basis.block_indices(r)}
+    # PD(r, j), r > 1, conjugates block r by y_j^sigma.  PD(1, j)
+    # conjugates every generator off block 1 by y_j^-sigma: that is
+    # iota_{y_j^-sigma}, then block 1 conjugated back by y_j^sigma
+    return Action((-t,) if r == 1 else (), table)
 
 
 def realize(config: PartitionConfig, g: DragGenerator) -> GroupMap:
@@ -309,24 +333,35 @@ def realize(config: PartitionConfig, g: DragGenerator) -> GroupMap:
 def _realize_images(m: int, w: DragWord, actions: dict) -> tuple[Word, ...]:
     """Generator images of the realized word.
 
-    ``table`` holds the accumulated map acc in the layout of
-    ``words._action_table`` (the image of x_k at k, its inverse at -k),
-    as reduced letter lists.  Each token applies acc <- acc o g^e, which
-    rewrites only the generators g^e moves: their images under g^e are
-    substituted into the old acc, and every other image stays as it is.
+    The accumulated map is acc = iota_u o phi.  ``table`` holds phi in
+    the layout of ``words._action_table`` (the image of x_k at k, its
+    inverse at -k), as reduced letter lists, and u is a reduced letter
+    list.  A token iota_c o B applies acc <- acc o iota_c o B =
+    iota_{u . phi(c)} o (phi o B): u takes phi(c) on the right, and the
+    images under B of the generators B moves are substituted into the
+    old phi, every other image staying as it is.  At the end each image
+    is conjugated by u, cancelling only where the words meet.
     """
     table = _action_table((k,) for k in range(1, m + 1))
+    u: list[int] = []
     for token in w:
-        moved = [(k, _substitute(image, table)) for k, image in actions[token]]
+        inner, action = actions[token]
+        if inner:
+            _join(u, _substitute(inner, table))
+        moved = [(k, _substitute(image, table)) for k, image in action]
         for k, letters in moved:
             table[k] = letters
             table[-k] = [-x for x in reversed(letters)]
-    return tuple(Word(m, tuple(letters)) for letters in table[1:m + 1])
+    images = table[1:m + 1]
+    if u:
+        outer = [-x for x in reversed(u)]
+        images = (_join(_join(list(u), letters), outer) for letters in images)
+    return tuple(Word(m, tuple(letters)) for letters in images)
 
 
 def _word_actions(config: PartitionConfig,
                   w: DragWord) -> tuple[int, dict]:
-    """(capped rank, action table of every (generator, sign) of w).
+    """(capped rank, {(generator, sign): (inner, moved images)} for w).
 
     Every token is validated before any work, in order, so the first
     bad token raises; exponents must be +-1.  Both signs of each
@@ -341,8 +376,8 @@ def _word_actions(config: PartitionConfig,
         if (g, 1) not in actions:
             _check_generator(config, g)
             for sign in (1, -1):
-                actions[(g, sign)] = tuple(
-                    _drag_action(basis, g, sign).items())
+                inner, table = _drag_action(basis, g, sign)
+                actions[(g, sign)] = (inner, tuple(table.items()))
     return basis.m, actions
 
 
@@ -479,7 +514,8 @@ def verify_cd_identity(config: PartitionConfig, i: int, j: int,
                                               cd_minus(i, j, k)))
     m = capped_rank(config)
     c = comm(gen(m, j), gen(m, k))
-    expected = _images(build_basis(config), {i: conj(c, gen(m, i)).letters})
+    expected = _images(build_basis(config),
+                       Action((), {i: conj(c, gen(m, i)).letters}))
     if target != expected:
         return False, ""
     matches: list[DragWord] = []

@@ -147,6 +147,32 @@ def _schreier_size(w: Word) -> int:
     return total
 
 
+def _push_tokens(w: Word) -> int:
+    """How many drag tokens ``push_factorization`` builds for w before it
+    reduces any.  A factor with conjugator exponents d gives
+    2 (n - 1) |d|_1 + 1 tokens, and, as in ``_schreier_size``, the letter
+    x_k^(+-1) expands into |a_q| factors for each q < k, whose d are
+    (t, a_(q+1), ..., a_n) for t from 0 towards a_q (a_k included)."""
+    n = w.rank
+    a = [0] * n
+    total = 0
+    for letter in w.letters:
+        k = abs(letter)
+        if letter < 0:
+            a[k - 1] -= 1
+        above = sum(abs(x) for x in a[k - 1:])
+        for q in range(k - 1, 0, -1):
+            e = a[q - 1]
+            size = abs(e)
+            # the sum of |t| over the |e| factors of x_q
+            t_sum = size * (size - 1 if e > 0 else size + 1) // 2
+            total += 2 * (n - 1) * (size * above + t_sum) + size
+            above += size
+        if letter > 0:
+            a[k - 1] += 1
+    return total
+
+
 def tomaszewski_factor(w: Word) -> Factorization:
     """Deterministic factorization in the Tomaszewski basis.
 

@@ -228,6 +228,17 @@ def _substitute(letters, table) -> list[int]:
     return out
 
 
+def _join(out: list[int], piece) -> list[int]:
+    """Extend the reduced letters ``out`` in place by the reduced letters
+    ``piece``, cancelling where the two meet; returns ``out``."""
+    k, size = 0, len(piece)
+    while k < size and out and out[-1] == -piece[k]:
+        out.pop()
+        k += 1
+    out.extend(piece[k:])
+    return out
+
+
 def apply(f: GroupMap, w: Word) -> Word:
     if f.rank != w.rank:
         raise ValueError(f"rank mismatch: map {f.rank} vs word {w.rank}")

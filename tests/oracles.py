@@ -306,3 +306,12 @@ def drag_words_strategy(generators, max_len: int = 6):
         return tuple(out)
 
     return st.lists(token, max_size=max_len).map(build)
+
+
+def drag_words_toward_strategy(favoured, generators, max_len: int = 40):
+    """Drag words of up to max_len tokens, each drawn three times in four
+    from ``favoured`` and otherwise from all of ``generators``."""
+    pick = st.one_of(*[st.sampled_from(favoured)] * 3,
+                     st.sampled_from(generators))
+    return st.lists(st.tuples(pick, st.sampled_from((1, -1))),
+                    max_size=max_len).map(tuple)

@@ -16,6 +16,8 @@ import pathlib
 import random
 import time
 
+import pytest
+
 import torelli as T
 from torelli.johnson import ext_vector, table_add, zero_table
 from torelli.lattice import det
@@ -83,6 +85,20 @@ def _grid_checks(config):
     assert counts == {k: v for k, v in expected.items() if v}, \
         (config, counts, expected)
     return checks
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n, partition", [
+    (7, [[1], [2], [3], [4], [5], [6]]),
+    (8, [[1], [2], [3], [4], [5], [6], [7], [8]]),
+    (10, [[1, 2]]),
+])
+def test_verify_config_past_the_composition_sweep(n, partition):
+    # single configurations beyond the slow sweep's n <= 6, b <= 6, with
+    # the closed-form count of each check name
+    config = T.partition_config(n, sum(map(len, partition)), partition)
+    failed = [check for check in _grid_checks(config) if not check.ok]
+    assert not failed, failed
 
 
 def _verdicts(name):

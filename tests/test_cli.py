@@ -234,12 +234,13 @@ def test_standard_grid_verify_stdout_is_pinned(runner):
         "8e66347940c0c0915dd3e64ea7154ce316a28042daff7a6a9e2f0afb23b7e744")
 
 
-@pytest.mark.parametrize("index", range(3))
+@pytest.mark.parametrize("index", range(4))
 def test_push_factor_matches_golden_realizing_once(runner, monkeypatch,
                                                     index):
-    # one input per push case: r = 1, s = 1; r > 1, s = 1; s > 1.  The
-    # check realizes images only, so the drag word is realized once and
-    # its inverse never
+    # one input per push case: r = 1, s = 1 on a block of two labels;
+    # r > 1, s = 1; s > 1; r = 1, s = 1 on a singleton block.  The check
+    # realizes images only, so the drag word is realized once and its
+    # inverse never
     seen = _count_image_realizations(monkeypatch)
     case = json.loads((GOLDEN / "push_factor.json").read_text())[index]
     result = invoke(runner, *case["args"])
@@ -249,7 +250,7 @@ def test_push_factor_matches_golden_realizing_once(runner, monkeypatch,
     assert len(seen) == 1
 
 
-@pytest.mark.parametrize("index", range(3))
+@pytest.mark.parametrize("index", range(4))
 def test_push_factor_builds_push_images_only(runner, monkeypatch, index):
     # the check reads only the images of the push: one images-only push
     # per input, and no push with its inverse family; stdout stays golden
@@ -420,6 +421,54 @@ def test_rewrite_commands_admit_words_up_to_the_cap(runner, monkeypatch,
     assert invoke(runner, *_rewrite_args(command, word)).exit_code == 0
     monkeypatch.setattr(cli, "REWRITE_MAX_FACTORS", 3)
     assert invoke(runner, *_rewrite_args(command, word)).exit_code == 1
+
+
+def _square_push_args(n, k):
+    config = json.dumps({"n": n, "b": 1, "partition": [[1]]})
+    return ["push-factor", "--config", config, "--boundary", "1,1",
+            "--word", _square_commutator(k)]
+
+
+@pytest.mark.parametrize("n, k, tokens", [(300, 16, 2_296_576),
+                                          (1000, 64, 515_584_000)])
+def test_push_factor_refuses_drag_words_over_the_cap(runner, monkeypatch,
+                                                     n, k, tokens):
+    # both inputs pass REWRITE_MAX_FACTORS and WORD_MAX_RANK
+    limit = cli.PUSH_MAX_TOKENS
+    assert limit == 2 ** 20
+    for name in ("tomaszewski_factor", "push_factorization"):
+        monkeypatch.setattr(rewriter, name, lambda *args: pytest.fail(
+            "the word must be refused before any drag token is built"))
+    result = invoke(runner, *_square_push_args(n, k))
+    assert result.exit_code == 1
+    error = json.loads(result.output.strip().splitlines()[-1])["error"]
+    assert error == (f"push-factor: {tokens} drag tokens exceed "
+                     f"PUSH_MAX_TOKENS = {limit}")
+
+
+class _Admitted(Exception):
+    """Raised by a patched work function: the input passed every cap."""
+
+
+@pytest.mark.parametrize("n, k", [(3, 64), (1000, 8)])
+def test_push_factor_admits_drag_words_up_to_the_cap(runner, monkeypatch,
+                                                     n, k):
+    # 1,036,288 and 895,168 drag tokens
+    def admitted(*args):
+        raise _Admitted
+
+    monkeypatch.setattr(rewriter, "push_factorization", admitted)
+    with pytest.raises(_Admitted):
+        invoke(runner, *_square_push_args(n, k))
+
+
+def test_push_factor_cap_is_inclusive(runner, monkeypatch):
+    # x1^2 x2^2 x1^-2 x2^-2 at n = 3 builds 20 drag tokens
+    args = _square_push_args(3, 2)
+    monkeypatch.setattr(cli, "PUSH_MAX_TOKENS", 20)
+    assert invoke(runner, *args).exit_code == 0
+    monkeypatch.setattr(cli, "PUSH_MAX_TOKENS", 19)
+    assert invoke(runner, *args).exit_code == 1
 
 
 def test_rewrite_admits_the_largest_square_commutator(runner):

@@ -44,11 +44,12 @@ from torelli import (
     verify_pd_relation,
     word_text,
 )
-from torelli.drags import DragGenerator, _drag_action
+from torelli.drags import DragGenerator, _drag_action, _images
 
 from .oracles import (
     drag_action_words,
     drag_words_strategy,
+    drag_words_toward_strategy,
     push_boundary_words,
     reduced_generating_set_direct,
     words_strategy,
@@ -275,17 +276,25 @@ def test_push_sides_by_case():
 
 def test_drag_actions_are_reduced_letters_matching_word_oracle():
     # every generator of every configuration of the verify grid (n <= 4,
-    # b <= 3), both signs
+    # b <= 3), both signs: the expanded action is the oracle's on every
+    # generator, fixed ones included
     for config in standard_grid(ns=(2, 3, 4), bs=(0, 1, 2, 3)):
         basis = build_basis(config)
+        m = basis.m
         for g in all_generators(config):
             for sigma in (1, -1):
                 action = _drag_action(basis, g, sigma)
-                for letters in action.values():
+                for letters in (action.inner, *action.table.values()):
                     assert type(letters) is tuple
-                    assert reduce(letters, basis.m).letters == letters
+                    assert reduce(letters, m).letters == letters
+                if action.inner:
+                    # only the two inner cases, correcting block 1 alone
+                    assert (g.kind, g.indices[0]) in (("BCD", 1), ("PD", 1))
+                    assert g.kind == "PD" or g.indices[1] == 1
+                    assert set(action.table) == set(basis.block_indices(1))
                 want = drag_action_words(basis, g, sigma)
-                assert action == {k: w.letters for k, w in want.items()}
+                assert _images(basis, action) == tuple(
+                    want.get(k, gen(m, k)) for k in range(1, m + 1))
 
 
 @pytest.mark.parametrize("config", (CFG21, CFG22))
@@ -354,6 +363,27 @@ def test_realize_word_matches_compose_fold(data):
     assert got.images == want.images
     assert got.inverse_images == want.inverse_images
     assert verify_certificate(got)
+
+
+# a singleton block 1, a block 1 of two labels, and one of three
+INNER_CONFIGS = (CFG21, CFG243, partition_config(3, 3, [[1, 2, 3]]))
+
+
+@given(st.data())
+def test_realize_word_matches_compose_fold_on_block_one_drags(data):
+    # BCD(1,1,i,j) and PD(1,j) conjugate everything off block 1, so the
+    # loop keeps their conjugator apart; words of up to 40 tokens, most
+    # of them those drags
+    config = data.draw(st.sampled_from(INNER_CONFIGS))
+    gens = all_generators(config)
+    favoured = [g for g in gens if g.indices[0] == 1 and (
+        g.kind == "PD" or g.kind == "BCD" and g.indices[1] == 1)]
+    w = data.draw(drag_words_toward_strategy(favoured, gens))
+    got = realize_word(config, w)
+    want = _fold(config, w)
+    assert got.images == want.images
+    assert got.inverse_images == want.inverse_images
+    assert realize_images(config, w) == want.images
 
 
 @pytest.mark.parametrize("config", FOLD_CONFIGS)

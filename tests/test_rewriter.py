@@ -253,20 +253,31 @@ def test_push_factorization_reduced_and_realizes_push(w):
                                 push_boundary(config, (r, s), w))
 
 
-def _raw_factor_count(w):
+def _raw_factors(w):
     """Factors emitted by the Schreier scan of tomaszewski_factor before
-    cancellation, counted from ``_expand_gamma`` itself."""
+    cancellation, taken from ``_expand_gamma`` itself."""
     a = [0] * w.rank
-    count = 0
+    out = []
     for letter in w.letters:
         k = abs(letter)
         if letter > 0:
-            count += len(rewriter._expand_gamma(a, k))
+            out.extend(rewriter._expand_gamma(a, k))
             a[k - 1] += 1
         else:
             a[k - 1] -= 1
-            count += len(rewriter._expand_gamma(a, k))
-    return count
+            out.extend(rewriter._expand_gamma(a, k))
+    return out
+
+
+def _raw_factor_count(w):
+    return len(_raw_factors(w))
+
+
+def _raw_push_tokens(w):
+    """Drag tokens push_factorization would build from the raw factors:
+    n - 1 handle drags per conjugator letter on each side, and one BCD."""
+    return sum(2 * (w.rank - 1) * sum(abs(x) for x in f.d) + 1
+               for f, _ in _raw_factors(w))
 
 
 @given(commutator_words_strategy(3))
@@ -286,3 +297,22 @@ def test_schreier_size_of_square_commutators():
         w = comm(power(gen(3, 1), k), power(gen(3, 2), k))
         assert rewriter._schreier_size(w) == k * k
         assert len(tomaszewski_factor(w).factors) == k * k
+
+
+@given(commutator_words_strategy(3))
+def test_push_tokens_count_the_raw_drag_word(w):
+    tokens = rewriter._push_tokens(w)
+    assert tokens == _raw_push_tokens(w)
+    assert tokens >= len(push_factorization(CFG31, (1, 1), w))
+
+
+@given(words_strategy(4, 20))
+def test_push_tokens_need_no_commutator_word(w):
+    assert rewriter._push_tokens(w) == _raw_push_tokens(w)
+
+
+def test_push_tokens_of_square_commutators():
+    for n, k, tokens in ((3, 64, 1_036_288), (1000, 8, 895_168),
+                         (300, 16, 2_296_576), (1000, 64, 515_584_000)):
+        w = comm(power(gen(n, 1), k), power(gen(n, 2), k))
+        assert rewriter._push_tokens(w) == tokens
