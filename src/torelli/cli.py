@@ -28,26 +28,30 @@ COMPLETE_BASIS_MAX_N = 100
 # `rewrite` and `push-factor` expand each letter of the word into
 # Schreier factors; the raw count, before any cancels, is known from
 # one scan.  At n = 3, x1^k x2^k x1^-k x2^-k has k^2 of them: `push-factor`
-# takes about 0.55 s of CPU at k = 40 and 2.6 s at k = 64 (the cap), and
-# its work at k = 80 takes 4.5 s in the library, on a 2-vCPU Xeon host.
+# takes about 0.4 s of CPU at k = 40 and 1.5 s at k = 64 (the cap), and
+# its work at k = 80 takes 2.4 s in the library, on a 2-vCPU Xeon host.
 # Seeded words of about 100 letters, as in the push-long benchmark, stay
 # below 100.
 REWRITE_MAX_FACTORS = 4096
 # `push-factor` writes each Schreier factor m [x_i, x_j] m^-1 as
 # 2 (n - 1) |d|_1 + 1 drag tokens, d the exponents of m, before it
-# reduces the drag word; the raw count is known from one scan.  At the
+# reduces the drag word; the raw count comes from the same scan.  At the
 # cap it admits x1^64 x2^64 x1^-64 x2^-64 at n = 3 (1,036,288 tokens,
-# 2.5 s of CPU) and x1^8 x2^8 x1^-8 x2^-8 at n = 1000 (895,168 tokens,
-# 4.5 s), and refuses the same word with exponent 16 at n = 300
-# (2,296,576 tokens, 9.7 s), on a 2-vCPU Xeon host.  Seeded words of
+# 1.5 s of CPU) and x1^8 x2^8 x1^-8 x2^-8 at n = 1000 (895,168 tokens,
+# 1.9 s), and refuses the same word with exponent 16 at n = 300
+# (2,296,576 tokens, 2.2 s of work in the library) and exponent 64 at
+# n = 1000 (515,584,000), on a 2-vCPU Xeon host.  Seeded words of
 # about 100 letters, as in the push-long benchmark, build a few hundred
 # (at most 632 over seeds 0-11).
 PUSH_MAX_TOKENS = 2 ** 20
 # `rho`, `rewrite` and `push-factor` allocate rank-sized lists, and each
-# Schreier factor carries up to n conjugator exponents.  At the cap,
-# `rewrite` of x1^64 x2^64 x1^-64 x2^-64 (4096 factors) takes 2.4 s of
-# CPU and peaks at 99 MiB, printing 8.3 MB, on a 2-vCPU Xeon host; `rho`,
-# `rewrite` and `push-factor` of x1 x2 x1^-1 x2^-1 take under 0.02 s.
+# Schreier factor carries up to n conjugator exponents; `tau`, `realize`
+# and `push` build and print a map of the config's capped rank, which
+# they check against the same cap.  At the cap, `rewrite` of
+# x1^64 x2^64 x1^-64 x2^-64 (4096 factors) takes 1.7 s of CPU and peaks
+# at 99 MiB, printing 8.3 MB, on a 2-vCPU Xeon host; `rho`, `rewrite`
+# and `push-factor` of x1 x2 x1^-1 x2^-1 take under 0.02 s, and `tau`,
+# `realize` and `push` of a few tokens under 0.3 s.
 WORD_MAX_RANK = 1000
 
 
@@ -217,6 +221,7 @@ def rho(ctx, n: int, word_text: str) -> None:
 def tau(ctx, config_text: str, drags_text: str) -> None:
     """Johnson image of a realized drag word."""
     config = cfg.config_from_json(config_text)
+    _check_rank("tau", cfg.capped_rank(config))
     table = drags.tau_star(config, drags.parse_drag_word(drags_text))
     _emit(ctx, table.to_json())
 
@@ -244,6 +249,7 @@ def gens(ctx, config_text: str, reduced: bool) -> None:
 def realize(ctx, config_text: str, drags_text: str) -> None:
     """Generator images of a realized drag word."""
     config = cfg.config_from_json(config_text)
+    _check_rank("realize", cfg.capped_rank(config))
     basis = cfg.build_basis(config)
     f = drags.realize_word(config, drags.parse_drag_word(drags_text))
     _emit(ctx, {
@@ -295,12 +301,15 @@ def rank(ctx, config_text: str) -> None:
 
 # --- rewriting --------------------------------------------------------------
 
-def _check_rewrite_size(command: str, w: words.Word) -> None:
-    size = rewriter._schreier_size(w)
+def _check_rewrite_size(command: str, w: words.Word) -> int:
+    """Refuse w over ``REWRITE_MAX_FACTORS``; the drag tokens that
+    ``push-factor`` would build, from the same scan."""
+    size, tokens = rewriter._expansion_size(w)
     if size > REWRITE_MAX_FACTORS:
         raise words.PreconditionError(
             f"{command}: {size} Schreier factors exceed REWRITE_MAX_FACTORS"
             f" = {REWRITE_MAX_FACTORS}")
+    return tokens
 
 
 @main.command()
@@ -329,6 +338,7 @@ def rewrite(ctx, n: int, word_text: str) -> None:
 def push(ctx, config_text: str, boundary: str, gamma_text: str) -> None:
     """Realize a boundary push and report its membership status."""
     config = cfg.config_from_json(config_text)
+    _check_rank("push", cfg.capped_rank(config))
     gamma = words.parse_word(gamma_text, config.n)
     f = drags.push_boundary(config, _parse_boundary(boundary), gamma)
     _emit(ctx, {
@@ -352,8 +362,7 @@ def push_factor(ctx, config_text: str, boundary: str, word_text: str) -> None:
     addr = _parse_boundary(boundary)
     _check_rank("push-factor", config.n)
     w = words.parse_word(word_text, config.n)
-    _check_rewrite_size("push-factor", w)
-    tokens = rewriter._push_tokens(w)
+    tokens = _check_rewrite_size("push-factor", w)
     if tokens > PUSH_MAX_TOKENS:
         raise words.PreconditionError(
             f"push-factor: {tokens} drag tokens exceed PUSH_MAX_TOKENS"

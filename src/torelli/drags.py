@@ -16,36 +16,34 @@ Displayed relation products (where the leftmost factor acts first) are
 therefore realized from reversed token lists; the relation verifiers
 below do this explicitly.
 
-``realize_images`` evaluates a drag word in place, rewriting token by
-token only the generators the next drag moves; ``realize_word`` adds
-the inverse certificate by the same loop, and ``realize`` is its
-one-token case.  Maps are compared on images alone, so only the
-membership check and ``torelli realize`` and ``push`` build inverses.
+The actions of the drags and pushes (``_drag_action``,
+``_push_action``) are ``Action``s: an inner conjugator and a table from
+each moved generator index to its image, all freely reduced letter
+tuples.  ``_realize_images`` is the one place that builds images, by
+one loop over ``Action``s in product order that rewrites only the
+generators each one moves: ``realize_images`` feeds it a drag word,
+``realize_word`` the word and then its inverse (the certificate), and a
+push (``push_boundary``, push-factor's comparison) its one
+``_push_action``.  Images leave the module only through the validating
+``Word`` and ``GroupMap`` constructors.  Maps are compared on images
+alone, so only the membership check and ``torelli realize`` and
+``push`` build inverses.
 
 A push at boundary (1, 1) and a block-1 drag PD(1, j) move every
-generator outside block 1 by one conjugation.  Their ``Action`` states
-that as an inner automorphism followed by a correction on block 1, and
-the loop keeps the accumulated map as acc = iota_u o phi: iota_u is
-conjugation by the reduced word u, and phi is the letter table that
-every other drag rewrites.  A token iota_c o B sets u <- u . phi(c)
-and rewrites only the generators B moves; each image is conjugated by
+generator outside block 1 by one conjugation, so their ``Action`` is an
+inner automorphism followed by a correction on block 1.  The loop keeps
+the accumulated map as acc = iota_u o phi and conjugates each image by
 u once, at the end.
 
 ``verify_config`` is the one verifier: it decides which checks verify
 a configuration, in what order, for ``torelli verify``, the acceptance
 gate and the sweeps.
-
-The actions of the drags and pushes (``_drag_action``,
-``_push_action``) are an inner conjugator and a table from each moved
-generator index to its image, all freely reduced tuples of letters;
-images leave the module only through the validating ``Word`` and
-``GroupMap`` constructors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .config import CappedBasis, PartitionConfig, build_basis, capped_rank
 from .johnson import HomTable, flatten, table_from_entries, tau
@@ -217,15 +215,6 @@ class Action(NamedTuple):
     table: dict[int, Letters]
 
 
-def _images(basis: CappedBasis, action: Action) -> tuple[Word, ...]:
-    m, inner = basis.m, action.inner
-    images = (action.table.get(i, (i,)) for i in range(1, m + 1))
-    if inner:
-        outer = _inv_letters(inner)
-        images = (_reduce_letters((*inner, *x, *outer)) for x in images)
-    return tuple(Word(m, x) for x in images)
-
-
 def _push_action(basis: CappedBasis, r: int, s: int,
                  gamma: Letters) -> Action:
     """The boundary (r, s) pushed around the reduced loop letters gamma.
@@ -282,7 +271,8 @@ def _push_images(config: PartitionConfig, boundary: tuple[int, int],
         raise PreconditionError(
             f"push loop must have rank n = {config.n}, got {gamma.rank}")
     basis = build_basis(config)
-    return _images(basis, _push_action(basis, r, s, gamma.letters))
+    action = _push_action(basis, r, s, gamma.letters)
+    return _realize_images(basis.m, (action,))
 
 
 def push_boundary(config: PartitionConfig, boundary: tuple[int, int],
@@ -330,13 +320,14 @@ def realize(config: PartitionConfig, g: DragGenerator) -> GroupMap:
     return realize_word(config, ((g, 1),))
 
 
-def _realize_images(m: int, w: DragWord, actions: dict) -> tuple[Word, ...]:
-    """Generator images of the realized word.
+def _realize_images(m: int, actions: Iterable[Action]) -> tuple[Word, ...]:
+    """Generator images of the product of ``actions``, the leftmost
+    outermost: acc = a_1 o a_2 o ... o a_k.
 
     The accumulated map is acc = iota_u o phi.  ``table`` holds phi in
     the layout of ``words._action_table`` (the image of x_k at k, its
     inverse at -k), as reduced letter lists, and u is a reduced letter
-    list.  A token iota_c o B applies acc <- acc o iota_c o B =
+    list.  An action iota_c o B applies acc <- acc o iota_c o B =
     iota_{u . phi(c)} o (phi o B): u takes phi(c) on the right, and the
     images under B of the generators B moves are substituted into the
     old phi, every other image staying as it is.  At the end each image
@@ -344,11 +335,11 @@ def _realize_images(m: int, w: DragWord, actions: dict) -> tuple[Word, ...]:
     """
     table = _action_table((k,) for k in range(1, m + 1))
     u: list[int] = []
-    for token in w:
-        inner, action = actions[token]
+    for inner, action in actions:
         if inner:
             _join(u, _substitute(inner, table))
-        moved = [(k, _substitute(image, table)) for k, image in action]
+        moved = [(k, _substitute(image, table))
+                 for k, image in action.items()]
         for k, letters in moved:
             table[k] = letters
             table[-k] = [-x for x in reversed(letters)]
@@ -361,14 +352,14 @@ def _realize_images(m: int, w: DragWord, actions: dict) -> tuple[Word, ...]:
 
 def _word_actions(config: PartitionConfig,
                   w: DragWord) -> tuple[int, dict]:
-    """(capped rank, {(generator, sign): (inner, moved images)} for w).
+    """(capped rank, {(generator, sign): its ``Action``} for w).
 
     Every token is validated before any work, in order, so the first
     bad token raises; exponents must be +-1.  Both signs of each
     generator are tabled, so the inverse word needs no second pass.
     """
     basis = build_basis(config)
-    actions: dict[tuple[DragGenerator, int], tuple] = {}
+    actions: dict[tuple[DragGenerator, int], Action] = {}
     for g, e in w:
         if e not in (1, -1):
             raise PreconditionError(
@@ -376,8 +367,7 @@ def _word_actions(config: PartitionConfig,
         if (g, 1) not in actions:
             _check_generator(config, g)
             for sign in (1, -1):
-                inner, table = _drag_action(basis, g, sign)
-                actions[(g, sign)] = (inner, tuple(table.items()))
+                actions[(g, sign)] = _drag_action(basis, g, sign)
     return basis.m, actions
 
 
@@ -389,28 +379,25 @@ def realize_images(config: PartitionConfig, w: DragWord) -> tuple[Word, ...]:
     Validation and the realization loop are those of ``realize_word``.
     """
     m, actions = _word_actions(config, w)
-    return _realize_images(m, w, actions)
+    return _realize_images(m, map(actions.__getitem__, w))
 
 
 def realize_word(config: PartitionConfig, w: DragWord) -> GroupMap:
     """The drag word as an automorphism of F_m, with certificate.
 
     Tokens compose left to right with the rightmost token acting first.
-    The word is evaluated in place: the images of the accumulated map
-    are letter lists, and each token rewrites only the generators it
-    moves, cancelling letters where substituted images meet.  Every
-    token is validated before any work, exponents must be +-1, and the
-    action table of each (generator, sign) is built once per call.  The
-    images are ``realize_images(config, w)``; the inverse certificate is
-    the realization of ``drag_word_inv(w)`` by the same loop, and both
-    image families come back as reduced ``Word``s.  The certificate is
-    read by the membership check (``verify_certificate``) and printed by
-    ``torelli realize``; checks that only compare maps use
-    ``realize_images``.
+    Every token is validated before any work, exponents must be +-1,
+    and the action of each (generator, sign) is built once per call.
+    The images are ``realize_images(config, w)``; the inverse
+    certificate is the realization of ``drag_word_inv(w)`` by the same
+    loop.  The certificate is read by the membership check
+    (``verify_certificate``) and printed by ``torelli realize``; checks
+    that only compare maps use ``realize_images``.
     """
     m, actions = _word_actions(config, w)
-    return GroupMap(m, _realize_images(m, w, actions),
-                    _realize_images(m, drag_word_inv(w), actions))
+    images, inverse_images = (_realize_images(m, map(actions.__getitem__, x))
+                              for x in (w, drag_word_inv(w)))
+    return GroupMap(m, images, inverse_images)
 
 
 # --- generating sets ------------------------------------------------------
@@ -514,8 +501,8 @@ def verify_cd_identity(config: PartitionConfig, i: int, j: int,
                                               cd_minus(i, j, k)))
     m = capped_rank(config)
     c = comm(gen(m, j), gen(m, k))
-    expected = _images(build_basis(config),
-                       Action((), {i: conj(c, gen(m, i)).letters}))
+    expected = tuple(conj(c, gen(m, x)) if x == i else gen(m, x)
+                     for x in range(1, m + 1))
     if target != expected:
         return False, ""
     matches: list[DragWord] = []

@@ -133,29 +133,20 @@ def _expand_gamma(a: list[int], k: int) -> list[tuple[TomaszewskiFactor, int]]:
     return out
 
 
-def _schreier_size(w: Word) -> int:
-    """How many factors ``tomaszewski_factor`` emits for w before it
-    cancels any: the letter x_k^(+-1) expands into sum_{q<k} |a_q|
-    factors, a the abelianized prefix.  a_k itself is not summed, so it
-    does not matter whether the letter has moved it yet."""
-    a = [0] * w.rank
-    total = 0
-    for letter in w.letters:
-        k = abs(letter)
-        total += sum(abs(x) for x in a[:k - 1])
-        a[k - 1] += 1 if letter > 0 else -1
-    return total
+def _expansion_size(w: Word) -> tuple[int, int]:
+    """(factors, tokens): how many factors ``tomaszewski_factor`` emits
+    for w before it cancels any, and how many drag tokens
+    ``push_factorization`` builds from them before it reduces any.
 
-
-def _push_tokens(w: Word) -> int:
-    """How many drag tokens ``push_factorization`` builds for w before it
-    reduces any.  A factor with conjugator exponents d gives
-    2 (n - 1) |d|_1 + 1 tokens, and, as in ``_schreier_size``, the letter
-    x_k^(+-1) expands into |a_q| factors for each q < k, whose d are
-    (t, a_(q+1), ..., a_n) for t from 0 towards a_q (a_k included)."""
+    The letter x_k^(+-1) expands into |a_q| factors for each q < k, a
+    the abelianized prefix, whose conjugator exponents d are
+    (t, a_(q+1), ..., a_n) for t from 0 towards a_q (a_k included); a
+    factor gives 2 (n - 1) |d|_1 + 1 tokens.  a_k itself is not among
+    the a_q, so for the factor count it does not matter whether the
+    letter has moved it yet."""
     n = w.rank
     a = [0] * n
-    total = 0
+    factors = tokens = 0
     for letter in w.letters:
         k = abs(letter)
         if letter < 0:
@@ -166,11 +157,12 @@ def _push_tokens(w: Word) -> int:
             size = abs(e)
             # the sum of |t| over the |e| factors of x_q
             t_sum = size * (size - 1 if e > 0 else size + 1) // 2
-            total += 2 * (n - 1) * (size * above + t_sum) + size
+            tokens += 2 * (n - 1) * (size * above + t_sum) + size
+            factors += size
             above += size
         if letter > 0:
             a[k - 1] += 1
-    return total
+    return factors, tokens
 
 
 def tomaszewski_factor(w: Word) -> Factorization:
@@ -226,16 +218,21 @@ def push_factorization(config: PartitionConfig, boundary: tuple[int, int],
         raise PreconditionError(
             f"push word must have rank n = {config.n}, got {w.rank}")
     r, s = boundary
+    n = config.n
     fact = tomaszewski_factor(w)
+    # the n - 1 handle drags of each loop index, built once
+    handles: dict[int, list] = {}
     out: list[tuple] = []
     for f, e in fact.factors:
         conjugator: list[tuple] = []
-        for idx in range(config.n, f.i - 1, -1):
+        for idx in range(n, f.i - 1, -1):
             exp = f.d[idx - f.i]
-            sign = 1 if exp > 0 else -1
-            for _ in range(abs(exp)):
-                conjugator.extend((hd(a, idx), sign)
-                                  for a in range(1, config.n + 1) if a != idx)
+            if exp:
+                if idx not in handles:
+                    handles[idx] = [hd(a, idx) for a in range(1, n + 1)
+                                    if a != idx]
+                sign = 1 if exp > 0 else -1
+                conjugator.extend([(g, sign) for g in handles[idx]] * abs(exp))
         block = (*conjugator, (bcd(r, s, f.i, f.j), -e),
                  *drag_word_inv(tuple(conjugator)))
         for g, sign in block:

@@ -194,48 +194,34 @@ def _action_table(images) -> list:
     return [[], *images, *inverses]
 
 
-# letters compared per slice when scanning where two images cancel
-_CHUNK = 16
+def _join(out: list[int], piece) -> list[int]:
+    """Extend the reduced letters ``out`` in place by the reduced letters
+    ``piece``, cancelling letter by letter as far as the tail of ``out``
+    is the inverse of the head of ``piece``; returns ``out``.  This is
+    the package's one junction scan."""
+    top = len(out)
+    limit, k = min(top, len(piece)), 0
+    while k < limit and out[top - 1 - k] == -piece[k]:
+        k += 1
+    del out[top - k:]
+    out.extend(piece[k:])
+    return out
 
 
 def _substitute(letters, table) -> list[int]:
     """The reduced image of the reduced letters under ``table``.
 
     Every image is reduced, so letters cancel only where the output so
-    far meets the next image, and only as far as the output ends with
-    the inverse of that image, which the table holds at the negated
-    letter.  The overlap is scanned in slices of _CHUNK letters, then
-    letter by letter; the cancelled tail is deleted and the rest of the
-    image extended in one step.
+    far meets the next image, and only where the output's last letter
+    is the inverse of the image's first; there ``_join`` cancels.
     """
     out: list[int] = []
     for letter in letters:
         piece = table[letter]
         if out and piece and out[-1] == -piece[0]:
-            back = table[-letter]
-            top, size = len(out), len(back)
-            limit = min(top, size)
-            k = 1
-            while (k + _CHUNK <= limit and out[top - k - _CHUNK:top - k]
-                   == back[size - k - _CHUNK:size - k]):
-                k += _CHUNK
-            while k < limit and out[top - 1 - k] == -piece[k]:
-                k += 1
-            del out[top - k:]
-            out.extend(piece[k:])
+            _join(out, piece)
         else:
             out.extend(piece)
-    return out
-
-
-def _join(out: list[int], piece) -> list[int]:
-    """Extend the reduced letters ``out`` in place by the reduced letters
-    ``piece``, cancelling where the two meet; returns ``out``."""
-    k, size = 0, len(piece)
-    while k < size and out and out[-1] == -piece[k]:
-        out.pop()
-        k += 1
-    out.extend(piece[k:])
     return out
 
 

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 from torelli import (
     all_generators,
+    build_basis,
     config_from_json,
     config_to_json,
     drags,
@@ -22,6 +23,7 @@ from torelli import (
 )
 from torelli import cli
 from torelli.cli import main
+from torelli.drags import _drag_action, _push_action
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 CFG21 = '{"n":2,"b":1,"partition":[[1]]}'
@@ -170,13 +172,15 @@ def test_verify_realizes_and_takes_tau_once_per_generator(runner,
 
 
 def _count_image_realizations(monkeypatch) -> list:
-    """Record the drag word of every ``drags._realize_images`` call."""
+    """Record the ``Action`` sequence of every ``drags._realize_images``
+    call."""
     seen: list = []
     loop = drags._realize_images
 
-    def counted(m, w, actions):
-        seen.append(w)
-        return loop(m, w, actions)
+    def counted(m, actions):
+        actions = tuple(actions)
+        seen.append(actions)
+        return loop(m, actions)
 
     monkeypatch.setattr(drags, "_realize_images", counted)
     return seen
@@ -220,8 +224,9 @@ def test_rank_realizes_images_once_per_generator(runner, monkeypatch):
     seen = _count_image_realizations(monkeypatch)
     config = '{"n":3,"b":2,"partition":[[1],[2]]}'
     result = invoke(runner, "rank", "--config", config)
-    gens = all_generators(config_from_json(config))
-    assert seen == [((g, 1),) for g in gens]
+    basis = build_basis(config_from_json(config))
+    gens = all_generators(basis.config)
+    assert seen == [(_drag_action(basis, g, 1),) for g in gens]
     assert result.output == \
         '{"computed_rank":12,"formula_rank":12,"match":true}\n'
 
@@ -239,15 +244,25 @@ def test_push_factor_matches_golden_realizing_once(runner, monkeypatch,
                                                     index):
     # one input per push case: r = 1, s = 1 on a block of two labels;
     # r > 1, s = 1; s > 1; r = 1, s = 1 on a singleton block.  The check
-    # realizes images only, so the drag word is realized once and its
-    # inverse never
+    # realizes images only: the drag word once, its inverse never, and
+    # the push as its one action
     seen = _count_image_realizations(monkeypatch)
     case = json.loads((GOLDEN / "push_factor.json").read_text())[index]
     result = invoke(runner, *case["args"])
     assert result.exit_code == 0
     assert result.output == case["stdout"]
     assert json.loads(result.output)["matches_push"] is True
-    assert len(seen) == 1
+    args = dict(zip(case["args"][1::2], case["args"][2::2]))
+    basis = build_basis(config_from_json(args["--config"]))
+    dw = drags.parse_drag_word(json.loads(result.output)["drags"])
+    r, s = (int(x) for x in args["--boundary"].split(","))
+    w = words.parse_word(args["--word"], basis.config.n)
+
+    def word_actions(tokens):
+        return tuple(_drag_action(basis, g, e) for g, e in tokens)
+
+    assert seen == [word_actions(dw), (_push_action(basis, r, s, w.letters),)]
+    assert word_actions(drags.drag_word_inv(dw)) not in seen
 
 
 @pytest.mark.parametrize("index", range(4))
@@ -497,7 +512,7 @@ def test_word_commands_refuse_ranks_over_the_cap(runner, monkeypatch,
 
     monkeypatch.setattr(words, "parse_word", refused)
     monkeypatch.setattr(johnson, "rho", refused)
-    for name in ("_schreier_size", "tomaszewski_factor",
+    for name in ("_expansion_size", "tomaszewski_factor",
                  "push_factorization"):
         monkeypatch.setattr(rewriter, name, refused)
     for word in ("e", "x1"):
@@ -512,6 +527,44 @@ def test_word_commands_refuse_ranks_over_the_cap(runner, monkeypatch,
 def test_word_commands_admit_ranks_up_to_the_cap(runner, command):
     word = "x1 x2 x1^-1 x2^-1"
     result = invoke(runner, *_rank_args(command, cli.WORD_MAX_RANK, word))
+    assert result.exit_code == 0
+
+
+def _map_args(command, config):
+    config = json.dumps(config)
+    if command == "push":
+        return ["push", "--config", config, "--boundary", "1,1",
+                "--gamma", "x1"]
+    return [command, "--config", config, "--drags", "HD:1,2"]
+
+
+@pytest.mark.parametrize("command", ["tau", "realize", "push"])
+@pytest.mark.parametrize("n, m", [(1000, 1001), (10 ** 12, 10 ** 12 + 1)])
+def test_map_commands_refuse_capped_ranks_over_the_cap(runner, monkeypatch,
+                                                       command, n, m):
+    # config n plus one handle for the singleton block 1
+    def refused(*args):
+        raise AssertionError("the capped rank must be refused before any work")
+
+    for module in (cli.cfg, drags):
+        monkeypatch.setattr(module, "build_basis", refused)
+    for name in ("tau_star", "realize_word", "push_boundary",
+                 "parse_drag_word"):
+        monkeypatch.setattr(drags, name, refused)
+    monkeypatch.setattr(words, "parse_word", refused)
+    config = {"n": n, "b": 1, "partition": [[1]]}
+    result = invoke(runner, *_map_args(command, config))
+    assert result.exit_code == 1
+    error = json.loads(result.output.strip().splitlines()[-1])["error"]
+    assert error == (f"{command}: rank {m} exceeds WORD_MAX_RANK"
+                     f" = {cli.WORD_MAX_RANK}")
+
+
+@pytest.mark.parametrize("command", ["tau", "realize", "push"])
+def test_map_commands_admit_capped_ranks_up_to_the_cap(runner, command):
+    # capped rank 999 + 1 = WORD_MAX_RANK
+    config = {"n": cli.WORD_MAX_RANK - 1, "b": 1, "partition": [[1]]}
+    result = invoke(runner, *_map_args(command, config))
     assert result.exit_code == 0
 
 

@@ -44,7 +44,7 @@ from torelli import (
     verify_pd_relation,
     word_text,
 )
-from torelli.drags import DragGenerator, _drag_action, _images
+from torelli.drags import DragGenerator, _drag_action, _realize_images
 
 from .oracles import (
     drag_action_words,
@@ -293,7 +293,7 @@ def test_drag_actions_are_reduced_letters_matching_word_oracle():
                     assert g.kind == "PD" or g.indices[1] == 1
                     assert set(action.table) == set(basis.block_indices(1))
                 want = drag_action_words(basis, g, sigma)
-                assert _images(basis, action) == tuple(
+                assert _realize_images(m, (action,)) == tuple(
                     want.get(k, gen(m, k)) for k in range(1, m + 1))
 
 

@@ -282,37 +282,37 @@ def _raw_push_tokens(w):
 
 @given(commutator_words_strategy(3))
 def test_schreier_size_counts_the_raw_expansion(w):
-    size = rewriter._schreier_size(w)
+    size = rewriter._expansion_size(w)[0]
     assert size == _raw_factor_count(w)
     assert size >= len(tomaszewski_factor(w).factors)
 
 
 @given(words_strategy(4, 20))
 def test_schreier_size_needs_no_commutator_word(w):
-    assert rewriter._schreier_size(w) == _raw_factor_count(w)
+    assert rewriter._expansion_size(w)[0] == _raw_factor_count(w)
 
 
 def test_schreier_size_of_square_commutators():
     for k in (1, 5, 40):
         w = comm(power(gen(3, 1), k), power(gen(3, 2), k))
-        assert rewriter._schreier_size(w) == k * k
+        assert rewriter._expansion_size(w)[0] == k * k
         assert len(tomaszewski_factor(w).factors) == k * k
 
 
 @given(commutator_words_strategy(3))
 def test_push_tokens_count_the_raw_drag_word(w):
-    tokens = rewriter._push_tokens(w)
+    tokens = rewriter._expansion_size(w)[1]
     assert tokens == _raw_push_tokens(w)
     assert tokens >= len(push_factorization(CFG31, (1, 1), w))
 
 
 @given(words_strategy(4, 20))
 def test_push_tokens_need_no_commutator_word(w):
-    assert rewriter._push_tokens(w) == _raw_push_tokens(w)
+    assert rewriter._expansion_size(w)[1] == _raw_push_tokens(w)
 
 
 def test_push_tokens_of_square_commutators():
     for n, k, tokens in ((3, 64, 1_036_288), (1000, 8, 895_168),
                          (300, 16, 2_296_576), (1000, 64, 515_584_000)):
         w = comm(power(gen(n, 1), k), power(gen(n, 2), k))
-        assert rewriter._push_tokens(w) == tokens
+        assert rewriter._expansion_size(w)[1] == tokens
