@@ -53,6 +53,15 @@ PUSH_MAX_TOKENS = 2 ** 20
 # and `push-factor` of x1 x2 x1^-1 x2^-1 take under 0.02 s, and `tau`,
 # `realize` and `push` of a few tokens under 0.3 s.
 WORD_MAX_RANK = 1000
+# `rank` and `verify --config` realize the config's ~n^3 drag generators
+# and rank their Johnson images; the capped rank bounds n and b at once.
+# At the cap, `verify --all` of n = 12, b = 1 takes 1.8 s of CPU (45 MiB)
+# and `rank` of n = 13, b = 0 1.1 s, on a 2-vCPU Xeon host.  The CLI
+# sweep and the benchmark's grid reach capped rank 9 and 7.
+VERIFY_MAX_RANK = 13
+# `gens` lists them unrealized: 1.2 s, 84 MiB and 3.7 MB of stdout at
+# n = 64, b = 0; 3.9 s, 317 MiB and 14.6 MB at n = 100, b = 2.
+GENS_MAX_RANK = 64
 
 
 def _emit(ctx: click.Context, obj: dict) -> None:
@@ -104,15 +113,9 @@ class _Group(_HelpOnStdout, click.Group):
         return super().parse_args(ctx, args)
 
 
-def _fail(exc: Exception) -> None:
-    click.echo(json.dumps({"error": str(exc)}, separators=(",", ":")),
-               file=sys.stderr)
-    sys.exit(1)
-
-
 def _domain(func):
-    """Map parse failures to usage errors (exit 2) and precondition or
-    validation failures to domain errors (exit 1)."""
+    """Map parse failures to usage errors (exit 2) and precondition,
+    validation or output-file failures to domain errors (exit 1)."""
     import functools
 
     @functools.wraps(func)
@@ -121,8 +124,11 @@ def _domain(func):
             return func(*args, **kwargs)
         except words.ParseError as exc:
             raise click.UsageError(str(exc))
-        except (words.PreconditionError, cfg.ConfigError, ValueError) as exc:
-            _fail(exc)
+        except (words.PreconditionError, cfg.ConfigError, ValueError,
+                OSError) as exc:
+            click.echo(json.dumps({"error": str(exc)}, separators=(",", ":")),
+                       file=sys.stderr)
+            sys.exit(1)
     return wrapper
 
 
@@ -142,10 +148,11 @@ def _parse_boundary(text: str) -> tuple[int, int]:
         raise words.ParseError(f"boundary must be 'r,s', got {text!r}") from None
 
 
-def _check_rank(command: str, n: int) -> None:
-    if n > WORD_MAX_RANK:
+def _check_rank(command: str, n: int, cap: str = "WORD_MAX_RANK") -> None:
+    limit = globals()[cap]
+    if n > limit:
         raise words.PreconditionError(
-            f"{command}: rank {n} exceeds WORD_MAX_RANK = {WORD_MAX_RANK}")
+            f"{command}: rank {n} exceeds {cap} = {limit}")
 
 
 @click.group(cls=_Group)
@@ -236,6 +243,7 @@ def tau(ctx, config_text: str, drags_text: str) -> None:
 def gens(ctx, config_text: str, reduced: bool) -> None:
     """List drag generators for a configuration."""
     config = cfg.config_from_json(config_text)
+    _check_rank("gens", cfg.capped_rank(config), "GENS_MAX_RANK")
     gs = (drags.reduced_generating_set(config) if reduced
           else drags.all_generators(config))
     _emit(ctx, {"count": len(gs), "generators": [g.token() for g in gs]})
@@ -277,6 +285,7 @@ def verify(ctx, config_text: str | None, mode: str) -> None:
         configs = cfg.standard_grid()
     else:
         configs = [cfg.config_from_json(config_text)]
+        _check_rank("verify", cfg.capped_rank(configs[0]), "VERIFY_MAX_RANK")
     checks: list[dict] = []
     for config in configs:
         header = json.dumps(cfg.config_to_json(config), separators=(",", ":"))
@@ -294,6 +303,7 @@ def verify(ctx, config_text: str | None, mode: str) -> None:
 def rank(ctx, config_text: str) -> None:
     """Abelianization rank: computed vs formula."""
     config = cfg.config_from_json(config_text)
+    _check_rank("rank", cfg.capped_rank(config), "VERIFY_MAX_RANK")
     computed, formula, _ = drags.abelianization_rank(config)
     _emit(ctx, {"computed_rank": computed, "formula_rank": formula,
                 "match": computed == formula})
@@ -340,11 +350,12 @@ def push(ctx, config_text: str, boundary: str, gamma_text: str) -> None:
     config = cfg.config_from_json(config_text)
     _check_rank("push", cfg.capped_rank(config))
     gamma = words.parse_word(gamma_text, config.n)
-    f = drags.push_boundary(config, _parse_boundary(boundary), gamma)
+    images = drags._push_images(config, _parse_boundary(boundary), gamma)
     _emit(ctx, {
-        "rank": f.rank,
-        "images": [words.word_text(w) for w in f.images],
-        "membership": drags.membership_IOP(config, f),
+        "rank": len(images),
+        "images": [words.word_text(w) for w in images],
+        "membership": drags.membership_IOP(
+            config, words.GroupMap(len(images), images)),
     })
 
 

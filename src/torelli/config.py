@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
+from itertools import islice
 
 
 class ConfigError(ValueError):
@@ -63,12 +64,15 @@ def validate(config: PartitionConfig) -> PartitionConfig:
             if label in seen:
                 raise ConfigError(f"label {label} repeated")
             seen.add(label)
-    if seen != set(range(1, config.b + 1)):
-        missing = sorted(set(range(1, config.b + 1)) - seen)
-        extra = sorted(seen - set(range(1, config.b + 1)))
+    extra = sorted(x for x in seen if not 1 <= x <= config.b)
+    if extra or len(seen) != config.b:
+        # b may be far larger than the input: name ten missing labels
+        missing = [str(x) for x in islice(
+            (x for x in range(1, config.b + 1) if x not in seen), 11)]
+        missing[10:] = ["..."] if len(missing) > 10 else []
         raise ConfigError(
             f"partition must cover 1..{config.b} exactly"
-            + (f"; missing {missing}" if missing else "")
+            + (f"; missing [{', '.join(missing)}]" if missing else "")
             + (f"; extra {extra}" if extra else ""))
     return config
 

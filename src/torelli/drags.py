@@ -23,11 +23,11 @@ tuples.  ``_realize_images`` is the one place that builds images, by
 one loop over ``Action``s in product order that rewrites only the
 generators each one moves: ``realize_images`` feeds it a drag word,
 ``realize_word`` the word and then its inverse (the certificate), and a
-push (``push_boundary``, push-factor's comparison) its one
-``_push_action``.  Images leave the module only through the validating
-``Word`` and ``GroupMap`` constructors.  Maps are compared on images
-alone, so only the membership check and ``torelli realize`` and
-``push`` build inverses.
+push (``push_boundary``, ``torelli push``, push-factor's comparison)
+its one ``_push_action``.  Images leave the module only through the
+validating ``Word`` and ``GroupMap`` constructors.  Maps are compared
+on images alone, so only the membership check and ``torelli realize``
+build inverses.
 
 A push at boundary (1, 1) and a block-1 drag PD(1, j) move every
 generator outside block 1 by one conjugation, so their ``Action`` is an

@@ -283,10 +283,7 @@ def smith_invariants(a: Matrix) -> list[int]:
 
 
 def is_primitive(v: list[int]) -> bool:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g == 1
+    return gcd(*v) == 1
 
 
 def _summand_quotient(rows: list[list[int]], n: int) -> Quotient | None:

@@ -23,7 +23,6 @@ from .words import (
     ParseError,
     PreconditionError,
     Word,
-    _reduce_letters,
     abelianization_vector,
     reduce,
 )
@@ -63,20 +62,26 @@ def parse_factor(text: str) -> TomaszewskiFactor:
     return TomaszewskiFactor(i, j, d)
 
 
-def _factor_letters(f: TomaszewskiFactor) -> tuple[int, ...]:
-    """The letters of m [x_i, x_j] m^-1, freely reduced in one pass;
-    letters cancel where the conjugator meets the commutator (d_i < 0)."""
+def _conjugator(f: TomaszewskiFactor) -> list[int]:
+    """The letters of m = x_n^{d_n} ... x_i^{d_i}, indices descending."""
     m: list[int] = []
     for idx in range(f.rank, f.i - 1, -1):
         e = f.d[idx - f.i]
-        m.extend([idx if e > 0 else -idx] * abs(e))
-    return _reduce_letters((*m, f.i, f.j, -f.i, -f.j,
-                            *(-x for x in reversed(m))))
+        if e:
+            m.extend([idx if e > 0 else -idx] * abs(e))
+    return m
+
+
+def _factor_letters(f: TomaszewskiFactor) -> tuple[int, ...]:
+    """The letters of m [x_i, x_j] m^-1, unreduced: they cancel where the
+    conjugator meets the commutator (d_i < 0), so callers reduce them."""
+    m = _conjugator(f)
+    return (*m, f.i, f.j, -f.i, -f.j, *(-x for x in reversed(m)))
 
 
 def factor_word(f: TomaszewskiFactor) -> Word:
     """The conjugated commutator m [x_i, x_j] m^-1, reduced."""
-    return Word(f.rank, _factor_letters(f))
+    return reduce(_factor_letters(f), f.rank)
 
 
 @dataclass(frozen=True)
@@ -108,35 +113,26 @@ def _expand_gamma(a: list[int], k: int) -> list[tuple[TomaszewskiFactor, int]]:
         [A B, c] = A [B, c] A^-1 . [A, c]
         [x^a, y] = prod_{t=a-1..0} x^t [x, y] x^-t          (a > 0)
         [x^a, y] = prod_{t=a..-1}  x^t [x, y]^-1 x^-t       (a < 0)
+
+    Unrolled, the factors come out in product order for q = 1 ... k-1,
+    each with exponents d = (t, a_(q+1), ..., a_n).
     """
-    n = len(a)
-    blocks: list[list[tuple[TomaszewskiFactor, int]]] = []
-    for q in range(k - 1, 0, -1):
+    out: list[tuple[TomaszewskiFactor, int]] = []
+    for q in range(1, k):
         e = a[q - 1]
         if e == 0:
             continue
-        steps = range(e - 1, -1, -1) if e > 0 else range(e, 0)
         sign = 1 if e > 0 else -1
-        block = []
-        for t in steps:
-            # conjugator: full syllables above q (those were peeled off
-            # first), then x_q^t
-            d = [0] * (n - q + 1)
-            d[0] = t
-            for idx in range(q + 1, n + 1):
-                d[idx - q] = a[idx - 1]
-            block.append((TomaszewskiFactor(q, k, tuple(d)), sign))
-        blocks.append(block)
-    out: list[tuple[TomaszewskiFactor, int]] = []
-    for block in reversed(blocks):
-        out.extend(block)
+        steps = range(e - 1, -1, -1) if e > 0 else range(e, 0)
+        out.extend((TomaszewskiFactor(q, k, (t, *a[q:])), sign)
+                   for t in steps)
     return out
 
 
 def _expansion_size(w: Word) -> tuple[int, int]:
     """(factors, tokens): how many factors ``tomaszewski_factor`` emits
-    for w before it cancels any, and how many drag tokens
-    ``push_factorization`` builds from them before it reduces any.
+    for w, those that cancel included, and how many drag tokens
+    ``push_factorization`` would build from them, before any cancel.
 
     The letter x_k^(+-1) expands into |a_q| factors for each q < k, a
     the abelianized prefix, whose conjugator exponents d are
@@ -165,36 +161,39 @@ def _expansion_size(w: Word) -> tuple[int, int]:
     return factors, tokens
 
 
+def _cancel_onto(out: list, tokens) -> None:
+    """Append (item, +-1) tokens to out, keeping it freely reduced."""
+    for item, sign in tokens:
+        if out and out[-1][1] == -sign and out[-1][0] == item:
+            out.pop()
+        else:
+            out.append((item, sign))
+
+
 def tomaszewski_factor(w: Word) -> Factorization:
     """Deterministic factorization in the Tomaszewski basis.
 
     Single scan maintaining the abelianized prefix a: a positive letter
     x_k emits the Schreier generator at (a, k) and then increments a_k;
-    a negative letter decrements first and emits the inverse.  Adjacent
-    mutually inverse factors are cancelled afterwards.  The multiply-back
-    certificate is checked before returning.
+    a negative letter decrements first and emits the inverse.  Factors
+    cancel against their inverses as they are emitted.  The
+    multiply-back certificate is checked before returning.
     """
     if not in_commutator_subgroup(w):
         raise PreconditionError(
             "factorization needs a commutator-subgroup word, abelianization "
             f"is {abelianization_vector(w)}")
-    n = w.rank
-    a = [0] * n
-    raw: list[tuple[TomaszewskiFactor, int]] = []
+    a = [0] * w.rank
+    factors: list[tuple[TomaszewskiFactor, int]] = []
     for letter in w.letters:
         k = abs(letter)
         if letter > 0:
-            raw.extend(_expand_gamma(a, k))
+            _cancel_onto(factors, _expand_gamma(a, k))
             a[k - 1] += 1
         else:
             a[k - 1] -= 1
-            raw.extend((f, -e) for f, e in reversed(_expand_gamma(a, k)))
-    factors: list[tuple[TomaszewskiFactor, int]] = []
-    for f, e in raw:
-        if factors and factors[-1] == (f, -e):
-            factors.pop()
-        else:
-            factors.append((f, e))
+            _cancel_onto(factors, ((f, -e) for f, e
+                                   in reversed(_expand_gamma(a, k))))
     result = Factorization(w, tuple(factors))
     if result.multiply_back() != w:
         raise AssertionError("factorization failed its multiply-back check")
@@ -210,34 +209,25 @@ def push_factorization(config: PartitionConfig, boundary: tuple[int, int],
 
     Factor by factor, push(m c m^-1) = W o push(c) o W^-1 where W is
     the handle-drag word acting as conjugation by m on the loops while
-    fixing every arc and handle, and push([y_i, y_j]) = BCD(r,s,i,j)^-1.
-    The word is freely reduced: each token that meets its inverse at
-    the end of the word so far cancels against it.
+    fixing every arc and handle (each letter x_idx^(+-1) of m gives
+    HD(a, idx)^(+-1) for all a != idx), and push([y_i, y_j]) =
+    BCD(r,s,i,j)^-1.  Blocks cancel onto the word as they are emitted.
     """
     if w.rank != config.n:
         raise PreconditionError(
             f"push word must have rank n = {config.n}, got {w.rank}")
-    r, s = boundary
-    n = config.n
-    fact = tomaszewski_factor(w)
-    # the n - 1 handle drags of each loop index, built once
+    # HD(a, idx)^(+-1) for all a != idx, built once per loop index idx
     handles: dict[int, list] = {}
     out: list[tuple] = []
-    for f, e in fact.factors:
+    for f, e in tomaszewski_factor(w).factors:
         conjugator: list[tuple] = []
-        for idx in range(n, f.i - 1, -1):
-            exp = f.d[idx - f.i]
-            if exp:
-                if idx not in handles:
-                    handles[idx] = [hd(a, idx) for a in range(1, n + 1)
-                                    if a != idx]
-                sign = 1 if exp > 0 else -1
-                conjugator.extend([(g, sign) for g in handles[idx]] * abs(exp))
-        block = (*conjugator, (bcd(r, s, f.i, f.j), -e),
-                 *drag_word_inv(tuple(conjugator)))
-        for g, sign in block:
-            if out and out[-1][1] == -sign and out[-1][0] == g:
-                out.pop()
-            else:
-                out.append((g, sign))
+        for x in _conjugator(f):
+            if x not in handles:
+                idx = abs(x)
+                gs = [hd(a, idx) for a in range(1, config.n + 1) if a != idx]
+                handles[idx] = [(g, 1) for g in gs]
+                handles[-idx] = [(g, -1) for g in gs]
+            conjugator.extend(handles[x])
+        _cancel_onto(out, (*conjugator, (bcd(*boundary, f.i, f.j), -e),
+                           *drag_word_inv(tuple(conjugator))))
     return tuple(out)

@@ -103,12 +103,8 @@ def comm(u: Word, v: Word) -> Word:
 
 
 def power(u: Word, k: int) -> Word:
-    if k < 0:
-        return power(inv(u), -k)
-    out = Word(u.rank)
-    for _ in range(k):
-        out = mul(out, u)
-    return out
+    """u^k, freely reduced in one pass over k copies of the letters."""
+    return reduce((u if k >= 0 else inv(u)).letters * abs(k), u.rank)
 
 
 # --- text format ----------------------------------------------------------

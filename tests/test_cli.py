@@ -8,6 +8,8 @@ import weakref
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torelli import (
     all_generators,
@@ -329,6 +331,29 @@ def test_push_subcommand(runner):
     assert json.loads(result.output)["membership"] is True
 
 
+@pytest.mark.parametrize("partition, boundary", [
+    ([[1, 2], [3]], "1,1"), ([[1, 2], [3]], "1,2"), ([[1, 2], [3]], "2,1"),
+    ([[1], [2, 3]], "1,1"), ([[1], [2, 3]], "2,1"), ([[1], [2, 3]], "2,2")])
+def test_push_realizes_the_push_of_gamma_only(runner, monkeypatch,
+                                              partition, boundary):
+    # membership reads images only: one realization, the one action of
+    # the push of gamma, and no push of gamma^-1 for an inverse family
+    seen = _count_image_realizations(monkeypatch)
+    config = json.dumps({"n": 2, "b": 3, "partition": partition})
+    gamma = "x1 x2 x1^-1 x2^-1 x1"
+    result = invoke(runner, "push", "--config", config,
+                    "--boundary", boundary, "--gamma", gamma)
+    assert result.exit_code == 0
+    basis = build_basis(config_from_json(config))
+    r, s = (int(x) for x in boundary.split(","))
+    w = words.parse_word(gamma, 2)
+    assert seen == [(_push_action(basis, r, s, w.letters),)]
+    f = drags.push_boundary(basis.config, (r, s), w)
+    assert json.loads(result.output) == {
+        "rank": f.rank, "images": [words.word_text(x) for x in f.images],
+        "membership": drags.membership_IOP(basis.config, f)}
+
+
 def test_push_bad_boundary_text_exit_2(runner):
     result = invoke(runner, "push", "--config", CFG22,
                     "--boundary", "1-2", "--gamma", "x1")
@@ -354,6 +379,17 @@ def test_fs_subcommand(runner, tmp_path):
     result = invoke(runner, "fs", "--n", "2", "--bound", "1",
                     "--dot", str(dot))
     assert dot.read_text().startswith("graph fs {")
+
+
+def test_fs_dot_into_a_missing_directory_exit_1(runner, tmp_path):
+    # a --dot path that cannot be written is a domain error, not a
+    # traceback
+    dot = tmp_path / "missing" / "fs.dot"
+    result = invoke(runner, "fs", "--n", "2", "--bound", "1",
+                    "--dot", str(dot))
+    assert result.exit_code == 1
+    error = json.loads(result.output.strip().splitlines()[-1])["error"]
+    assert "No such file or directory" in error
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])
@@ -549,7 +585,7 @@ def test_map_commands_refuse_capped_ranks_over_the_cap(runner, monkeypatch,
     for module in (cli.cfg, drags):
         monkeypatch.setattr(module, "build_basis", refused)
     for name in ("tau_star", "realize_word", "push_boundary",
-                 "parse_drag_word"):
+                 "_push_images", "parse_drag_word"):
         monkeypatch.setattr(drags, name, refused)
     monkeypatch.setattr(words, "parse_word", refused)
     config = {"n": n, "b": 1, "partition": [[1]]}
@@ -566,6 +602,49 @@ def test_map_commands_admit_capped_ranks_up_to_the_cap(runner, command):
     config = {"n": cli.WORD_MAX_RANK - 1, "b": 1, "partition": [[1]]}
     result = invoke(runner, *_map_args(command, config))
     assert result.exit_code == 0
+
+
+_CONFIG_CAPS = [("gens", "GENS_MAX_RANK"), ("rank", "VERIFY_MAX_RANK"),
+                ("verify", "VERIFY_MAX_RANK")]
+
+
+def _config_args(command, config):
+    mode = ["--all"] if command == "verify" else []
+    return [command, *mode, "--config", json.dumps(config)]
+
+
+@pytest.mark.parametrize("command, cap", _CONFIG_CAPS)
+@pytest.mark.parametrize("over", [1, 10 ** 12])
+def test_config_commands_refuse_capped_ranks_over_the_cap(runner, monkeypatch,
+                                                          command, cap, over):
+    def refused(*args):
+        raise AssertionError("the capped rank must be refused before any work")
+
+    for name in ("all_generators", "reduced_generating_set",
+                 "abelianization_rank", "verify_config", "build_basis"):
+        monkeypatch.setattr(drags, name, refused)
+    monkeypatch.setattr(cli.cfg, "build_basis", refused)
+    limit = getattr(cli, cap)
+    # config n plus one handle for the singleton block 1
+    config = {"n": limit - 1 + over, "b": 1, "partition": [[1]]}
+    result = invoke(runner, *_config_args(command, config))
+    assert result.exit_code == 1
+    error = json.loads(result.output.strip().splitlines()[-1])["error"]
+    assert error == f"{command}: rank {limit + over} exceeds {cap} = {limit}"
+
+
+@pytest.mark.parametrize("command, cap", _CONFIG_CAPS)
+def test_config_commands_admit_capped_ranks_up_to_the_cap(runner, monkeypatch,
+                                                          command, cap):
+    # the CLI sweep and the benchmark's grid reach capped rank 9
+    assert getattr(cli, cap) >= 9
+    # the cap is inclusive: CFG22 has capped rank 3
+    monkeypatch.setattr(cli, cap, 3)
+    assert invoke(runner, *_config_args(command, json.loads(CFG22))) \
+        .exit_code == 0
+    monkeypatch.setattr(cli, cap, 2)
+    assert invoke(runner, *_config_args(command, json.loads(CFG22))) \
+        .exit_code == 1
 
 
 def test_complete_basis_refuses_n_over_the_cap(runner, monkeypatch):
@@ -689,3 +768,91 @@ def test_group_without_arguments_prints_help_on_stderr(group):
     assert (code, out) == (2, "")
     assert help_code == 0
     assert err == help_out and err.startswith("Usage: torelli")
+
+
+# --- the CLI contract under fuzzing ------------------------------------------
+#
+# Every value comes from a small sampled set, so each admitted input is
+# cheap and each past-the-cap one is refused before any work.  The first
+# value of each set is admitted by every subcommand that takes it, and is
+# drawn half of the time, so that inputs often get past validation.
+
+def _mostly(good, *others):
+    return st.one_of(st.just(good), st.sampled_from([good, *others]))
+
+
+_INTS = ["3", "1", "0", "-1", "101", "1001", str(10 ** 12), "٣", "true",
+         "2.0", ""]
+_JSON_INTS = [-1, 0, 1, 14, 1001, 10 ** 12, True, 2.0, "2", None]
+_WORDS = ["x2 x1 x2^-1 x1^-1", "x1", "e", "", "x٣", "x0", "x1^2",
+          "x1^-1 x1", "y1", "x1001"]
+_VALUES = {
+    "--n": _mostly("2", *_INTS),
+    "--bound": _mostly("2", *_INTS),
+    "--word": _mostly(*_WORDS),
+    "--other": _mostly(*_WORDS),
+    "--gamma": _mostly(*_WORDS),
+    "--drags": _mostly("HD:1,2 BCD:1,2,1,2^-1", "", "CD-:1,2,3", "PD:1,2",
+                       "HD:1,1", "HD:١,2", "XX:1", "HD:1,2^2", "HD:1001,1"),
+    "--boundary": _mostly("1,2", "2,1", "0,1", "1", "a,b", "١,1", ""),
+    "--vectors": _mostly("[[1,1]]", "[]", "[[2,4]]", "[[true,1]]",
+                         "not json", "[[1.5]]", "{}", "[[1,2,3]]", "[1]"),
+    "--config": st.one_of(
+        _mostly(CFG22, CFG21, '{"n":1,"b":0,"partition":[]}',
+                '{"n":13,"b":1,"partition":[[1]]}',
+                '{"n":1001,"b":0,"partition":[]}',
+                "", "not json", "[]", "{}", '{"n":2}', "null"),
+        st.fixed_dictionaries({
+            "n": st.sampled_from(_JSON_INTS),
+            "b": st.sampled_from(_JSON_INTS),
+            "partition": st.sampled_from([[], [[1]], [[1], [1]], [[0]],
+                                          [[True]], [1], "x"]),
+        }).map(json.dumps)),
+}
+# each subcommand with its options; a name without a value is a flag
+_SUBCOMMANDS = [
+    (["tau"], ["--config", "--drags"]),
+    (["gens"], ["--config", "--reduced"]),
+    (["realize"], ["--config", "--drags"]),
+    (["verify"], ["--config", "--relations", "--membership", "--all"]),
+    (["rank"], ["--config"]),
+    (["push"], ["--config", "--boundary", "--gamma"]),
+    (["push-factor"], ["--config", "--boundary", "--word"]),
+    (["rho"], ["--n", "--word"]),
+    (["rewrite"], ["--n", "--word"]),
+    (["fs"], ["--n", "--bound", "--homology"]),
+    (["complete-basis"], ["--n", "--vectors"]),
+    (["word", "reduce"], ["--n", "--word"]),
+    (["word", "mul"], ["--n", "--word", "--other"]),
+    (["word", "inv"], ["--n", "--word"]),
+]
+
+
+@st.composite
+def _cli_args(draw):
+    command, options = draw(st.sampled_from(_SUBCOMMANDS))
+    args = draw(st.sampled_from([[], ["--output", "human"]])) + command
+    for option in options:
+        if option not in _VALUES:
+            if draw(st.booleans()):
+                args.append(option)
+        elif draw(st.sampled_from([True] * 7 + [False])):
+            # a required option is sometimes left out
+            args += [option, draw(_VALUES[option])]
+    return args
+
+
+@settings(max_examples=400)
+@given(_cli_args())
+def test_every_subcommand_keeps_the_exit_contract(args):
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 1, 2), (args, result.output)
+    assert result.exception is None or isinstance(result.exception,
+                                                  SystemExit), args
+    assert "Traceback" not in result.output, args
+    if result.exit_code == 1:
+        assert "error" in json.loads(result.stderr.splitlines()[-1]), args
+    elif result.exit_code == 2:
+        assert result.stdout == "" and "Error" in result.stderr, args
+    elif args[0] != "--output":
+        json.loads(result.stdout)

@@ -35,6 +35,19 @@ def test_validation_rejects_bad_configs():
         partition_config(2, -1, [])
 
 
+def test_validation_names_a_few_missing_labels_of_a_huge_b():
+    # b far beyond the partition is refused without listing 1..b
+    with pytest.raises(ConfigError) as exc:
+        partition_config(2, 10 ** 12, [[3]])
+    assert str(exc.value) == (
+        f"partition must cover 1..{10 ** 12} exactly; "
+        "missing [1, 2, 4, 5, 6, 7, 8, 9, 10, 11, ...]")
+    with pytest.raises(ConfigError) as exc:
+        partition_config(2, 3, [[3], [5]])
+    assert str(exc.value) == \
+        "partition must cover 1..3 exactly; missing [1, 2]; extra [5]"
+
+
 def test_capped_rank_and_layout_anchor():
     # one loop handle per singleton block, size-1 arcs otherwise
     config = partition_config(3, 6, [[1, 2, 3], [4, 5], [6]])

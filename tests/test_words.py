@@ -29,7 +29,12 @@ from torelli import (
     word_text,
 )
 
-from .oracles import letters_strategy, substitute_then_reduce, words_strategy
+from .oracles import (
+    letters_strategy,
+    mul_fold,
+    substitute_then_reduce,
+    words_strategy,
+)
 
 
 def test_reduce_cancels_adjacent_inverses():
@@ -75,6 +80,11 @@ def test_power():
     assert power(gen(2, 1), 3).letters == (1, 1, 1)
     assert power(gen(2, 1), -2).letters == (-1, -1)
     assert power(gen(2, 1), 0).is_identity()
+
+
+@given(words_strategy(3), st.integers(-5, 5))
+def test_power_matches_mul_fold(u, k):
+    assert power(u, k) == mul_fold([u if k >= 0 else inv(u)] * abs(k), 3)
 
 
 def test_parse_word_round_trip_examples():
