@@ -37,17 +37,17 @@ REWRITE_MAX_FACTORS = 4096
 # 2 (n - 1) |d|_1 + 1 drag tokens, d the exponents of m, before it
 # reduces the drag word; the raw count comes from the same scan.  At the
 # cap it admits x1^64 x2^64 x1^-64 x2^-64 at n = 3 (1,036,288 tokens,
-# 1.5 s of CPU) and x1^8 x2^8 x1^-8 x2^-8 at n = 1000 (895,168 tokens,
-# 1.9 s), and refuses the same word with exponent 16 at n = 300
+# 1.5 s of CPU) and x1^8 x2^8 x1^-8 x2^-8 at n = 999 (894,272 tokens,
+# 1.7-2.0 s), and refuses the same word with exponent 16 at n = 300
 # (2,296,576 tokens, 2.2 s of work in the library) and exponent 64 at
-# n = 1000 (515,584,000), on a 2-vCPU Xeon host.  Seeded words of
+# n = 999 (515,067,904), on a 2-vCPU Xeon host.  Seeded words of
 # about 100 letters, as in the push-long benchmark, build a few hundred
 # (at most 632 over seeds 0-11).
 PUSH_MAX_TOKENS = 2 ** 20
-# `rho`, `rewrite` and `push-factor` allocate rank-sized lists, and each
-# Schreier factor carries up to n conjugator exponents; `tau`, `realize`
-# and `push` build and print a map of the config's capped rank, which
-# they check against the same cap.  At the cap, `rewrite` of
+# `rho` and `rewrite` allocate rank-sized lists, and each Schreier
+# factor carries up to n conjugator exponents; `tau`, `realize`, `push`
+# and `push-factor` build a map of the config's capped rank, which they
+# check against the same cap.  At the cap, `rewrite` of
 # x1^64 x2^64 x1^-64 x2^-64 (4096 factors) takes 1.7 s of CPU and peaks
 # at 99 MiB, printing 8.3 MB, on a 2-vCPU Xeon host; `rho`, `rewrite`
 # and `push-factor` of x1 x2 x1^-1 x2^-1 take under 0.02 s, and `tau`,
@@ -139,13 +139,10 @@ def _config_option(func):
 
 
 def _parse_boundary(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
+    parts = tuple(map(words._read_index, text.split(",")))
+    if len(parts) != 2 or None in parts:
         raise words.ParseError(f"boundary must be 'r,s', got {text!r}")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise words.ParseError(f"boundary must be 'r,s', got {text!r}") from None
+    return parts
 
 
 def _check_rank(command: str, n: int, cap: str = "WORD_MAX_RANK") -> None:
@@ -371,7 +368,7 @@ def push_factor(ctx, config_text: str, boundary: str, word_text: str) -> None:
     it matches the direct push realization."""
     config = cfg.config_from_json(config_text)
     addr = _parse_boundary(boundary)
-    _check_rank("push-factor", config.n)
+    _check_rank("push-factor", cfg.capped_rank(config))
     w = words.parse_word(word_text, config.n)
     tokens = _check_rewrite_size("push-factor", w)
     if tokens > PUSH_MAX_TOKENS:

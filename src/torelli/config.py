@@ -99,18 +99,6 @@ class BasisRole:
         return f"{self.kind}:{self.r}"
 
 
-def loop_role(i: int) -> BasisRole:
-    return BasisRole("loop", i)
-
-
-def arc_role(r: int, s: int) -> BasisRole:
-    return BasisRole("arc", r, s)
-
-
-def handle_role(r: int) -> BasisRole:
-    return BasisRole("handle", r)
-
-
 def capped_rank(config: PartitionConfig) -> int:
     m = config.n
     for block in config.partition:
@@ -134,12 +122,13 @@ class CappedBasis:
 def build_basis(config: PartitionConfig) -> CappedBasis:
     """The capped basis of a configuration, built once per configuration:
     both are frozen, so every caller can share the same object."""
-    roles: list[BasisRole] = [loop_role(i) for i in range(1, config.n + 1)]
+    roles = [BasisRole("loop", i) for i in range(1, config.n + 1)]
     for r, block in enumerate(config.partition, start=1):
         if len(block) == 1:
-            roles.append(handle_role(r))
+            roles.append(BasisRole("handle", r))
         else:
-            roles.extend(arc_role(r, s) for s in range(2, len(block) + 1))
+            roles.extend(BasisRole("arc", r, s)
+                         for s in range(2, len(block) + 1))
     basis = CappedBasis(config, len(roles), tuple(roles))
     assert basis.m == capped_rank(config)
     return basis

@@ -55,6 +55,7 @@ from .words import (
     Word,
     _action_table,
     _join,
+    _read_index,
     _reduce_letters,
     _substitute,
     comm,
@@ -137,10 +138,9 @@ def parse_drag_word(text: str) -> DragWord:
         kind, _, rest = body.partition(":")
         if kind not in _KINDS:
             raise ParseError(f"token {pos}: unknown drag kind in {token!r}")
-        try:
-            indices = tuple(int(part) for part in rest.split(","))
-        except ValueError:
-            raise ParseError(f"token {pos}: bad indices in {token!r}") from None
+        indices = tuple(map(_read_index, rest.split(",")))
+        if None in indices:
+            raise ParseError(f"token {pos}: bad indices in {token!r}")
         try:
             out.append((DragGenerator(kind, indices), exp))
         except ValueError as exc:

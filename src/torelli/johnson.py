@@ -73,32 +73,9 @@ def ext_vector(rank: int, entries: dict[tuple[int, int], int]) -> ExtVector:
     return ExtVector(rank, coeffs)
 
 
-def zero_ext(rank: int) -> ExtVector:
-    return ExtVector(rank)
-
-
 def wedge(rank: int, i: int, j: int, c: int = 1) -> ExtVector:
     """c * e_i ^ e_j."""
     return ext_vector(rank, {(i, j): c})
-
-
-def ext_add(a: ExtVector, b: ExtVector) -> ExtVector:
-    if a.rank != b.rank:
-        raise ValueError("rank mismatch")
-    table = {(i, j): c for i, j, c in a.coeffs}
-    for i, j, c in b.coeffs:
-        table[(i, j)] = table.get((i, j), 0) + c
-    return ext_vector(a.rank, table)
-
-
-def ext_neg(a: ExtVector) -> ExtVector:
-    return ExtVector(a.rank, tuple((i, j, -c) for i, j, c in a.coeffs))
-
-
-def ext_scale(a: ExtVector, k: int) -> ExtVector:
-    if k == 0:
-        return zero_ext(a.rank)
-    return ExtVector(a.rank, tuple((i, j, k * c) for i, j, c in a.coeffs))
 
 
 def _rho_letters(rank: int, letters: Iterable[int]) -> ExtVector:
@@ -157,32 +134,11 @@ class HomTable:
                             for col in self.columns]}
 
 
-def hom_table(columns: list[ExtVector]) -> HomTable:
-    if not columns:
-        raise ValueError("empty column list")
-    return HomTable(columns[0].rank, tuple(columns))
-
-
-def zero_table(rank: int) -> HomTable:
-    return HomTable(rank, tuple(zero_ext(rank) for _ in range(rank)))
-
-
 def table_from_entries(rank: int,
                        entries: dict[int, dict[tuple[int, int], int]]) -> HomTable:
     """Columns given as {column index: {(i, j): c}} with 1-based columns."""
     cols = [ext_vector(rank, entries.get(i, {})) for i in range(1, rank + 1)]
     return HomTable(rank, tuple(cols))
-
-
-def table_add(a: HomTable, b: HomTable) -> HomTable:
-    if a.rank != b.rank:
-        raise ValueError("rank mismatch")
-    return HomTable(a.rank, tuple(ext_add(x, y)
-                                  for x, y in zip(a.columns, b.columns)))
-
-
-def table_neg(a: HomTable) -> HomTable:
-    return HomTable(a.rank, tuple(ext_neg(col) for col in a.columns))
 
 
 def tau(f: GroupMap) -> HomTable:

@@ -111,6 +111,16 @@ def power(u: Word, k: int) -> Word:
 #
 # Whitespace-separated tokens `x<k>` / `x<k>^-1`; the empty word is `e`.
 
+def _read_index(text: str) -> int | None:
+    """The index ``text`` spells in ASCII digits with no leading zero,
+    else None.  Words, drag words and boundaries read their indices
+    here: ``int`` alone would also take other Unicode digits, a sign,
+    ``_`` and blanks."""
+    if text == "0" or text.isascii() and text.isdigit() and text[0] != "0":
+        return int(text)
+    return None
+
+
 def parse_word(text: str, rank: int) -> Word:
     # the rank is checked before any token, so a bad rank is one domain
     # error whatever the text is
@@ -126,12 +136,9 @@ def parse_word(text: str, rank: int) -> Word:
         body, negative = token, False
         if token.endswith("^-1"):
             body, negative = token[:-3], True
-        digits = body[1:]
-        # ASCII only: str.isdigit admits every Unicode digit, which int() reads
-        if (not body.startswith("x") or not digits.isascii()
-                or not digits.isdigit() or len(digits) > 1 and digits[0] == "0"):
+        k = _read_index(body[1:]) if body.startswith("x") else None
+        if k is None:
             raise ParseError(f"token {pos}: cannot read {token!r}")
-        k = int(digits)
         if not 1 <= k <= rank:
             raise ParseError(
                 f"token {pos}: index {k} out of range for rank {rank}")
@@ -252,10 +259,6 @@ def inverse(f: GroupMap) -> GroupMap:
 
 def same_map(f: GroupMap, g: GroupMap) -> bool:
     return f.rank == g.rank and f.images == g.images
-
-
-def is_identity(f: GroupMap) -> bool:
-    return all(w.letters == (i,) for i, w in enumerate(f.images, start=1))
 
 
 def verify_certificate(f: GroupMap) -> bool:

@@ -77,7 +77,7 @@ def test_usage_error_exit_2(runner):
     assert "token 1" in result.output
 
 
-@pytest.mark.parametrize("word", ["x\u0663", "x01"])
+@pytest.mark.parametrize("word", ["x\u0663", "x01", "x+1", "x1_0"])
 def test_word_index_must_be_plain_ascii_exit_2(runner, word):
     result = invoke(runner, "word", "reduce", "--n", "3", "--word", word)
     assert result.exit_code == 2
@@ -355,9 +355,15 @@ def test_push_realizes_the_push_of_gamma_only(runner, monkeypatch,
 
 
 def test_push_bad_boundary_text_exit_2(runner):
-    result = invoke(runner, "push", "--config", CFG22,
-                    "--boundary", "1-2", "--gamma", "x1")
-    assert result.exit_code == 2
+    # indices are read as `parse_word` reads them: ASCII digits, no
+    # leading zero, no sign, underscore or blank
+    for command, word in (("push", "--gamma"), ("push-factor", "--word")):
+        for boundary in ("1-2", "\u0661, +1", "01,2", "1,+2", "1_0,1",
+                         "1, 2"):
+            result = invoke(runner, command, "--config", CFG22,
+                            "--boundary", boundary, word, "x1 x2 x1^-1 x2^-1")
+            assert result.exit_code == 2, (command, boundary)
+            assert "boundary must be 'r,s'" in result.output
 
 
 def test_push_factor_subcommand(runner):
@@ -481,7 +487,7 @@ def _square_push_args(n, k):
 
 
 @pytest.mark.parametrize("n, k, tokens", [(300, 16, 2_296_576),
-                                          (1000, 64, 515_584_000)])
+                                          (999, 64, 515_067_904)])
 def test_push_factor_refuses_drag_words_over_the_cap(runner, monkeypatch,
                                                      n, k, tokens):
     # both inputs pass REWRITE_MAX_FACTORS and WORD_MAX_RANK
@@ -501,10 +507,10 @@ class _Admitted(Exception):
     """Raised by a patched work function: the input passed every cap."""
 
 
-@pytest.mark.parametrize("n, k", [(3, 64), (1000, 8)])
+@pytest.mark.parametrize("n, k", [(3, 64), (999, 8)])
 def test_push_factor_admits_drag_words_up_to_the_cap(runner, monkeypatch,
                                                      n, k):
-    # 1,036,288 and 895,168 drag tokens
+    # 1,036,288 and 894,272 drag tokens
     def admitted(*args):
         raise _Admitted
 
@@ -529,14 +535,10 @@ def test_rewrite_admits_the_largest_square_commutator(runner):
 
 
 def _rank_args(command, n, word):
-    if command == "push-factor":
-        config = json.dumps({"n": n, "b": 1, "partition": [[1]]})
-        return ["push-factor", "--config", config, "--boundary", "1,1",
-                "--word", word]
     return [command, "--n", str(n), "--word", word]
 
 
-@pytest.mark.parametrize("command", ["rho", "rewrite", "push-factor"])
+@pytest.mark.parametrize("command", ["rho", "rewrite"])
 @pytest.mark.parametrize("n", [1001, 10 ** 12, 10 ** 20])
 def test_word_commands_refuse_ranks_over_the_cap(runner, monkeypatch,
                                                  command, n):
@@ -548,8 +550,7 @@ def test_word_commands_refuse_ranks_over_the_cap(runner, monkeypatch,
 
     monkeypatch.setattr(words, "parse_word", refused)
     monkeypatch.setattr(johnson, "rho", refused)
-    for name in ("_expansion_size", "tomaszewski_factor",
-                 "push_factorization"):
+    for name in ("_expansion_size", "tomaszewski_factor"):
         monkeypatch.setattr(rewriter, name, refused)
     for word in ("e", "x1"):
         result = invoke(runner, *_rank_args(command, n, word))
@@ -559,7 +560,7 @@ def test_word_commands_refuse_ranks_over_the_cap(runner, monkeypatch,
                          f" = {limit}")
 
 
-@pytest.mark.parametrize("command", ["rho", "rewrite", "push-factor"])
+@pytest.mark.parametrize("command", ["rho", "rewrite"])
 def test_word_commands_admit_ranks_up_to_the_cap(runner, command):
     word = "x1 x2 x1^-1 x2^-1"
     result = invoke(runner, *_rank_args(command, cli.WORD_MAX_RANK, word))
@@ -571,11 +572,18 @@ def _map_args(command, config):
     if command == "push":
         return ["push", "--config", config, "--boundary", "1,1",
                 "--gamma", "x1"]
+    if command == "push-factor":
+        return ["push-factor", "--config", config, "--boundary", "1,1",
+                "--word", "x1 x2 x1^-1 x2^-1"]
     return [command, "--config", config, "--drags", "HD:1,2"]
 
 
-@pytest.mark.parametrize("command", ["tau", "realize", "push"])
-@pytest.mark.parametrize("n, m", [(1000, 1001), (10 ** 12, 10 ** 12 + 1)])
+_MAP_COMMANDS = ["tau", "realize", "push", "push-factor"]
+
+
+@pytest.mark.parametrize("command", _MAP_COMMANDS)
+@pytest.mark.parametrize("n, m", [(1000, 1001), (10 ** 12, 10 ** 12 + 1),
+                                  (10 ** 20, 10 ** 20 + 1)])
 def test_map_commands_refuse_capped_ranks_over_the_cap(runner, monkeypatch,
                                                        command, n, m):
     # config n plus one handle for the singleton block 1
@@ -584,9 +592,11 @@ def test_map_commands_refuse_capped_ranks_over_the_cap(runner, monkeypatch,
 
     for module in (cli.cfg, drags):
         monkeypatch.setattr(module, "build_basis", refused)
-    for name in ("tau_star", "realize_word", "push_boundary",
-                 "_push_images", "parse_drag_word"):
+    for name in ("tau_star", "realize_word", "realize_images",
+                 "push_boundary", "_push_images", "parse_drag_word"):
         monkeypatch.setattr(drags, name, refused)
+    for name in ("_expansion_size", "push_factorization"):
+        monkeypatch.setattr(rewriter, name, refused)
     monkeypatch.setattr(words, "parse_word", refused)
     config = {"n": n, "b": 1, "partition": [[1]]}
     result = invoke(runner, *_map_args(command, config))
@@ -596,7 +606,7 @@ def test_map_commands_refuse_capped_ranks_over_the_cap(runner, monkeypatch,
                      f" = {cli.WORD_MAX_RANK}")
 
 
-@pytest.mark.parametrize("command", ["tau", "realize", "push"])
+@pytest.mark.parametrize("command", _MAP_COMMANDS)
 def test_map_commands_admit_capped_ranks_up_to_the_cap(runner, command):
     # capped rank 999 + 1 = WORD_MAX_RANK
     config = {"n": cli.WORD_MAX_RANK - 1, "b": 1, "partition": [[1]]}

@@ -80,6 +80,11 @@ def test_parse_drag_word_errors():
         parse_drag_word("HD:1,2 HD:1,a")
     with pytest.raises(ParseError, match="token 1"):
         parse_drag_word("HD:1,2,3")
+    # indices are read as `parse_word` reads them (a ParseError is the
+    # CLI's exit 2)
+    for text in ("HD:\u0661,\u0662", "HD:01,2", "HD:+1,2", "HD:1_0,2"):
+        with pytest.raises(ParseError, match="bad indices"):
+            parse_drag_word(text)
 
 
 def test_generator_shape_validation():

@@ -1,3 +1,5 @@
+import collections
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,18 +23,7 @@ from torelli import (
 )
 from torelli.config import partition_config
 from torelli.drags import all_generators, realize, realize_word
-from torelli.johnson import (
-    HomTable,
-    _rho_letters,
-    ext_add,
-    ext_neg,
-    ext_scale,
-    hom_table,
-    table_add,
-    table_neg,
-    zero_ext,
-    zero_table,
-)
+from torelli.johnson import HomTable, _rho_letters
 
 from .oracles import (
     commutator_words_strategy,
@@ -63,7 +54,10 @@ def test_rho_matches_magnus_series(w):
 
 @given(commutator_words_strategy(3), commutator_words_strategy(3))
 def test_rho_homomorphism(u, v):
-    assert rho(mul(u, v)) == ext_add(rho(u), rho(v))
+    total = collections.Counter()
+    for t in (rho(u), rho(v)):
+        total.update({(i, j): c for i, j, c in t.coeffs})
+    assert rho(mul(u, v)) == ext_vector(3, total)
 
 
 @given(commutator_words_strategy(3))
@@ -85,20 +79,11 @@ def test_ext_vector_normalizes_and_validates():
     assert v.coefficient(2, 1) == 5
     assert v.coefficient(1, 2) == -5
     assert v.coefficient(2, 3) == 0
-    assert ext_vector(3, {(1, 2): 0}) == zero_ext(3)
+    assert ext_vector(3, {(1, 2): 0}) == ExtVector(3)
     with pytest.raises(ValueError):
         ExtVector(2, ((1, 2, 0),))
     with pytest.raises(ValueError):
         ExtVector(2, ((2, 1, 1),))
-
-
-def test_ext_arithmetic():
-    a = wedge(3, 1, 2)
-    b = wedge(3, 1, 2, -1)
-    assert ext_add(a, b).is_zero()
-    assert ext_neg(a) == b
-    assert ext_scale(a, 3) == ext_vector(3, {(1, 2): 3})
-    assert ext_scale(a, 0).is_zero()
 
 
 def test_tau_requires_homology_trivial():
@@ -138,27 +123,30 @@ def test_tau_additive_under_composition():
     maps = _drag_maps(config)
     for f in maps[:4]:
         for g in maps[2:6]:
-            assert tau(compose(f, g)) == table_add(tau(f), tau(g))
+            # flatten is injective at a fixed rank
+            assert flatten(tau(compose(f, g))) == tuple(
+                a + b for a, b in zip(flatten(tau(f)), flatten(tau(g)),
+                                      strict=True))
 
 
 def test_tau_of_inverse_is_negation():
     config = partition_config(3, 1, [[1]])
     for f in _drag_maps(config):
-        assert tau(inverse(f)) == table_neg(tau(f))
+        assert flatten(tau(inverse(f))) == tuple(-a for a in flatten(tau(f)))
 
 
 def test_hom_table_shape_checks():
     with pytest.raises(ValueError):
-        HomTable(2, (zero_ext(2),))
+        HomTable(2, (ExtVector(2),))
     with pytest.raises(ValueError):
-        HomTable(2, (zero_ext(2), zero_ext(3)))
-    assert hom_table([zero_ext(2), zero_ext(2)]).is_zero()
-    assert zero_table(4).is_zero()
+        HomTable(2, (ExtVector(2), ExtVector(3)))
+    assert HomTable(2, (ExtVector(2), ExtVector(2))).is_zero()
+    assert HomTable(4, (ExtVector(4),) * 4).is_zero()
 
 
 def test_flatten_layout():
     # column-major, (i, j) lexicographic within a column
-    t = hom_table([wedge(3, 1, 3, 2), ext_vector(3, {(1, 2): 1, (2, 3): -1}),
-                   zero_ext(3)])
+    t = HomTable(3, (wedge(3, 1, 3, 2),
+                     ext_vector(3, {(1, 2): 1, (2, 3): -1}), ExtVector(3)))
     assert flatten(t) == (0, 2, 0, 1, 0, -1, 0, 0, 0)
-    assert len(flatten(zero_table(4))) == 4 * 6
+    assert len(flatten(HomTable(4, (ExtVector(4),) * 4))) == 4 * 6
