@@ -1,10 +1,11 @@
 """Command-line surface with JSON output for scripting and golden files.
 
-Every library operation is reachable from exactly one subcommand; JSON
-output is byte-stable for identical inputs.  ``verify`` prints the
+Every library operation is reachable from exactly one subcommand, which
+returns its result; the one result callback, ``_emit``, prints it, and
+JSON output is byte-stable for identical inputs.  ``verify`` prints the
 checks of the library's one verifier, ``drags.verify_config``.  Exit
-codes: 0 success, 1 domain error (violated precondition, reported
-verbatim), 2 usage error.
+codes, mapped once by ``_Command``: 0 success, 1 domain error (violated
+precondition, reported verbatim), 2 usage error.
 """
 
 from __future__ import annotations
@@ -23,8 +24,15 @@ from . import drags, johnson, lattice, rewriter, words
 # (n, bound) = (4, 2) and (3, 4); with --homology, each of those takes
 # 1.5-3.5 s of CPU on a 2-vCPU Xeon host, depending on its load.
 FS_MAX_CANDIDATES = 729
-# `complete-basis` builds, checks and prints an n x n matrix.
-COMPLETE_BASIS_MAX_N = 100
+# `complete-basis` builds, checks and prints an n x n matrix, and the
+# entries of its Smith-form completion grow with n.  On random rows with
+# entries in [-10, 10], n/2, 3n/4 and n - 1 of them, the CLI takes at
+# most 0.5, 0.8 and 1.6 s of CPU at n = 54 (the cap), with entries of up
+# to 3483 digits; n = 60 and 64 with n - 1 rows take 2.9 and 4.8 s and
+# then exit 1, their entries past Python's 4300-digit limit on int to
+# str, on a 2-vCPU Xeon host.  Input entries larger than these can pass
+# that limit below the cap, and then also exit 1.
+COMPLETE_BASIS_MAX_N = 54
 # `rewrite` and `push-factor` expand each letter of the word into
 # Schreier factors; the raw count, before any cancels, is known from
 # one scan.  At n = 3, x1^k x2^k x1^-k x2^-k has k^2 of them: `push-factor`
@@ -64,15 +72,6 @@ VERIFY_MAX_RANK = 13
 GENS_MAX_RANK = 64
 
 
-def _emit(ctx: click.Context, obj: dict) -> None:
-    if ctx.obj and ctx.obj.get("human"):
-        for key, value in obj.items():
-            click.echo(f"{key}: {json.dumps(value, separators=(',', ':'))}",
-                       file=sys.stdout)
-    else:
-        click.echo(json.dumps(obj, separators=(",", ":")), file=sys.stdout)
-
-
 def _show_help(ctx: click.Context, param: click.Parameter,
                value: bool) -> None:
     """The --help callback: click's own, but printing through the
@@ -84,8 +83,11 @@ def _show_help(ctx: click.Context, param: click.Parameter,
         ctx.exit()
 
 
-class _HelpOnStdout:
-    """Commands and groups whose --help prints through ``_show_help``."""
+class _Command(click.Command):
+    """The exit contract of every command and group: --help prints
+    through ``_show_help``, parse failures are usage errors (exit 2),
+    and failed preconditions, validation or output, the printing of a
+    result included, are domain errors (exit 1, JSON on stderr)."""
 
     def get_help_option(self, ctx: click.Context) -> click.Option | None:
         option = super().get_help_option(ctx)
@@ -93,12 +95,18 @@ class _HelpOnStdout:
             option.callback = _show_help
         return option
 
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except words.ParseError as exc:
+            raise click.UsageError(str(exc), ctx) from None
+        except (ValueError, OSError) as exc:
+            click.echo(json.dumps({"error": str(exc)}, separators=(",", ":")),
+                       file=sys.stderr)
+            sys.exit(1)
 
-class _Command(_HelpOnStdout, click.Command):
-    pass
 
-
-class _Group(_HelpOnStdout, click.Group):
+class _Group(_Command, click.Group):
     command_class = _Command
     group_class = type
 
@@ -111,25 +119,6 @@ class _Group(_HelpOnStdout, click.Group):
             click.echo(ctx.get_help(), color=ctx.color, file=sys.stderr)
             ctx.exit(2)
         return super().parse_args(ctx, args)
-
-
-def _domain(func):
-    """Map parse failures to usage errors (exit 2) and precondition,
-    validation or output-file failures to domain errors (exit 1)."""
-    import functools
-
-    @functools.wraps(func)
-    def wrapper(*args, **kwargs):
-        try:
-            return func(*args, **kwargs)
-        except words.ParseError as exc:
-            raise click.UsageError(str(exc))
-        except (words.PreconditionError, cfg.ConfigError, ValueError,
-                OSError) as exc:
-            click.echo(json.dumps({"error": str(exc)}, separators=(",", ":")),
-                       file=sys.stderr)
-            sys.exit(1)
-    return wrapper
 
 
 def _config_option(func):
@@ -155,11 +144,19 @@ def _check_rank(command: str, n: int, cap: str = "WORD_MAX_RANK") -> None:
 @click.group(cls=_Group)
 @click.option("--output", type=click.Choice(["json", "human"]),
               default="json", help="output mode")
-@click.pass_context
-def main(ctx: click.Context, output: str) -> None:
+def main(output: str) -> None:
     """Exact computation with drag generators, Johnson images,
     Tomaszewski rewriting and summand lattices."""
-    ctx.obj = {"human": output == "human"}
+
+
+@main.result_callback()
+def _emit(obj: dict, output: str) -> None:
+    if output == "human":
+        for key, value in obj.items():
+            click.echo(f"{key}: {json.dumps(value, separators=(',', ':'))}",
+                       file=sys.stdout)
+    else:
+        click.echo(json.dumps(obj, separators=(",", ":")), file=sys.stdout)
 
 
 # --- words ------------------------------------------------------------------
@@ -172,33 +169,25 @@ def word() -> None:
 @word.command("reduce")
 @click.option("--n", type=int, required=True)
 @click.option("--word", "word_text", required=True)
-@click.pass_context
-@_domain
-def word_reduce(ctx, n: int, word_text: str) -> None:
-    w = words.parse_word(word_text, n)
-    _emit(ctx, {"word": words.word_text(w)})
+def word_reduce(n: int, word_text: str) -> dict:
+    return {"word": words.word_text(words.parse_word(word_text, n))}
 
 
 @word.command("mul")
 @click.option("--n", type=int, required=True)
 @click.option("--word", "u_text", required=True)
 @click.option("--other", "v_text", required=True)
-@click.pass_context
-@_domain
-def word_mul(ctx, n: int, u_text: str, v_text: str) -> None:
+def word_mul(n: int, u_text: str, v_text: str) -> dict:
     u = words.parse_word(u_text, n)
     v = words.parse_word(v_text, n)
-    _emit(ctx, {"word": words.word_text(words.mul(u, v))})
+    return {"word": words.word_text(words.mul(u, v))}
 
 
 @word.command("inv")
 @click.option("--n", type=int, required=True)
 @click.option("--word", "word_text", required=True)
-@click.pass_context
-@_domain
-def word_inv(ctx, n: int, word_text: str) -> None:
-    w = words.parse_word(word_text, n)
-    _emit(ctx, {"word": words.word_text(words.inv(w))})
+def word_inv(n: int, word_text: str) -> dict:
+    return {"word": words.word_text(words.inv(words.parse_word(word_text, n)))}
 
 
 # --- Johnson ----------------------------------------------------------------
@@ -206,28 +195,24 @@ def word_inv(ctx, n: int, word_text: str) -> None:
 @main.command()
 @click.option("--n", type=int, required=True)
 @click.option("--word", "word_text", required=True)
-@click.pass_context
-@_domain
-def rho(ctx, n: int, word_text: str) -> None:
+def rho(n: int, word_text: str) -> dict:
     """Degree-2 Magnus projection of a commutator-subgroup word."""
     _check_rank("rho", n)
     w = words.parse_word(word_text, n)
     vec = johnson.rho(w)
-    _emit(ctx, {"coeffs": [list(t) for t in vec.coeffs]})
+    return {"coeffs": [list(t) for t in vec.coeffs]}
 
 
 @main.command()
 @_config_option
 @click.option("--drags", "drags_text", required=True,
               help="drag word, e.g. 'HD:1,2 CD-:1,2,3^-1'")
-@click.pass_context
-@_domain
-def tau(ctx, config_text: str, drags_text: str) -> None:
+def tau(config_text: str, drags_text: str) -> dict:
     """Johnson image of a realized drag word."""
     config = cfg.config_from_json(config_text)
     _check_rank("tau", cfg.capped_rank(config))
     table = drags.tau_star(config, drags.parse_drag_word(drags_text))
-    _emit(ctx, table.to_json())
+    return table.to_json()
 
 
 # --- drags ------------------------------------------------------------------
@@ -235,34 +220,30 @@ def tau(ctx, config_text: str, drags_text: str) -> None:
 @main.command()
 @_config_option
 @click.option("--reduced", is_flag=True, help="reduced generating set")
-@click.pass_context
-@_domain
-def gens(ctx, config_text: str, reduced: bool) -> None:
+def gens(config_text: str, reduced: bool) -> dict:
     """List drag generators for a configuration."""
     config = cfg.config_from_json(config_text)
     _check_rank("gens", cfg.capped_rank(config), "GENS_MAX_RANK")
     gs = (drags.reduced_generating_set(config) if reduced
           else drags.all_generators(config))
-    _emit(ctx, {"count": len(gs), "generators": [g.token() for g in gs]})
+    return {"count": len(gs), "generators": [g.token() for g in gs]}
 
 
 @main.command()
 @_config_option
 @click.option("--drags", "drags_text", required=True)
-@click.pass_context
-@_domain
-def realize(ctx, config_text: str, drags_text: str) -> None:
+def realize(config_text: str, drags_text: str) -> dict:
     """Generator images of a realized drag word."""
     config = cfg.config_from_json(config_text)
     _check_rank("realize", cfg.capped_rank(config))
     basis = cfg.build_basis(config)
     f = drags.realize_word(config, drags.parse_drag_word(drags_text))
-    _emit(ctx, {
+    return {
         "rank": f.rank,
         "basis": [role.text() for role in basis.roles],
         "images": [words.word_text(w) for w in f.images],
         "inverse_images": [words.word_text(w) for w in f.inverse_images],
-    })
+    }
 
 
 @main.command()
@@ -271,9 +252,7 @@ def realize(ctx, config_text: str, drags_text: str) -> None:
 @click.option("--relations", "mode", flag_value="relations")
 @click.option("--membership", "mode", flag_value="membership")
 @click.option("--all", "mode", flag_value="all", default=True)
-@click.pass_context
-@_domain
-def verify(ctx, config_text: str | None, mode: str) -> None:
+def verify(config_text: str | None, mode: str) -> dict:
     """Check drag membership certificates and relations; --all also
     reproduces the Johnson table and the rank formula.  Without --config
     the whole standard grid is verified and a certificate listing every
@@ -288,22 +267,19 @@ def verify(ctx, config_text: str | None, mode: str) -> None:
         header = json.dumps(cfg.config_to_json(config), separators=(",", ":"))
         checks.extend({"config": header, "check": c.name, "detail": c.detail,
                        "ok": c.ok} for c in drags.verify_config(config, mode))
-    _emit(ctx, {"configs": len(configs),
-                "ok": all(c["ok"] for c in checks),
-                "checks": checks})
+    return {"configs": len(configs), "ok": all(c["ok"] for c in checks),
+            "checks": checks}
 
 
 @main.command()
 @_config_option
-@click.pass_context
-@_domain
-def rank(ctx, config_text: str) -> None:
+def rank(config_text: str) -> dict:
     """Abelianization rank: computed vs formula."""
     config = cfg.config_from_json(config_text)
     _check_rank("rank", cfg.capped_rank(config), "VERIFY_MAX_RANK")
     computed, formula, _ = drags.abelianization_rank(config)
-    _emit(ctx, {"computed_rank": computed, "formula_rank": formula,
-                "match": computed == formula})
+    return {"computed_rank": computed, "formula_rank": formula,
+            "match": computed == formula}
 
 
 # --- rewriting --------------------------------------------------------------
@@ -322,17 +298,15 @@ def _check_rewrite_size(command: str, w: words.Word) -> int:
 @main.command()
 @click.option("--n", type=int, required=True)
 @click.option("--word", "word_text", required=True)
-@click.pass_context
-@_domain
-def rewrite(ctx, n: int, word_text: str) -> None:
+def rewrite(n: int, word_text: str) -> dict:
     """Tomaszewski factorization of a commutator-subgroup word."""
     _check_rank("rewrite", n)
     w = words.parse_word(word_text, n)
     _check_rewrite_size("rewrite", w)
     fact = rewriter.tomaszewski_factor(w)
-    _emit(ctx, {"word": words.word_text(w),
-                "factors": [{"factor": f.text(), "exp": e}
-                            for f, e in fact.factors]})
+    return {"word": words.word_text(w),
+            "factors": [{"factor": f.text(), "exp": e}
+                        for f, e in fact.factors]}
 
 
 @main.command()
@@ -340,20 +314,18 @@ def rewrite(ctx, n: int, word_text: str) -> None:
 @click.option("--boundary", required=True, help="boundary address 'r,s'")
 @click.option("--gamma", "gamma_text", required=True,
               help="loop word (rank n)")
-@click.pass_context
-@_domain
-def push(ctx, config_text: str, boundary: str, gamma_text: str) -> None:
+def push(config_text: str, boundary: str, gamma_text: str) -> dict:
     """Realize a boundary push and report its membership status."""
     config = cfg.config_from_json(config_text)
     _check_rank("push", cfg.capped_rank(config))
     gamma = words.parse_word(gamma_text, config.n)
     images = drags._push_images(config, _parse_boundary(boundary), gamma)
-    _emit(ctx, {
+    return {
         "rank": len(images),
         "images": [words.word_text(w) for w in images],
         "membership": drags.membership_IOP(
             config, words.GroupMap(len(images), images)),
-    })
+    }
 
 
 @main.command("push-factor")
@@ -361,9 +333,7 @@ def push(ctx, config_text: str, boundary: str, gamma_text: str) -> None:
 @click.option("--boundary", required=True, help="boundary address 'r,s'")
 @click.option("--word", "word_text", required=True,
               help="commutator-subgroup loop word (rank n)")
-@click.pass_context
-@_domain
-def push_factor(ctx, config_text: str, boundary: str, word_text: str) -> None:
+def push_factor(config_text: str, boundary: str, word_text: str) -> dict:
     """Drag word realizing a pushed commutator word, with a check that
     it matches the direct push realization."""
     config = cfg.config_from_json(config_text)
@@ -380,7 +350,7 @@ def push_factor(ctx, config_text: str, boundary: str, word_text: str) -> None:
     # on either side
     matches = (drags.realize_images(config, dw)
                == drags._push_images(config, addr, w))
-    _emit(ctx, {"drags": drags.drag_word_text(dw), "matches_push": matches})
+    return {"drags": drags.drag_word_text(dw), "matches_push": matches}
 
 
 # --- lattices ---------------------------------------------------------------
@@ -403,9 +373,7 @@ def _power_exceeds(base: int, exponent: int, limit: int) -> bool:
               help="also compute the truncated H_1 rank")
 @click.option("--dot", "dot_path", type=click.Path(dir_okay=False),
               default=None, help="write the 1-skeleton in DOT format")
-@click.pass_context
-@_domain
-def fs(ctx, n: int, bound: int, homology: bool, dot_path: str | None) -> None:
+def fs(n: int, bound: int, homology: bool, dot_path: str | None) -> dict:
     """Truncation of the complex of rank-1 summands of Z^n."""
     if n >= 1 and bound >= 1 and _power_exceeds(2 * bound + 1, n,
                                                  FS_MAX_CANDIDATES):
@@ -424,16 +392,14 @@ def fs(ctx, n: int, bound: int, homology: bool, dot_path: str | None) -> None:
         with open(dot_path, "w") as handle:
             handle.write(lattice.fs_dot(verts, edges))
         out["dot"] = dot_path
-    _emit(ctx, out)
+    return out
 
 
 @main.command("complete-basis")
 @click.option("--n", type=int, required=True)
 @click.option("--vectors", "vectors_text", required=True,
               help="JSON list of integer vectors, e.g. '[[1,1]]'")
-@click.pass_context
-@_domain
-def complete_basis_cmd(ctx, n: int, vectors_text: str) -> None:
+def complete_basis_cmd(n: int, vectors_text: str) -> dict:
     """Extend summand-spanning rows to a basis of Z^n."""
     if n > COMPLETE_BASIS_MAX_N:
         raise words.PreconditionError(
@@ -449,7 +415,7 @@ def complete_basis_cmd(ctx, n: int, vectors_text: str) -> None:
     if any(type(x) is not int for v in vectors for x in v):
         raise words.ParseError("vector entries must be integers")
     out = lattice.complete_basis(vectors, n)
-    _emit(ctx, {"matrix": out, "det": lattice.det(out)})
+    return {"matrix": out, "det": lattice.det(out)}
 
 
 if __name__ == "__main__":

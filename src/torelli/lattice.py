@@ -35,8 +35,8 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 Matrix = list[list[int]]
 SparseRow = dict[int, int]
@@ -142,8 +142,7 @@ def matrix_rank(a: Matrix) -> int:
     return _sparse_rank(dict(enumerate(row)) for row in a)
 
 
-@dataclass
-class SnfResult:
+class SnfResult(NamedTuple):
     U: Matrix
     D: Matrix
     V: Matrix

@@ -88,6 +88,13 @@ def test_verdict_lines():
     assert line.startswith("verify-grid pass_norm_s: 0.94 -> 0.71 (-24.5%)")
     assert "change wins 10/10" in line and "bound 25%" in line
     assert line.endswith(": gain")
+    # a gain of under 3% in the median asks for a second paired run
+    small = [_pair(0.70 + 0.001 * (i % 3), 0.69, 100, 100) for i in range(10)]
+    s = bench_pairs.summarize(small, better, bounds)["pass_norm_s"]
+    line = bench_pairs.verdict("verify-grid", "pass_norm_s", s)
+    assert "(-1.6%)" in line and "change wins 10/10" in line
+    assert line.endswith(": gain under 3%: confirm with a second paired"
+                         " run on other seeds")
     # 8 of 10 wins is not a gain
     mixed = gain[:8] + [_pair(0.93, 0.95, 100, 100)] * 2
     s = bench_pairs.summarize(mixed, better, bounds)["pass_norm_s"]

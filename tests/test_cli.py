@@ -664,11 +664,14 @@ def test_complete_basis_refuses_n_over_the_cap(runner, monkeypatch):
     assert result.exit_code == 0
     assert json.loads(result.output)["det"] == 1
     _refuse_work(monkeypatch, "complete_basis")
-    result = invoke(runner, "complete-basis", "--n", str(limit + 1),
-                    "--vectors", "[]")
-    assert result.exit_code == 1
-    error = json.loads(result.output.strip().splitlines()[-1])["error"]
-    assert f"COMPLETE_BASIS_MAX_N = {limit}" in error
+    # n = 100, the old cap; n - 1 random rows already fail to print at 60
+    for n in (limit + 1, 100):
+        result = invoke(runner, "complete-basis", "--n", str(n),
+                        "--vectors", "[]")
+        assert result.exit_code == 1
+        error = json.loads(result.output.strip().splitlines()[-1])["error"]
+        assert error == (f"complete-basis: n={n} exceeds COMPLETE_BASIS_MAX_N"
+                         f" = {limit}")
 
 
 def test_complete_basis_subcommand(runner):
@@ -768,6 +771,19 @@ def _run_in_process(args):
         with pytest.raises(SystemExit) as exc:
             main.main(args=list(args), prog_name="torelli")
     return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("output", [(), ("--output", "human")])
+def test_unprintable_result_is_a_domain_error(monkeypatch, output):
+    # an int past Python's digit limit on int to str fails in the printing
+    # of the result, which keeps the exit contract
+    monkeypatch.setattr(lattice, "complete_basis",
+                        lambda vectors, n: [[10 ** 5000]])
+    code, out, err = _run_in_process(
+        (*output, "complete-basis", "--n", "1", "--vectors", "[]"))
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err
+    assert "4300" in json.loads(err.splitlines()[-1])["error"]
 
 
 @pytest.mark.parametrize("group", [(), ("word",)])

@@ -98,7 +98,9 @@ def verdict(workload: str, name: str, s: dict) -> str:
     """One line: the medians, the change in percent, the wins, the base
     IQR and the verdict.  REGRESSED is worse beyond the bound; "gain"
     is better in at least nine of ten pairs and by more than the base
-    IQR in the median; anything else is "within bound"."""
+    IQR in the median; anything else is "within bound".  Drift of the
+    host between the two sides of a pair can pass that rule, so a gain
+    of under 3% in the median asks for a second paired run."""
     base, change = s["base"]["median"], s["change"]["median"]
     pct = 100 * (change - base) / base if base else 0.0
     sign = 1 if s["better"] == "lower" else -1
@@ -106,7 +108,8 @@ def verdict(workload: str, name: str, s: dict) -> str:
         word = "REGRESSED"
     elif (10 * s["change_wins"] >= 9 * s["pairs"]
           and sign * (base - change) > s["base"]["iqr"]):
-        word = "gain"
+        word = "gain" if abs(pct) >= 3 else (
+            "gain under 3%: confirm with a second paired run on other seeds")
     else:
         word = "within bound"
     bound = "none" if s["bound"] is None else f"{100 * s['bound']:.0f}%"
