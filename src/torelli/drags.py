@@ -37,17 +37,27 @@ u once, at the end.
 
 ``verify_config`` is the one verifier: it decides which checks verify
 a configuration, in what order, for ``torelli verify``, the acceptance
-gate and the sweeps.
+gate and the sweeps.  It builds the actions of every generator once,
+and its membership check, relations and CD identities read that one
+table through the private checks that the public ``verify_*``
+functions wrap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from functools import partial
+from typing import Callable, Iterable, NamedTuple
 
 from .config import CappedBasis, PartitionConfig, build_basis, capped_rank
-from .johnson import HomTable, flatten, table_from_entries, tau
-from .lattice import matrix_rank, smith_invariants
+from .johnson import (
+    HomTable,
+    _flat_entries,
+    _tau_columns,
+    table_from_entries,
+    tau,
+)
+from .lattice import _sparse_rank, smith_invariants
 from .words import (
     GroupMap,
     ParseError,
@@ -454,10 +464,14 @@ def membership_IOP(config: PartitionConfig, f: GroupMap) -> bool:
 
 # --- relations ------------------------------------------------------------
 
-def _realize_displayed(config: PartitionConfig,
-                       tokens: DragWord) -> tuple[Word, ...]:
+# drag word -> generator images: ``realize_images`` on a configuration,
+# or the one action table of ``verify_config``
+Realizer = Callable[[DragWord], tuple[Word, ...]]
+
+
+def _displayed(tokens: DragWord) -> DragWord:
     # displayed products act leftmost-first; realize the reversed word
-    return realize_images(config, tuple(reversed(tokens)))
+    return tuple(reversed(tokens))
 
 
 def verify_pd_relation(config: PartitionConfig, j: int) -> bool:
@@ -470,9 +484,14 @@ def verify_pd_relation(config: PartitionConfig, j: int) -> bool:
     n = config.n
     if not 1 <= j <= n:
         raise PreconditionError(f"loop index {j} out of range 1..{n}")
+    return _pd_relation(config, j, partial(realize_images, config))
+
+
+def _pd_relation(config: PartitionConfig, j: int, images: Realizer) -> bool:
+    n = config.n
     tokens = drag_word(*[pd(r, j) for r in range(1, config.num_blocks + 1)],
                        *[hd(i, j) for i in range(1, n + 1) if i != j])
-    composite = _realize_displayed(config, tokens)
+    composite = images(_displayed(tokens))
     m = len(composite)
     if config.b == 0:
         return composite == inner_automorphism(m, gen(m, j)).images
@@ -484,11 +503,16 @@ def verify_bcd_relation(config: PartitionConfig, r: int, i: int, j: int) -> bool
     if i >= j:
         raise PreconditionError("need i < j")
     _check_boundary(config, r, 1)
+    return _bcd_relation(config, r, i, j, partial(realize_images, config))
+
+
+def _bcd_relation(config: PartitionConfig, r: int, i: int, j: int,
+                  images: Realizer) -> bool:
     b_r = len(config.block(r))
-    lhs = _realize_displayed(
-        config, drag_word(*[bcd(r, s, i, j) for s in range(1, b_r + 1)]))
-    rhs = _realize_displayed(
-        config, drag_word(pd(r, i), pd(r, j), (pd(r, i), -1), (pd(r, j), -1)))
+    lhs = images(_displayed(
+        drag_word(*[bcd(r, s, i, j) for s in range(1, b_r + 1)])))
+    rhs = images(_displayed(
+        drag_word(pd(r, i), pd(r, j), (pd(r, i), -1), (pd(r, j), -1))))
     return lhs == rhs
 
 
@@ -497,9 +521,13 @@ def verify_cd_identity(config: PartitionConfig, i: int, j: int,
     """CD+(i,j,k) o CD-(i,j,k) conjugates y_i by [y_j, y_k]; search the
     eight ordered/sign commutator variants of HD(i,j), HD(i,k) for the
     unique exact match and return its drag-word text."""
-    target = realize_images(config, drag_word(cd_plus(i, j, k),
-                                              cd_minus(i, j, k)))
-    m = capped_rank(config)
+    return _cd_identity(config, i, j, k, partial(realize_images, config))
+
+
+def _cd_identity(config: PartitionConfig, i: int, j: int, k: int,
+                 images: Realizer) -> tuple[bool, str]:
+    target = images(drag_word(cd_plus(i, j, k), cd_minus(i, j, k)))
+    m = len(target)
     c = comm(gen(m, j), gen(m, k))
     expected = tuple(conj(c, gen(m, x)) if x == i else gen(m, x)
                      for x in range(1, m + 1))
@@ -510,7 +538,7 @@ def verify_cd_identity(config: PartitionConfig, i: int, j: int,
         for a in (1, -1):
             for b in (1, -1):
                 candidate = drag_word((x, a), (y, b), (x, -a), (y, -b))
-                if realize_images(config, candidate) == target:
+                if images(candidate) == target:
                     matches.append(candidate)
     if len(matches) != 1:
         return False, "; ".join(drag_word_text(w) for w in matches)
@@ -592,19 +620,29 @@ def _rank_from_taus(config: PartitionConfig,
                     taus: dict[DragGenerator, HomTable]
                     ) -> tuple[int, int, list[int]]:
     """``abelianization_rank`` from the Johnson images of
-    ``all_generators(config)``, for a caller that holds them."""
+    ``all_generators(config)``, for a caller that holds them.
+
+    About 1% of a row's coordinates are nonzero, so rows stay sparse.
+    The Smith invariants are taken on the reduced rows restricted to
+    the union S of their supports: rows supported on S span a summand
+    of Z^N exactly when they span one of Z^S, and zero columns add no
+    nonzero invariant.
+    """
     m = capped_rank(config)
-    row_of = {g: list(flatten(t)) for g, t in taus.items()}
+    row_of = {g: _flat_entries(t) for g, t in taus.items()}
     rows = list(row_of.values())
     if config.b == 0:
-        inner_rows = [list(flatten(tau(inner_automorphism(m, gen(m, j)))))
-                      for j in range(1, config.n + 1)]
-        computed = (matrix_rank(rows + inner_rows)
-                    - matrix_rank(inner_rows))
+        inners = (inner_automorphism(m, gen(m, j))
+                  for j in range(1, config.n + 1))
+        inner_rows = [_flat_entries(_tau_columns(m, f.images))
+                      for f in inners]
+        computed = _sparse_rank(rows + inner_rows) - _sparse_rank(inner_rows)
     else:
-        computed = matrix_rank(rows)
+        computed = _sparse_rank(rows)
     reduced_rows = [row_of[g] for g in reduced_generating_set(config)]
-    invariants = smith_invariants(reduced_rows)
+    support = sorted(set().union(*reduced_rows))
+    invariants = smith_invariants([[row.get(c, 0) for c in support]
+                                   for row in reduced_rows])
     return computed, formula_rank(config), invariants
 
 
@@ -623,36 +661,55 @@ def verify_config(config: PartitionConfig, mode: str = "all") -> list[Check]:
     "membership" certifies each generator in the Torelli group,
     "relations" checks the PD and BCD relations and the CD identities,
     and "all" does both, then each generator's tau and the rank formula.
+
+    Every realization reads one ``_word_actions`` table of all the
+    generators.  Membership checks each generator's homology once; the
+    tau of one that passed needs no second check, and one that failed
+    fails its tau_table check and the rank check.
     """
     if mode not in ("membership", "relations", "all"):
         raise ValueError(f"unknown verify mode {mode!r}")
     n, gens = config.n, all_generators(config)
+    m, actions = _word_actions(config, tuple((g, 1) for g in gens))
+
+    def images(w: DragWord) -> tuple[Word, ...]:
+        return _realize_images(m, map(actions.__getitem__, w))
+
     checks: list[Check] = []
     if mode != "relations":
-        maps = {g: realize(config, g) for g in gens}
-        checks.extend(Check("membership", g.token(), membership_IOP(config, f)
-                            and verify_certificate(f))
-                      for g, f in maps.items())
+        maps = {g: GroupMap(m, images(((g, 1),)), images(((g, -1),)))
+                for g in gens}
+        member = {g: is_homology_trivial(f) and verify_certificate(f)
+                  for g, f in maps.items()}
+        checks.extend(Check("membership", g.token(), ok)
+                      for g, ok in member.items())
     if mode != "membership":
         checks.extend(Check("pd_relation", f"j={j}",
-                            verify_pd_relation(config, j))
+                            _pd_relation(config, j, images))
                       for j in range(1, n + 1))
         checks.extend(Check("bcd_relation", f"r={r},i={i},j={j}",
-                            verify_bcd_relation(config, r, i, j))
+                            _bcd_relation(config, r, i, j, images))
                       for r in range(1, config.num_blocks + 1)
                       for i in range(1, n + 1) for j in range(i + 1, n + 1))
         for i, j, k in (g.indices for g in gens if g.kind == "CD-"):
-            ok, expr = verify_cd_identity(config, i, j, k)
+            ok, expr = _cd_identity(config, i, j, k, images)
             checks.append(Check("cd_identity",
                                 f"i={i},j={j},k={k} -> {expr}", ok))
     if mode == "all":
-        taus = {g: tau(f) for g, f in maps.items()}
-        checks.extend(Check("tau_table", g.token(),
-                            t == tau_star_formula(config, g))
-                      for g, t in taus.items())
-        computed, formula, invariants = _rank_from_taus(config, taus)
-        checks.append(Check(
-            "rank", f"computed={computed} formula={formula} "
-            f"invariants={invariants}",
-            computed == formula and all(x == 1 for x in invariants)))
+        taus = {g: _tau_columns(m, f.images)
+                for g, f in maps.items() if member[g]}
+        checks.extend(Check("tau_table", g.token(), g in taus
+                            and taus[g] == tau_star_formula(config, g))
+                      for g in gens)
+        missing = len(gens) - len(taus)
+        if missing:
+            checks.append(Check("rank", f"not computed: {missing}/"
+                                f"{len(gens)} generators failed membership",
+                                False))
+        else:
+            computed, formula, invariants = _rank_from_taus(config, taus)
+            checks.append(Check(
+                "rank", f"computed={computed} formula={formula} "
+                f"invariants={invariants}",
+                computed == formula and all(x == 1 for x in invariants)))
     return checks

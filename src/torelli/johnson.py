@@ -144,29 +144,41 @@ def table_from_entries(rank: int,
 def tau(f: GroupMap) -> HomTable:
     """Johnson homomorphism: column i = rho(f(x_i) x_i^-1).
 
-    Each column runs the letter kernel of ``rho`` on the letters of
-    f(x_i) followed by x_i^-1, with no product word built: rho does not
-    see free reduction, and homology triviality, checked first, gives
-    every column word zero abelianization.
+    Homology triviality, checked first, gives every column word zero
+    abelianization; ``_tau_columns`` then reads the images.
     """
     if not is_homology_trivial(f):
         raise PreconditionError("tau needs a homology-trivial map")
-    m = f.rank
-    cols = [_rho_letters(m, (*image.letters, -i))
-            for i, image in enumerate(f.images, 1)]
-    return HomTable(m, tuple(cols))
+    return _tau_columns(f.rank, f.images)
 
 
-def _pairs(rank: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(1, rank + 1) for j in range(i + 1, rank + 1)]
+def _tau_columns(rank: int, images: Iterable[Word]) -> HomTable:
+    """``tau`` of a map the caller knows to be homology-trivial, with no
+    second check.  Each column runs the letter kernel of ``rho`` on the
+    letters of f(x_i) followed by x_i^-1, with no product word built:
+    rho does not see free reduction."""
+    return HomTable(rank, tuple(_rho_letters(rank, (*image.letters, -i))
+                                for i, image in enumerate(images, 1)))
+
+
+def _flat_entries(t: HomTable) -> dict[int, int]:
+    """The nonzero entries of ``flatten(t)`` as {coordinate: value},
+    read straight from the column coefficients."""
+    m = t.rank
+    width = m * (m - 1) // 2
+    entries: dict[int, int] = {}
+    for col, ext in enumerate(t.columns):
+        for i, j, c in ext.coeffs:
+            # (i, j) is preceded by the pairs (a, b), a < i, and (i, b), b < j
+            entries[col * width + (i - 1) * m - (i - 1) * i // 2
+                    + j - i - 1] = c
+    return entries
 
 
 def flatten(t: HomTable) -> tuple[int, ...]:
     """Fixed coordinate layout: column-major, (i, j) lexicographic inside
     each column; length rank * rank * (rank - 1) / 2."""
-    pairs = _pairs(t.rank)
-    out: list[int] = []
-    for col in t.columns:
-        lookup = {(i, j): c for i, j, c in col.coeffs}
-        out.extend(lookup.get(p, 0) for p in pairs)
+    out = [0] * (t.rank * t.rank * (t.rank - 1) // 2)
+    for c, x in _flat_entries(t).items():
+        out[c] = x
     return tuple(out)

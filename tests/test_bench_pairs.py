@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -159,3 +160,41 @@ def test_main_exits_nonzero_when_the_change_fails(monkeypatch, tmp_path,
         == [{"base": 0, "change": 1}] * 2
     failing.clear()
     assert bench_pairs.main(args) == 0
+
+
+def test_main_compiles_both_trees_alike_before_the_first_pair(
+        monkeypatch, tmp_path):
+    # the working tree may hold bytecode that a fresh export lacks, so
+    # both are compiled by one command before any run
+    events = []
+
+    def fake_subprocess_run(cmd, cwd=None, **kwargs):
+        events.append(("command", tuple(cmd), Path(cwd)))
+        return subprocess.CompletedProcess(cmd, 0, b"", b"")
+
+    def fake_export(rev, dest):
+        events.append(("export", dest))
+        return "0" * 40
+
+    def fake_run(tree, workload, seed, seconds):
+        events.append(("run", tree))
+        return {"failed": 0, "metrics": {"pass_norm_s": {"value": 1.0},
+                                         "peak_rss_mib": {"value": 25.0}}}
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess_run)
+    monkeypatch.setattr(bench_pairs, "export_commit", fake_export)
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "pass_norm_s", "better": "lower",'
+        ' "bound": 0.25}]}')
+    assert bench_pairs.main(["--pr", "t", "--pairs", "2", "--seconds", "1",
+                             "--workload", "fs-h1"]) == 0
+    base = events[0][1]
+    assert events[0] == ("export", base)
+    commands = events[1:3]
+    assert [cwd for _, _, cwd in commands] == [base, tmp_path]
+    assert commands[0][1] == commands[1][1]
+    assert commands[0][1][1:] == ("-m", "compileall", "-q", "src")
+    assert [e[0] for e in events[3:]] == ["run"] * 4
+    assert {e[1] for e in events[3:]} == {base, tmp_path}

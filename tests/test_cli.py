@@ -152,9 +152,13 @@ def test_verify_single_config(runner):
             "tau_table", "rank"} <= names
 
 
-def test_verify_realizes_and_takes_tau_once_per_generator(runner,
-                                                         monkeypatch):
-    calls = {"realize": 0, "tau": 0}
+def test_verify_builds_actions_once_and_checks_homology_once(runner,
+                                                              monkeypatch):
+    # one action per generator and sign for the whole configuration, and
+    # one homology check and one certificate check per generator (the
+    # parent rebuilt actions per realization and checked homology twice)
+    calls = {"_drag_action": 0, "is_homology_trivial": 0,
+             "verify_certificate": 0}
 
     def counted(name, func):
         def wrapper(*args):
@@ -162,15 +166,36 @@ def test_verify_realizes_and_takes_tau_once_per_generator(runner,
             return func(*args)
         return wrapper
 
-    monkeypatch.setattr(drags, "realize", counted("realize", drags.realize))
-    tau = counted("tau", johnson.tau)
-    monkeypatch.setattr(johnson, "tau", tau)
-    monkeypatch.setattr(drags, "tau", tau)
+    monkeypatch.setattr(drags, "_drag_action",
+                        counted("_drag_action", drags._drag_action))
+    trivial = counted("is_homology_trivial", words.is_homology_trivial)
+    for module in (words, drags, johnson):
+        monkeypatch.setattr(module, "is_homology_trivial", trivial)
+    certificate = counted("verify_certificate", words.verify_certificate)
+    for module in (words, drags):
+        monkeypatch.setattr(module, "verify_certificate", certificate)
     config = '{"n":3,"b":2,"partition":[[1],[2]]}'
     result = invoke(runner, "verify", "--all", "--config", config)
     count = len(all_generators(config_from_json(config)))
-    assert calls == {"realize": count, "tau": count}
+    assert calls == {"_drag_action": 2 * count, "is_homology_trivial": count,
+                     "verify_certificate": count}
     assert result.output == (GOLDEN / "verify_n3_b2.json").read_text()
+
+
+def test_verify_reports_a_generator_outside_torelli(runner,
+                                                   hd12_transvection):
+    # the parent raised PreconditionError out of tau and exited 1
+    config = '{"n":3,"b":2,"partition":[[1],[2]]}'
+    result = invoke(runner, "verify", "--all", "--config", config)
+    assert result.exit_code == 0
+    out = json.loads(result.output)
+    assert out["ok"] is False
+    failed = [(c["check"], c["detail"]) for c in out["checks"]
+              if not c["ok"] and c["check"] in ("membership", "tau_table",
+                                                "rank")]
+    assert failed == [
+        ("membership", "HD:1,2"), ("tau_table", "HD:1,2"),
+        ("rank", "not computed: 1/24 generators failed membership")]
 
 
 def _count_image_realizations(monkeypatch) -> list:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,12 +18,15 @@ from torelli import (
     drag_word,
     drag_word_inv,
     drag_word_text,
+    flatten,
     formula_rank,
     gen,
     hd,
     identity_map,
+    inner_automorphism,
     inv,
     inverse,
+    matrix_rank,
     membership_IOP,
     parse_drag_word,
     parse_word,
@@ -34,7 +39,11 @@ from torelli import (
     reduce,
     reduced_generating_set,
     same_map,
+    smith_invariants,
+    snf,
+    spans_summand,
     standard_grid,
+    tau,
     tau_star,
     tau_star_formula,
     verify_bcd_relation,
@@ -44,7 +53,12 @@ from torelli import (
     verify_pd_relation,
     word_text,
 )
-from torelli.drags import DragGenerator, _drag_action, _realize_images
+from torelli.drags import (
+    DragGenerator,
+    _drag_action,
+    _rank_from_taus,
+    _realize_images,
+)
 
 from .oracles import (
     drag_action_words,
@@ -453,6 +467,67 @@ def test_verify_config_modes_split_the_checks():
     assert all(c.ok for c in checks)
     with pytest.raises(ValueError):
         verify_config(CFG23, "relation")
+
+
+def test_verify_config_reports_a_generator_outside_torelli(
+        hd12_transvection):
+    # its membership, its tau_table and the rank check fail, and nothing
+    # raises (the parent raised PreconditionError out of tau)
+    checks = verify_config(CFG23, "all")
+    count = len(all_generators(CFG23))
+    assert [c for c in checks if c.name in ("membership", "tau_table",
+                                             "rank") and not c.ok] == [
+        ("membership", "HD:1,2", False), ("tau_table", "HD:1,2", False),
+        ("rank", f"not computed: 1/{count} generators failed membership",
+         False)]
+
+
+def _dense_rank_from_taus(config, taus):
+    """The dense route: every Johnson image flattened to a full row."""
+    m = capped_rank(config)
+    rows = [list(flatten(t)) for t in taus.values()]
+    if config.b == 0:
+        inner_rows = [list(flatten(tau(inner_automorphism(m, gen(m, j)))))
+                      for j in range(1, config.n + 1)]
+        computed = matrix_rank(rows + inner_rows) - matrix_rank(inner_rows)
+    else:
+        computed = matrix_rank(rows)
+    reduced_rows = [list(flatten(taus[g]))
+                    for g in reduced_generating_set(config)]
+    return computed, formula_rank(config), smith_invariants(reduced_rows)
+
+
+def test_sparse_rank_route_equals_the_dense_route():
+    configs = standard_grid(ns=(2, 3, 4))
+    assert any(config.b == 0 for config in configs)
+    for config in configs:
+        taus = {g: tau_star(config, ((g, 1),))
+                for g in all_generators(config)}
+        assert _rank_from_taus(config, taus) == \
+            _dense_rank_from_taus(config, taus), config
+
+
+def test_zero_columns_change_no_summand_or_invariant():
+    # rows supported on S span a summand of Z^N exactly when they span
+    # one of Z^S, and the zero columns outside S add no invariant
+    rng = random.Random(17)
+    verdicts = set()
+    for _ in range(300):
+        k, width = rng.randint(1, 4), rng.randint(1, 5)
+        core = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(k)]
+        zeros = sorted(rng.sample(range(width + 4), rng.randint(0, 4)))
+        padded = [row[:] for row in core]
+        for c in zeros:
+            for row in padded:
+                row.insert(c, 0)
+        support = [c for c in range(len(padded[0]))
+                   if any(row[c] for row in padded)]
+        restricted = [[row[c] for c in support] for row in padded]
+        summand = spans_summand(padded)
+        verdicts.add(summand)
+        assert spans_summand(restricted) == summand
+        assert snf(padded).invariants() == snf(restricted).invariants()
+    assert verdicts == {True, False}
 
 
 def _compositions(b: int) -> list[tuple[int, ...]]:

@@ -18,6 +18,12 @@ the base median by more than the metric's relative ``bound`` in
 ``BENCHMARK.json``.  One verdict line per workload and metric is
 printed at the end.
 
+Before the first pair both trees are compiled to bytecode by the same
+command.  The working tree may hold ``__pycache__`` where a fresh export
+holds none, and with ``PYTHONDONTWRITEBYTECODE`` set no import writes
+it, so otherwise only one side's set-up would compile the package from
+source on every run.
+
 ``perfbench/run.py`` exits 0 even when some of its outputs fail their
 checks, so each run's ``failed`` count is read as well: a workload
 whose change side fails outputs in any pair gets a FAILURES line, and
@@ -144,6 +150,12 @@ def export_commit(rev: str, dest: Path) -> str:
     return commit
 
 
+def compile_tree(tree: Path) -> None:
+    """Compile the package sources of ``tree`` to bytecode."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src"],
+                   cwd=tree, capture_output=True, check=True)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", required=True,
@@ -168,6 +180,8 @@ def main(argv=None) -> int:
         base_tree = Path(tmp) / "base"
         base_tree.mkdir()
         result["base"] = export_commit(args.base, base_tree)
+        for tree in (base_tree, ROOT):
+            compile_tree(tree)
         for workload in args.workload:
             pairs = []
             for i in range(args.pairs):
