@@ -19,28 +19,23 @@ below do this explicitly.
 The actions of the drags and pushes (``_drag_action``,
 ``_push_action``) are ``Action``s: an inner conjugator and a table from
 each moved generator index to its image, all freely reduced letter
-tuples.  ``_realize_images`` is the one place that builds images, by
-one loop over ``Action``s in product order that rewrites only the
-generators each one moves: ``realize_images`` feeds it a drag word,
-``realize_word`` the word and then its inverse (the certificate), and a
-push (``push_boundary``, ``torelli push``, push-factor's comparison)
-its one ``_push_action``.  Images leave the module only through the
-validating ``Word`` and ``GroupMap`` constructors.  Maps are compared
-on images alone, so only the membership check and ``torelli realize``
-build inverses.
-
-A push at boundary (1, 1) and a block-1 drag PD(1, j) move every
-generator outside block 1 by one conjugation, so their ``Action`` is an
-inner automorphism followed by a correction on block 1.  The loop keeps
-the accumulated map as acc = iota_u o phi and conjugates each image by
-u once, at the end.
+tuples.  ``_accumulate`` is the one loop that builds images: it runs
+over ``Action``s in product order and rewrites only the generators each
+one moves, in an identity table that its caller starts.  A dense table
+(``_realize_images``) realizes drag words, their inverses for the
+certificate and pushes as validated ``Word``s.  A sparse one
+(``_moved_images``) gives {k: image} for the generators the product
+moves, and the verifier's membership, tau, rank and relation checks
+compare only those.  A push at boundary (1, 1) and PD(1, j) conjugate
+every generator off block 1, so their ``Action`` is an inner
+automorphism followed by a correction on block 1; the loop keeps the
+conjugator apart and applies it once, at the end.
 
 ``verify_config`` is the one verifier: it decides which checks verify
 a configuration, in what order, for ``torelli verify``, the acceptance
 gate and the sweeps.  It builds the actions of every generator once,
-and its membership check, relations and CD identities read that one
-table through the private checks that the public ``verify_*``
-functions wrap.
+and every check reads that one table through the private checks that
+the public ``verify_*`` functions wrap.
 """
 
 from __future__ import annotations
@@ -51,11 +46,13 @@ from typing import Callable, Iterable, NamedTuple
 
 from .config import CappedBasis, PartitionConfig, build_basis, capped_rank
 from .johnson import (
+    ExtVector,
     HomTable,
     _flat_entries,
+    _hom_table,
     _tau_columns,
-    table_from_entries,
     tau,
+    wedge,
 )
 from .lattice import _sparse_rank, smith_invariants
 from .words import (
@@ -63,19 +60,16 @@ from .words import (
     ParseError,
     PreconditionError,
     Word,
+    _Unmoved,
     _action_table,
+    _certified,
+    _homology_trivial,
     _join,
     _read_index,
     _reduce_letters,
     _substitute,
-    comm,
-    conj,
-    gen,
-    identity_map,
-    inner_automorphism,
     inv,
     is_homology_trivial,
-    verify_certificate,
 )
 
 _KINDS = ("HD", "CD+", "CD-", "BCD", "PD")
@@ -330,20 +324,18 @@ def realize(config: PartitionConfig, g: DragGenerator) -> GroupMap:
     return realize_word(config, ((g, 1),))
 
 
-def _realize_images(m: int, actions: Iterable[Action]) -> tuple[Word, ...]:
-    """Generator images of the product of ``actions``, the leftmost
-    outermost: acc = a_1 o a_2 o ... o a_k.
+def _accumulate(table, actions: Iterable[Action]) -> list[int]:
+    """Fold the product of ``actions`` (the leftmost outermost) into
+    ``table`` and return u, so that a_1 o ... o a_k = iota_u o phi with
+    phi in ``table``.  The caller starts ``table`` as the identity, dense
+    (``words._action_table``) or sparse (``_Unmoved``); it maps each
+    signed letter to its image, a reduced letter list.
 
-    The accumulated map is acc = iota_u o phi.  ``table`` holds phi in
-    the layout of ``words._action_table`` (the image of x_k at k, its
-    inverse at -k), as reduced letter lists, and u is a reduced letter
-    list.  An action iota_c o B applies acc <- acc o iota_c o B =
+    An action iota_c o B applies acc <- acc o iota_c o B =
     iota_{u . phi(c)} o (phi o B): u takes phi(c) on the right, and the
     images under B of the generators B moves are substituted into the
-    old phi, every other image staying as it is.  At the end each image
-    is conjugated by u, cancelling only where the words meet.
+    old phi, every other image staying as it is.
     """
-    table = _action_table((k,) for k in range(1, m + 1))
     u: list[int] = []
     for inner, action in actions:
         if inner:
@@ -353,11 +345,36 @@ def _realize_images(m: int, actions: Iterable[Action]) -> tuple[Word, ...]:
         for k, letters in moved:
             table[k] = letters
             table[-k] = [-x for x in reversed(letters)]
-    images = table[1:m + 1]
+    return u
+
+
+def _table_images(m: int, table, u: list[int]):
+    """The images of x_1..x_m under iota_u o phi, phi in ``table``; each
+    is conjugated by u, cancelling only where the words meet."""
+    images = map(table.__getitem__, range(1, m + 1))
+    if not u:
+        return images
+    outer = [-x for x in reversed(u)]
+    return (_join(_join(list(u), letters), outer) for letters in images)
+
+
+def _realize_images(m: int, actions: Iterable[Action]) -> tuple[Word, ...]:
+    """The images of the product of ``actions`` on a dense table."""
+    table = _action_table((k,) for k in range(1, m + 1))
+    u = _accumulate(table, actions)
+    return tuple(Word(m, tuple(x)) for x in _table_images(m, table, u))
+
+
+def _moved_images(m: int, actions: Iterable[Action]) -> dict[int, list[int]]:
+    """The product of ``actions`` on a sparse table, read back as
+    {k: image} for every x_k it moves: two maps are equal exactly when
+    these dicts are."""
+    table = _Unmoved()
+    u = _accumulate(table, actions)
     if u:
-        outer = [-x for x in reversed(u)]
-        images = (_join(_join(list(u), letters), outer) for letters in images)
-    return tuple(Word(m, tuple(letters)) for letters in images)
+        return {k: x for k, x in enumerate(_table_images(m, table, u), 1)
+                if x != [k]}
+    return {k: x for k, x in table.items() if k > 0 and x != [k]}
 
 
 def _word_actions(config: PartitionConfig,
@@ -382,12 +399,8 @@ def _word_actions(config: PartitionConfig,
 
 
 def realize_images(config: PartitionConfig, w: DragWord) -> tuple[Word, ...]:
-    """The generator images of the drag word, without a certificate.
-
-    Equality of two maps is decided on images (``same_map``), so the
-    checks that compare maps call this and build no inverse images.
-    Validation and the realization loop are those of ``realize_word``.
-    """
+    """The generator images of the drag word, without a certificate;
+    validation and the realization loop are those of ``realize_word``."""
     m, actions = _word_actions(config, w)
     return _realize_images(m, map(actions.__getitem__, w))
 
@@ -398,11 +411,8 @@ def realize_word(config: PartitionConfig, w: DragWord) -> GroupMap:
     Tokens compose left to right with the rightmost token acting first.
     Every token is validated before any work, exponents must be +-1,
     and the action of each (generator, sign) is built once per call.
-    The images are ``realize_images(config, w)``; the inverse
-    certificate is the realization of ``drag_word_inv(w)`` by the same
-    loop.  The certificate is read by the membership check
-    (``verify_certificate``) and printed by ``torelli realize``; checks
-    that only compare maps use ``realize_images``.
+    The inverse certificate is the realization of ``drag_word_inv(w)``
+    by the same loop; ``torelli realize`` prints it.
     """
     m, actions = _word_actions(config, w)
     images, inverse_images = (_realize_images(m, map(actions.__getitem__, x))
@@ -464,9 +474,22 @@ def membership_IOP(config: PartitionConfig, f: GroupMap) -> bool:
 
 # --- relations ------------------------------------------------------------
 
-# drag word -> generator images: ``realize_images`` on a configuration,
-# or the one action table of ``verify_config``
-Realizer = Callable[[DragWord], tuple[Word, ...]]
+# drag word -> its moved images: ``_moved_word_images`` on a
+# configuration, or the one action table of ``verify_config``
+Realizer = Callable[[DragWord], dict[int, list[int]]]
+
+
+def _moved_word_images(config: PartitionConfig,
+                       w: DragWord) -> dict[int, list[int]]:
+    """``realize_images(config, w)`` read back sparse: {k: image} for
+    every generator x_k that the drag word moves."""
+    m, actions = _word_actions(config, w)
+    return _moved_images(m, map(actions.__getitem__, w))
+
+
+def _inner_images(m: int, j: int) -> dict[int, list[int]]:
+    """The moved images of the inner automorphism by x_j."""
+    return {k: [j, k, -j] for k in range(1, m + 1) if k != j}
 
 
 def _displayed(tokens: DragWord) -> DragWord:
@@ -484,7 +507,7 @@ def verify_pd_relation(config: PartitionConfig, j: int) -> bool:
     n = config.n
     if not 1 <= j <= n:
         raise PreconditionError(f"loop index {j} out of range 1..{n}")
-    return _pd_relation(config, j, partial(realize_images, config))
+    return _pd_relation(config, j, partial(_moved_word_images, config))
 
 
 def _pd_relation(config: PartitionConfig, j: int, images: Realizer) -> bool:
@@ -492,10 +515,7 @@ def _pd_relation(config: PartitionConfig, j: int, images: Realizer) -> bool:
     tokens = drag_word(*[pd(r, j) for r in range(1, config.num_blocks + 1)],
                        *[hd(i, j) for i in range(1, n + 1) if i != j])
     composite = images(_displayed(tokens))
-    m = len(composite)
-    if config.b == 0:
-        return composite == inner_automorphism(m, gen(m, j)).images
-    return composite == identity_map(m).images
+    return composite == (_inner_images(n, j) if config.b == 0 else {})
 
 
 def verify_bcd_relation(config: PartitionConfig, r: int, i: int, j: int) -> bool:
@@ -503,7 +523,7 @@ def verify_bcd_relation(config: PartitionConfig, r: int, i: int, j: int) -> bool
     if i >= j:
         raise PreconditionError("need i < j")
     _check_boundary(config, r, 1)
-    return _bcd_relation(config, r, i, j, partial(realize_images, config))
+    return _bcd_relation(config, r, i, j, partial(_moved_word_images, config))
 
 
 def _bcd_relation(config: PartitionConfig, r: int, i: int, j: int,
@@ -521,17 +541,13 @@ def verify_cd_identity(config: PartitionConfig, i: int, j: int,
     """CD+(i,j,k) o CD-(i,j,k) conjugates y_i by [y_j, y_k]; search the
     eight ordered/sign commutator variants of HD(i,j), HD(i,k) for the
     unique exact match and return its drag-word text."""
-    return _cd_identity(config, i, j, k, partial(realize_images, config))
+    return _cd_identity(i, j, k, partial(_moved_word_images, config))
 
 
-def _cd_identity(config: PartitionConfig, i: int, j: int, k: int,
+def _cd_identity(i: int, j: int, k: int,
                  images: Realizer) -> tuple[bool, str]:
     target = images(drag_word(cd_plus(i, j, k), cd_minus(i, j, k)))
-    m = len(target)
-    c = comm(gen(m, j), gen(m, k))
-    expected = tuple(conj(c, gen(m, x)) if x == i else gen(m, x)
-                     for x in range(1, m + 1))
-    if target != expected:
+    if target != {i: [j, k, -j, -k, i, k, j, -k, -j]}:
         return False, ""
     matches: list[DragWord] = []
     for x, y in ((hd(i, k), hd(i, j)), (hd(i, j), hd(i, k))):
@@ -557,17 +573,24 @@ def tau_star_formula(config: PartitionConfig, g: DragGenerator) -> HomTable:
     computed route is tau(realize(g)) and the two must agree exactly."""
     _check_generator(config, g)
     basis = build_basis(config)
-    m = basis.m
-    cols: dict[int, dict[tuple[int, int], int]] = {}
+    return _hom_table(basis.m, _formula_columns(basis, g))
+
+
+def _formula_columns(basis: CappedBasis,
+                     g: DragGenerator) -> dict[int, ExtVector]:
+    """The nonzero columns of ``tau_star_formula``: each listed column
+    is a wedge e_i ^ e_j with i != j."""
+    config, m = basis.config, basis.m
+    cols: dict[int, ExtVector] = {}
     if g.kind == "HD":
         i, j = g.indices
-        cols[i] = {(j, i): 1}
+        cols[i] = wedge(m, j, i)
     elif g.kind == "CD-":
         i, j, k = g.indices
-        cols[i] = {(j, k): 1}
+        cols[i] = wedge(m, j, k)
     elif g.kind == "CD+":
         i, j, k = g.indices
-        cols[i] = {(j, k): -1}
+        cols[i] = wedge(m, j, k, -1)
     elif g.kind == "BCD":
         r, s, i, j = g.indices
         block = basis.block_indices(r)
@@ -575,22 +598,22 @@ def tau_star_formula(config: PartitionConfig, g: DragGenerator) -> HomTable:
         if not singleton:
             if s > 1:
                 a = block[s - 2]
-                cols[a] = {(i, j): -1 if r > 1 else 1}
+                cols[a] = wedge(m, i, j, -1 if r > 1 else 1)
             else:
                 for a in block:
-                    cols[a] = {(i, j): 1 if r > 1 else -1}
+                    cols[a] = wedge(m, i, j, 1 if r > 1 else -1)
         # singleton blocks: conjugation, zero image
     else:  # PD
         r, j = g.indices
         if r > 1:
             for a in basis.block_indices(r):
-                cols[a] = {(j, a): 1}
+                cols[a] = wedge(m, j, a)
         else:
             block = set(basis.block_indices(1))
             for idx in range(1, m + 1):
                 if idx not in block and idx != j:
-                    cols[idx] = {(idx, j): 1}
-    return table_from_entries(m, cols)
+                    cols[idx] = wedge(m, idx, j)
+    return cols
 
 
 def formula_rank(config: PartitionConfig) -> int:
@@ -612,15 +635,20 @@ def abelianization_rank(config: PartitionConfig) -> tuple[int, int, list[int]]:
     modulo the Johnson images of the inner automorphisms:
     rank(generators + inners) - rank(inners).
     """
-    return _rank_from_taus(config, {g: tau_star(config, ((g, 1),))
-                                    for g in all_generators(config)})
+    gens = all_generators(config)
+    m, actions = _word_actions(config, tuple((g, 1) for g in gens))
+    moved = {g: _moved_images(m, (actions[(g, 1)],)) for g in gens}
+    if not all(map(_homology_trivial, moved.values())):
+        raise PreconditionError("tau needs a homology-trivial map")
+    return _rank_from_taus(config, {g: _tau_columns(m, images)
+                                    for g, images in moved.items()})
 
 
 def _rank_from_taus(config: PartitionConfig,
-                    taus: dict[DragGenerator, HomTable]
+                    taus: dict[DragGenerator, dict[int, ExtVector]]
                     ) -> tuple[int, int, list[int]]:
-    """``abelianization_rank`` from the Johnson images of
-    ``all_generators(config)``, for a caller that holds them.
+    """``abelianization_rank`` from the nonzero Johnson columns
+    (``johnson._tau_columns``) of ``all_generators(config)``.
 
     About 1% of a row's coordinates are nonzero, so rows stay sparse.
     The Smith invariants are taken on the reduced rows restricted to
@@ -629,13 +657,11 @@ def _rank_from_taus(config: PartitionConfig,
     nonzero invariant.
     """
     m = capped_rank(config)
-    row_of = {g: _flat_entries(t) for g, t in taus.items()}
+    row_of = {g: _flat_entries(m, cols) for g, cols in taus.items()}
     rows = list(row_of.values())
     if config.b == 0:
-        inners = (inner_automorphism(m, gen(m, j))
-                  for j in range(1, config.n + 1))
-        inner_rows = [_flat_entries(_tau_columns(m, f.images))
-                      for f in inners]
+        inner_rows = [_flat_entries(m, _tau_columns(m, _inner_images(m, j)))
+                      for j in range(1, config.n + 1)]
         computed = _sparse_rank(rows + inner_rows) - _sparse_rank(inner_rows)
     else:
         computed = _sparse_rank(rows)
@@ -663,24 +689,25 @@ def verify_config(config: PartitionConfig, mode: str = "all") -> list[Check]:
     and "all" does both, then each generator's tau and the rank formula.
 
     Every realization reads one ``_word_actions`` table of all the
-    generators.  Membership checks each generator's homology once; the
-    tau of one that passed needs no second check, and one that failed
-    fails its tau_table check and the rank check.
+    generators, and every check compares only moved images
+    (``_moved_images``) or nonzero tau columns.  Membership checks each
+    generator's homology once, and one that fails it fails its
+    tau_table check and the rank check.
     """
     if mode not in ("membership", "relations", "all"):
         raise ValueError(f"unknown verify mode {mode!r}")
     n, gens = config.n, all_generators(config)
     m, actions = _word_actions(config, tuple((g, 1) for g in gens))
 
-    def images(w: DragWord) -> tuple[Word, ...]:
-        return _realize_images(m, map(actions.__getitem__, w))
+    def images(w: DragWord) -> dict[int, list[int]]:
+        return _moved_images(m, map(actions.__getitem__, w))
 
     checks: list[Check] = []
     if mode != "relations":
-        maps = {g: GroupMap(m, images(((g, 1),)), images(((g, -1),)))
-                for g in gens}
-        member = {g: is_homology_trivial(f) and verify_certificate(f)
-                  for g, f in maps.items()}
+        moved = {g: images(((g, 1),)) for g in gens}
+        member = {g: _homology_trivial(moved[g])
+                  and _certified(moved[g], images(((g, -1),)))
+                  for g in gens}
         checks.extend(Check("membership", g.token(), ok)
                       for g, ok in member.items())
     if mode != "membership":
@@ -692,14 +719,14 @@ def verify_config(config: PartitionConfig, mode: str = "all") -> list[Check]:
                       for r in range(1, config.num_blocks + 1)
                       for i in range(1, n + 1) for j in range(i + 1, n + 1))
         for i, j, k in (g.indices for g in gens if g.kind == "CD-"):
-            ok, expr = _cd_identity(config, i, j, k, images)
+            ok, expr = _cd_identity(i, j, k, images)
             checks.append(Check("cd_identity",
                                 f"i={i},j={j},k={k} -> {expr}", ok))
     if mode == "all":
-        taus = {g: _tau_columns(m, f.images)
-                for g, f in maps.items() if member[g]}
+        basis = build_basis(config)
+        taus = {g: _tau_columns(m, moved[g]) for g in gens if member[g]}
         checks.extend(Check("tau_table", g.token(), g in taus
-                            and taus[g] == tau_star_formula(config, g))
+                            and taus[g] == _formula_columns(basis, g))
                       for g in gens)
         missing = len(gens) - len(taus)
         if missing:

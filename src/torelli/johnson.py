@@ -17,6 +17,7 @@ from .words import (
     GroupMap,
     PreconditionError,
     Word,
+    _image_dict,
     abelianization_vector,
     is_homology_trivial,
 )
@@ -134,43 +135,44 @@ class HomTable:
                             for col in self.columns]}
 
 
-def table_from_entries(rank: int,
-                       entries: dict[int, dict[tuple[int, int], int]]) -> HomTable:
-    """Columns given as {column index: {(i, j): c}} with 1-based columns."""
-    cols = [ext_vector(rank, entries.get(i, {})) for i in range(1, rank + 1)]
-    return HomTable(rank, tuple(cols))
+def _hom_table(rank: int, columns: dict[int, ExtVector]) -> HomTable:
+    """The table with these {1-based index: column} columns, absent
+    ones zero."""
+    return HomTable(rank, tuple(columns.get(i, ExtVector(rank))
+                                for i in range(1, rank + 1)))
 
 
 def tau(f: GroupMap) -> HomTable:
     """Johnson homomorphism: column i = rho(f(x_i) x_i^-1).
 
     Homology triviality, checked first, gives every column word zero
-    abelianization; ``_tau_columns`` then reads the images.
-    """
+    abelianization; ``_tau_columns`` then reads the images."""
     if not is_homology_trivial(f):
         raise PreconditionError("tau needs a homology-trivial map")
-    return _tau_columns(f.rank, f.images)
+    return _hom_table(f.rank, _tau_columns(f.rank, _image_dict(f.images)))
 
 
-def _tau_columns(rank: int, images: Iterable[Word]) -> HomTable:
-    """``tau`` of a map the caller knows to be homology-trivial, with no
-    second check.  Each column runs the letter kernel of ``rho`` on the
-    letters of f(x_i) followed by x_i^-1, with no product word built:
-    rho does not see free reduction."""
-    return HomTable(rank, tuple(_rho_letters(rank, (*image.letters, -i))
-                                for i, image in enumerate(images, 1)))
+def _tau_columns(rank: int, images: dict) -> dict[int, ExtVector]:
+    """The nonzero columns of ``tau`` of a map the caller knows to be
+    homology-trivial, from {k: letters} images that may list only the
+    moved generators: a fixed generator's column is zero.  Each column
+    runs the letter kernel of ``rho`` on the letters of f(x_k) followed
+    by x_k^-1, with no product word built: rho does not see free
+    reduction."""
+    columns = ((k, _rho_letters(rank, (*x, -k))) for k, x in images.items())
+    return {k: col for k, col in columns if col.coeffs}
 
 
-def _flat_entries(t: HomTable) -> dict[int, int]:
-    """The nonzero entries of ``flatten(t)`` as {coordinate: value},
-    read straight from the column coefficients."""
-    m = t.rank
-    width = m * (m - 1) // 2
+def _flat_entries(rank: int, columns: dict[int, ExtVector]) -> dict[int, int]:
+    """The nonzero entries of ``flatten`` of the table with these
+    {1-based index: column} columns, absent ones zero, as
+    {coordinate: value}, read straight from the column coefficients."""
+    width = rank * (rank - 1) // 2
     entries: dict[int, int] = {}
-    for col, ext in enumerate(t.columns):
+    for col, ext in columns.items():
         for i, j, c in ext.coeffs:
             # (i, j) is preceded by the pairs (a, b), a < i, and (i, b), b < j
-            entries[col * width + (i - 1) * m - (i - 1) * i // 2
+            entries[(col - 1) * width + (i - 1) * rank - (i - 1) * i // 2
                     + j - i - 1] = c
     return entries
 
@@ -179,6 +181,7 @@ def flatten(t: HomTable) -> tuple[int, ...]:
     """Fixed coordinate layout: column-major, (i, j) lexicographic inside
     each column; length rank * rank * (rank - 1) / 2."""
     out = [0] * (t.rank * t.rank * (t.rank - 1) // 2)
-    for c, x in _flat_entries(t).items():
+    entries = _flat_entries(t.rank, dict(enumerate(t.columns, 1)))
+    for c, x in entries.items():
         out[c] = x
     return tuple(out)

@@ -263,14 +263,33 @@ def same_map(f: GroupMap, g: GroupMap) -> bool:
 
 def verify_certificate(f: GroupMap) -> bool:
     """Check the automorphism certificate by composing both ways."""
-    if f.inverse_images is None:
-        return False
-    for images, other in ((f.inverse_images, f.images),
-                          (f.images, f.inverse_images)):
-        table = _action_table(w.letters for w in other)
-        for i, w in enumerate(images, start=1):
-            if _substitute(w.letters, table) != [i]:
-                return False
+    return f.inverse_images is not None and _certified(
+        _image_dict(f.images), _image_dict(f.inverse_images))
+
+
+def _image_dict(images: Iterable[Word]) -> dict[int, tuple[int, ...]]:
+    """A map's images as {k: letters of the image of x_k}."""
+    return {k: w.letters for k, w in enumerate(images, 1)}
+
+
+class _Unmoved(dict):
+    """A sparse image table: a letter it does not hold maps to itself."""
+
+    def __missing__(self, letter: int) -> list[int]:
+        return [letter]
+
+
+def _certified(images: dict, inverse_images: dict) -> bool:
+    """``verify_certificate`` on {k: letters} images that may list only
+    the generators each map moves: both maps fix every generator
+    neither lists, so only the listed ones are substituted."""
+    keys = images.keys() | inverse_images.keys()
+    for family, other in ((inverse_images, images), (images, inverse_images)):
+        table = _Unmoved(other)
+        table.update((-k, [-x for x in reversed(letters)])
+                     for k, letters in other.items())
+        if any(_substitute(family.get(k, [k]), table) != [k] for k in keys):
+            return False
     return True
 
 
@@ -300,10 +319,20 @@ def abelianization_matrix(f: GroupMap) -> list[list[int]]:
 
 
 def is_homology_trivial(f: GroupMap) -> bool:
-    matrix = abelianization_matrix(f)
-    n = f.rank
-    return all(matrix[i][j] == (1 if i == j else 0)
-               for i in range(n) for j in range(n))
+    return _homology_trivial(_image_dict(f.images))
+
+
+def _homology_trivial(images: dict) -> bool:
+    """``is_homology_trivial`` on {k: letters} images that may list only
+    the moved generators: each listed image has the exponent sums of
+    its generator."""
+    for k, letters in images.items():
+        sums: dict[int, int] = {}
+        for x in letters:
+            sums[abs(x)] = sums.get(abs(x), 0) + (1 if x > 0 else -1)
+        if {a: c for a, c in sums.items() if c} != {k: 1}:
+            return False
+    return True
 
 
 def nielsen_generators(n: int) -> list[GroupMap]:

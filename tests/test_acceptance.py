@@ -100,8 +100,8 @@ def _grid_checks(config):
     (10, [[1, 2]]),
 ])
 def test_verify_config_past_the_composition_sweep(n, partition):
-    # single configurations beyond the slow sweep's n <= 6, b <= 6, with
-    # the closed-form count of each check name
+    # single configurations at the edge of the slow sweep's n <= 7,
+    # b <= 6 and beyond it, with the closed-form count of each check name
     config = T.partition_config(n, sum(map(len, partition)), partition)
     failed = [check for check in _grid_checks(config) if not check.ok]
     assert not failed, failed

@@ -155,10 +155,10 @@ def test_verify_single_config(runner):
 def test_verify_builds_actions_once_and_checks_homology_once(runner,
                                                               monkeypatch):
     # one action per generator and sign for the whole configuration, and
-    # one homology check and one certificate check per generator (the
-    # parent rebuilt actions per realization and checked homology twice)
-    calls = {"_drag_action": 0, "is_homology_trivial": 0,
-             "verify_certificate": 0}
+    # one homology check and one certificate check per generator, both on
+    # moved images; their whole-map wrappers never run
+    calls = {"_drag_action": 0, "_homology_trivial": 0, "_certified": 0,
+             "is_homology_trivial": 0, "verify_certificate": 0}
 
     def counted(name, func):
         def wrapper(*args):
@@ -166,19 +166,19 @@ def test_verify_builds_actions_once_and_checks_homology_once(runner,
             return func(*args)
         return wrapper
 
-    monkeypatch.setattr(drags, "_drag_action",
-                        counted("_drag_action", drags._drag_action))
+    for name in ("_drag_action", "_homology_trivial", "_certified"):
+        monkeypatch.setattr(drags, name, counted(name, getattr(drags, name)))
     trivial = counted("is_homology_trivial", words.is_homology_trivial)
     for module in (words, drags, johnson):
         monkeypatch.setattr(module, "is_homology_trivial", trivial)
-    certificate = counted("verify_certificate", words.verify_certificate)
-    for module in (words, drags):
-        monkeypatch.setattr(module, "verify_certificate", certificate)
+    monkeypatch.setattr(words, "verify_certificate", counted(
+        "verify_certificate", words.verify_certificate))
     config = '{"n":3,"b":2,"partition":[[1],[2]]}'
     result = invoke(runner, "verify", "--all", "--config", config)
     count = len(all_generators(config_from_json(config)))
-    assert calls == {"_drag_action": 2 * count, "is_homology_trivial": count,
-                     "verify_certificate": count}
+    assert calls == {"_drag_action": 2 * count, "_homology_trivial": count,
+                     "_certified": count, "is_homology_trivial": 0,
+                     "verify_certificate": 0}
     assert result.output == (GOLDEN / "verify_n3_b2.json").read_text()
 
 
@@ -199,17 +199,17 @@ def test_verify_reports_a_generator_outside_torelli(runner,
 
 
 def _count_image_realizations(monkeypatch) -> list:
-    """Record the ``Action`` sequence of every ``drags._realize_images``
-    call."""
+    """Record the ``Action`` sequence of every realization: every call of
+    the one loop ``drags._accumulate``, on a dense or a sparse table."""
     seen: list = []
-    loop = drags._realize_images
+    loop = drags._accumulate
 
-    def counted(m, actions):
+    def counted(table, actions):
         actions = tuple(actions)
         seen.append(actions)
-        return loop(m, actions)
+        return loop(table, actions)
 
-    monkeypatch.setattr(drags, "_realize_images", counted)
+    monkeypatch.setattr(drags, "_accumulate", counted)
     return seen
 
 
@@ -246,8 +246,8 @@ def test_verify_all_runs_no_smith_form(runner, monkeypatch):
 
 
 def test_rank_realizes_images_once_per_generator(runner, monkeypatch):
-    # tau reads images only, so no inverse word is realized (the parent
-    # made two calls per generator)
+    # tau reads the moved images only, so no inverse word is realized:
+    # one realization per generator
     seen = _count_image_realizations(monkeypatch)
     config = '{"n":3,"b":2,"partition":[[1],[2]]}'
     result = invoke(runner, "rank", "--config", config)

@@ -5,8 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from torelli import (
+    ExtVector,
+    GroupMap,
     ParseError,
     PreconditionError,
+    Word,
+    abelianization_matrix,
     all_generators,
     bcd,
     build_basis,
@@ -26,6 +30,7 @@ from torelli import (
     inner_automorphism,
     inv,
     inverse,
+    is_homology_trivial,
     matrix_rank,
     membership_IOP,
     parse_drag_word,
@@ -56,9 +61,13 @@ from torelli import (
 from torelli.drags import (
     DragGenerator,
     _drag_action,
+    _moved_images,
+    _moved_word_images,
     _rank_from_taus,
     _realize_images,
 )
+from torelli.johnson import _tau_columns
+from torelli.words import _certified, _homology_trivial
 
 from .oracles import (
     drag_action_words,
@@ -314,6 +323,9 @@ def test_drag_actions_are_reduced_letters_matching_word_oracle():
                 want = drag_action_words(basis, g, sigma)
                 assert _realize_images(m, (action,)) == tuple(
                     want.get(k, gen(m, k)) for k in range(1, m + 1))
+                assert _moved_images(m, (action,)) == {
+                    k: list(x.letters) for k, x in want.items()
+                    if x != gen(m, k)}
 
 
 @pytest.mark.parametrize("config", (CFG21, CFG22))
@@ -501,10 +513,87 @@ def test_sparse_rank_route_equals_the_dense_route():
     configs = standard_grid(ns=(2, 3, 4))
     assert any(config.b == 0 for config in configs)
     for config in configs:
-        taus = {g: tau_star(config, ((g, 1),))
-                for g in all_generators(config)}
-        assert _rank_from_taus(config, taus) == \
-            _dense_rank_from_taus(config, taus), config
+        m, gens = capped_rank(config), all_generators(config)
+        sparse = {g: _tau_columns(m, _moved_word_images(config, ((g, 1),)))
+                  for g in gens}
+        dense = {g: tau_star(config, ((g, 1),)) for g in gens}
+        assert _rank_from_taus(config, sparse) == \
+            _dense_rank_from_taus(config, dense), config
+
+
+def _materialized(m: int, moved: dict) -> tuple:
+    """The full image tuple of the map with these moved images."""
+    return tuple(Word(m, tuple(moved.get(k, [k]))) for k in range(1, m + 1))
+
+
+def test_sparse_membership_and_tau_equal_the_dense_checks():
+    # every generator of the verify grid, the inner cases PD(1, j) and
+    # BCD(1, 1, i, j) among them: the checks on moved images give the
+    # verdicts and tau columns of the checks on whole maps
+    inner = 0
+    for config in standard_grid(ns=(2, 3, 4)):
+        m = capped_rank(config)
+        for g in all_generators(config):
+            f = realize_word(config, ((g, 1),))
+            moved = _moved_word_images(config, ((g, 1),))
+            moved_inv = _moved_word_images(config, ((g, -1),))
+            assert _materialized(m, moved) == f.images
+            assert _materialized(m, moved_inv) == f.inverse_images
+            assert (_homology_trivial(moved)
+                    and _certified(moved, moved_inv)) == \
+                (is_homology_trivial(f) and verify_certificate(f))
+            # the dense checks wrap the same kernels; the matrix is the
+            # oracle that does not
+            assert _homology_trivial(moved) == (abelianization_matrix(f) == [
+                [int(a == b) for b in range(m)] for a in range(m)])
+            columns = _tau_columns(m, moved)
+            full = tuple(columns.get(k, ExtVector(m))
+                         for k in range(1, m + 1))
+            assert full == tau(f).columns == \
+                tau_star_formula(config, g).columns
+            inner += g.indices[0] == 1 and (
+                g.kind == "PD" or g.kind == "BCD" and g.indices[1] == 1)
+    assert inner > 0
+
+
+def test_sparse_membership_fails_as_the_dense_one(hd12_transvection):
+    # a transvection fails the homology check on both routes, and a
+    # wrong inverse family fails both certificate checks
+    f = realize_word(CFG23, ((hd(1, 2), 1),))
+    moved = _moved_word_images(CFG23, ((hd(1, 2), 1),))
+    assert not is_homology_trivial(f) and not _homology_trivial(moved)
+    assert verify_certificate(f) and _certified(
+        moved, _moved_word_images(CFG23, ((hd(1, 2), -1),)))
+    assert not verify_certificate(GroupMap(f.rank, f.images, f.images))
+    assert not _certified(moved, moved)
+
+
+@given(st.data())
+def test_sparse_images_materialize_to_realize_images(data):
+    # words of up to 40 tokens, most of them the inner drags BCD(1,1,i,j)
+    # and PD(1,j), on configurations with a conjugator and without
+    config = data.draw(st.sampled_from(INNER_CONFIGS + FOLD_CONFIGS))
+    gens = all_generators(config)
+    favoured = [g for g in gens if g.indices[0] == 1 and (
+        g.kind == "PD" or g.kind == "BCD" and g.indices[1] == 1)] or gens
+    w = data.draw(drag_words_toward_strategy(favoured, gens))
+    moved = _moved_word_images(config, w)
+    m = capped_rank(config)
+    assert all(x != [k] for k, x in moved.items())
+    assert _materialized(m, moved) == realize_images(config, w)
+
+
+@given(st.data())
+def test_sparse_certificate_equals_the_dense_one(data):
+    # two drag words, the second often the inverse of the first
+    config = data.draw(st.sampled_from(FOLD_CONFIGS))
+    gens = all_generators(config)
+    w = data.draw(drag_words_strategy(gens))
+    v = data.draw(st.just(drag_word_inv(w)) | drag_words_strategy(gens))
+    m = capped_rank(config)
+    f = GroupMap(m, realize_images(config, w), realize_images(config, v))
+    assert _certified(_moved_word_images(config, w),
+                      _moved_word_images(config, v)) == verify_certificate(f)
 
 
 def test_zero_columns_change_no_summand_or_invariant():
@@ -545,13 +634,13 @@ def _composition_config(n: int, sizes: tuple[int, ...]):
 
 
 @pytest.mark.slow
-def test_verify_sweep_one_config_per_composition_n2_to_6_b_up_to_6():
+def test_verify_sweep_one_config_per_composition_n2_to_7_b_up_to_6():
     # the checks depend only on n and the block sizes (see the label
     # invariance test), so one configuration per composition of b covers
     # every partition; every failing check is reported
-    configs = [_composition_config(n, sizes) for n in range(2, 7)
+    configs = [_composition_config(n, sizes) for n in range(2, 8)
                for b in range(7) for sizes in _compositions(b)]
-    assert len(configs) == 5 * 64
+    assert len(configs) == 6 * 64
     total, failures = 0, []
     for config in configs:
         checks = verify_config(config)
@@ -559,5 +648,6 @@ def test_verify_sweep_one_config_per_composition_n2_to_6_b_up_to_6():
         failures.extend((config, c) for c in checks if not c.ok)
     print(f"composition sweep: {len(configs)} configs, {total} checks, "
           f"{len(failures)} failed")
-    assert total == 81030
+    # 81,030 checks for n <= 6 and 59,690 for n = 7
+    assert total == 140720
     assert not failures, failures
