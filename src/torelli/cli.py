@@ -381,13 +381,14 @@ def fs(n: int, bound: int, homology: bool, dot_path: str | None) -> dict:
             f"fs: (2*bound+1)^n candidate vectors exceed FS_MAX_CANDIDATES"
             f" = {FS_MAX_CANDIDATES} (n={n}, bound={bound})")
     verts, edges = lattice.fs_graph(n, bound)
+    components = lattice.fs_components(verts, edges)
     out = {
         "vertices": [list(v) for v in verts],
         "edges": [[list(u), list(v)] for u, v in edges],
-        "connected": lattice.fs_components(verts, edges) == 1,
+        "connected": components == 1,
     }
     if homology:
-        out["h1_rank"] = lattice.fs_h1(verts, edges)
+        out["h1_rank"] = lattice._fs_h1(verts, edges, components)
     if dot_path:
         with open(dot_path, "w") as handle:
             handle.write(lattice.fs_dot(verts, edges))

@@ -18,21 +18,24 @@ The elimination keeps its column operations and the columns it leaves
 Z^n/<rows>.  A quotient is built once and then tests any number of
 further vectors w, each by the primitivity of its image there, which
 is the lemma's next step.  The FS truncation builds Z^n/<u> once per
-vertex u to find its edges and Z^n/<u, v> once per edge to find its
-triangles.
+vertex u, both to find its edges and to find its triangles: (u, v, w)
+is a simplex exactly when the images of v and w there have 2x2 minors
+of gcd 1.
 
 Ranks over Q come from one sparse fraction-free elimination.  The FS
-homology ranks its boundary matrix d2 first over GF(2), each row an int
-with three bits: rank_Q d2 >= rank_GF(2) d2, and rank d2 <= dim ker d1,
-so it stops as soon as the GF(2) rank reaches dim ker d1, and H_1 = 0 is
-then exact.  Otherwise the rows found are ranked over Q by the sparse
-elimination.  Common neighbours in the graph are the AND of two ints
-whose bits mark higher neighbours.
+homology orders the vertices unit vectors first and takes for each edge
+its first triangle below it, the "apparent pairs" of Ripser: rows of d2
+with distinct leading edges, independent with no elimination.  Only if
+they fall short of dim ker d1 are the remaining triangles reduced over
+GF(2), each pivot a tuple of edge indices: rank_Q d2 >= rank_GF(2) d2,
+and rank d2 <= dim ker d1, so it stops as soon as the GF(2) rank
+reaches dim ker d1, and H_1 = 0 is then exact.  Otherwise every row is
+ranked over Q by the sparse elimination.  Common neighbours in the
+graph are the AND of two ints whose bits mark neighbours.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections.abc import Callable, Iterable, Iterator
 from math import gcd
@@ -333,15 +336,20 @@ def _summand_quotient(rows: list[list[int]], n: int) -> Quotient | None:
     return ops, live
 
 
-def _primitive_image(quotient: Quotient, w: Iterable[int]) -> bool:
-    """Whether the image of w in Z^n/<rows> is primitive, for the
-    quotient ``_summand_quotient(rows, n)``: by the extension lemma,
-    exactly when rows + [w] span a summand."""
+def _image(quotient: Quotient, w: Iterable[int]) -> list[int]:
+    """The coordinates of the image of w in Z^n/<rows>, for the quotient
+    ``_summand_quotient(rows, n)``."""
     ops, live = quotient
     w = list(w)
     for j, q, p in ops:
         w[j] -= q * w[p]
-    return gcd(*[w[c] for c in live]) == 1
+    return [w[c] for c in live]
+
+
+def _primitive_image(quotient: Quotient, w: Iterable[int]) -> bool:
+    """Whether the image of w in Z^n/<rows> is primitive: by the
+    extension lemma, exactly when rows + [w] span a summand."""
+    return gcd(*_image(quotient, w)) == 1
 
 
 def spans_summand(vectors: list[list[int]]) -> bool:
@@ -428,7 +436,8 @@ def fs_edges(n: int, bound: int) -> list[Edge]:
 
 def fs_components(verts: list[Vertex], edges: list[Edge]) -> int:
     """Number of connected components of the graph."""
-    parent = {v: v for v in verts}
+    index = {v: i for i, v in enumerate(verts)}
+    parent = list(range(len(verts)))
 
     def find(x):
         while parent[x] != x:
@@ -437,90 +446,223 @@ def fs_components(verts: list[Vertex], edges: list[Edge]) -> int:
         return x
 
     for u, v in edges:
-        ru, rv = find(u), find(v)
+        ru, rv = find(index[u]), find(index[v])
         if ru != rv:
             parent[ru] = rv
-    return len({find(v) for v in verts})
+    return sum(parent[i] == i for i in range(len(verts)))
 
 
 def fs_connected(n: int, bound: int) -> bool:
     return fs_components(*fs_graph(n, bound)) == 1
 
 
-def _fs_edge_test(u: Vertex, v: Vertex) -> Callable[[Vertex], bool]:
-    """The simplex test of (u, v, w) for a third vertex w: the quotient
-    Z^n/<u, v> is built once, and w passes when its image there is
-    primitive."""
-    quotient = _summand_quotient([u, v], len(u))
+def _fs_order_key(v: Vertex) -> tuple[int, int, Vertex]:
+    """Max-norm, then l1 norm, then lex: the unit vectors come first."""
+    return max(map(abs, v)), sum(map(abs, v)), v
+
+
+def _bits(x: int) -> Iterator[int]:
+    """The positions of the set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+class _FsIndex(NamedTuple):
+    """Sorted vertices, and as bits of one int per vertex its lower and
+    its higher neighbours.  The edge (j, k), j < k, has the index
+    j * len(order) + k, so edge indices follow the lexicographic order
+    of the edges."""
+    order: list[Vertex]
+    below: list[int]
+    above: list[int]
+
+
+def _fs_index(verts: Iterable[Vertex], edges: list[Edge],
+              key: Callable[[Vertex], object] | None = None) -> _FsIndex:
+    order = sorted(verts, key=key)
+    index = {v: i for i, v in enumerate(order)}
+    below = [0] * len(order)
+    above = [0] * len(order)
+    for u, v in edges:
+        j, k = index[u], index[v]
+        if j > k:
+            j, k = k, j
+        below[k] |= 1 << j
+        above[j] |= 1 << k
+    return _FsIndex(order, below, above)
+
+
+def _fs_vertex_test(u: Vertex) -> Callable[[Vertex, Vertex], bool]:
+    """The simplex test of (u, v, w) for further vertices v and w.
+
+    Z^n/<u> is built once, and the image of each vertex there is cached.
+    By the extension lemma (u, v, w) is a simplex exactly when those two
+    images span a summand of rank 2 of Z^(n-1), that is when their 2x2
+    minors have gcd 1.
+    """
+    quotient = _summand_quotient([u], len(u))
     if quotient is None:
-        return lambda w: False
-    return functools.partial(_primitive_image, quotient)
+        return lambda v, w: False
+    pairs = list(itertools.combinations(range(len(quotient[1])), 2))
+    images: dict[Vertex, list[int]] = {}
 
-
-def _fs_triangle_iter(edges: list[Edge]) -> Iterator[Triangle]:
-    # vertices indexed in sorted order; above[i] has bit j set for each
-    # neighbour j > i, so the common neighbours w > v of an edge (u, v)
-    # are the bits of above[u] & above[v], lowest (smallest w) first
-    verts = sorted({x for edge in edges for x in edge})
-    index = {x: i for i, x in enumerate(verts)}
-    above = [0] * len(verts)
-    for u, v in edges:
-        above[index[u]] |= 1 << index[v]
-    for u, v in edges:
-        common = above[index[u]] & above[index[v]]
-        if common:
-            test = _fs_edge_test(u, v)
-            while common:
-                low = common & -common
-                w = verts[low.bit_length() - 1]
-                if test(w):
-                    yield u, v, w
-                common ^= low
+    def test(v: Vertex, w: Vertex) -> bool:
+        a = images.get(v)
+        if a is None:
+            a = images[v] = _image(quotient, v)
+        b = images.get(w)
+        if b is None:
+            b = images[w] = _image(quotient, w)
+        return gcd(*[a[p] * b[q] - a[q] * b[p] for p, q in pairs]) == 1
+    return test
 
 
 def fs_triangles(edges: list[Edge]) -> list[Triangle]:
     """The 2-simplices (u, v, w), u < v < w, in lexicographic order.
 
     Every 2-simplex is a triangle of the graph, so only the common
-    neighbours w > v of each edge (u, v) are tested, each by the
-    primitivity of its image in Z^n/<u, v>, a quotient built once per
-    edge that has such neighbours.  Each vertex keeps its higher
-    neighbours as the bits of one int, so an edge's common neighbours
-    are the AND of two ints, read from the lowest bit up.
+    neighbours w > v of each edge (u, v) are tested, by
+    ``_fs_vertex_test(u)``.  Each vertex keeps its higher neighbours as
+    the bits of one int, so an edge's common neighbours are the AND of
+    two ints, read from the lowest bit up.
     """
-    return list(_fs_triangle_iter(edges))
+    verts, _, above = _fs_index({x for edge in edges for x in edge}, edges)
+    out = []
+    for a, u in enumerate(verts):
+        test = _fs_vertex_test(u)
+        for b in _bits(above[a]):
+            v = verts[b]
+            out.extend((u, v, verts[c]) for c in _bits(above[a] & above[b])
+                       if test(v, verts[c]))
+    return out
+
+
+def _fs_apparent(fs: _FsIndex, cycles: int) -> tuple[list[int], int]:
+    """Phase 1: for each edge (j, k), the lowest common lower neighbour
+    i for which (i, j, k) is a simplex.
+
+    Returns the table ``apex``, with apex[j * len(order) + k] = i + 1
+    for such an i and 0 where there is none, and the number of rows
+    found; it stops as soon as that number reaches ``cycles``.  The row
+    of (i, j, k) leads on its largest edge (j, k), so these rows have
+    distinct leading edges, each with entry 1: they are independent over
+    Q and over GF(2) with no elimination.
+    """
+    order, below = fs.order, fs.below
+    size = len(order)
+    apex = [0] * (size * size)
+    found = 0
+    for j, lower in enumerate(below):
+        if not lower:
+            continue
+        test = _fs_vertex_test(order[j])
+        higher = fs.above[j]
+        while higher:
+            if found == cycles:
+                return apex, found
+            bit = higher & -higher
+            higher ^= bit
+            k = bit.bit_length() - 1
+            common = lower & below[k]
+            v = order[k]
+            while common:
+                low = common & -common
+                i = low.bit_length() - 1
+                if test(v, order[i]):
+                    apex[j * size + k] = i + 1
+                    found += 1
+                    break
+                common ^= low
+    return apex, found
+
+
+def _fs_row(lead: int, i: int, size: int) -> tuple[int, int, int]:
+    """The edges (j, k), (i, k), (i, j) of the triangle i < j < k whose
+    largest edge has index ``lead``."""
+    j, k = divmod(lead, size)
+    return lead, i * size + k, i * size + j
 
 
 def fs_h1(verts: list[Vertex], edges: list[Edge]) -> int:
     """Rank of H_1 of the 2-skeleton on these vertices and edges, by
     boundary ranks over Q, certified over GF(2) where that suffices.
 
-    rank d2 <= dim ker d1 = |E| - |V| + #components.  The triangles are
-    found lazily and each row of d2 is reduced over GF(2) as an int
-    with three bits, on its highest bit.  An odd minor is a nonzero
-    integer, so rank_Q d2 >= rank_GF(2) d2: once the GF(2) rank reaches
-    dim ker d1, H_1 = 0 exactly and no further triangle is tested.  If
-    the triangles run out first (H_1 > 0, or 2-torsion as in RP^2),
-    the stored rows are ranked exactly over Q by ``_sparse_rank``.
+    rank d2 <= dim ker d1 = |E| - |V| + #components.  The vertices are
+    ordered by ``_fs_order_key`` and the edges lexicographically in that
+    order, so a triangle i < j < k has largest edge (j, k).
+
+    - Phase 1 (``_fs_apparent``) takes for each edge (j, k) the first
+      common lower neighbour i that makes a simplex.  These rows of d2
+      have distinct leading edges, so they are independent; if their
+      number reaches dim ker d1, H_1 = 0.
+    - Phase 2 draws the remaining triangles in the same order, testing
+      only the candidates above each edge's apex, and reduces each row
+      over GF(2), seeded with the phase-1 pivots.  A pivot of phase 2
+      is the tuple of its edge indices.  An odd minor is a nonzero
+      integer, so rank_Q d2 >= rank_GF(2) d2: once the pivots number
+      dim ker d1, H_1 = 0 exactly and no further candidate is tested.
+    - If the triangles run out first (H_1 > 0, or 2-torsion as in RP^2),
+      every row is ranked exactly over Q by ``_sparse_rank``.
+
+    No candidate (edge, third vertex) is tested twice.
     """
-    edge_index = {e: i for i, e in enumerate(edges)}
+    return _fs_h1(verts, edges, fs_components(verts, edges))
+
+
+def _fs_h1(verts: list[Vertex], edges: list[Edge], components: int) -> int:
+    """``fs_h1`` for a graph with this many connected components."""
     # dim ker d1: the graph's incidence matrix has rank |V| - #components
-    cycles = len(edges) - len(verts) + fs_components(verts, edges)
-    rows: list[tuple[int, int, int]] = []
-    pivots: dict[int, int] = {}
-    for u, v, w in _fs_triangle_iter(edges):
-        face = edge_index[(v, w)], edge_index[(u, w)], edge_index[(u, v)]
-        rows.append(face)
-        row = (1 << face[0]) | (1 << face[1]) | (1 << face[2])
-        while row:
-            lead = row.bit_length() - 1
-            pivot = pivots.get(lead)
-            if pivot is None:
-                pivots[lead] = row
-                break
-            row ^= pivot
-        if len(pivots) == cycles:
-            return 0
+    cycles = len(edges) - len(verts) + components
+    fs = _fs_index(verts, edges, _fs_order_key)
+    apex, found = _fs_apparent(fs, cycles)
+    if found == cycles:
+        return 0
+    size = len(fs.order)
+    order, below = fs.order, fs.below
+    pivots: dict[int, tuple[int, ...]] = {}
+    drawn: list[int] = []
+    for j, lower in enumerate(below):
+        if not lower:
+            continue
+        test = _fs_vertex_test(order[j])
+        higher = fs.above[j]
+        while higher:
+            bit = higher & -higher
+            higher ^= bit
+            k = bit.bit_length() - 1
+            lead = j * size + k
+            first = apex[lead]
+            # the candidates above the apex; with no apex, every
+            # candidate failed in phase 1
+            common = lower & below[k] >> first << first if first else 0
+            v = order[k]
+            while common:
+                low = common & -common
+                common ^= low
+                i = low.bit_length() - 1
+                if not test(v, order[i]):
+                    continue
+                drawn.append(lead * size + i)
+                row = set(_fs_row(lead, i, size))
+                while row:
+                    top = max(row)
+                    if apex[top]:
+                        row.symmetric_difference_update(
+                            _fs_row(top, apex[top] - 1, size))
+                    elif top in pivots:
+                        row.symmetric_difference_update(pivots[top])
+                    else:
+                        pivots[top] = tuple(row)
+                        found += 1
+                        if found == cycles:
+                            return 0
+                        break
+    rows = itertools.chain(
+        (_fs_row(lead, first - 1, size)
+         for lead, first in enumerate(apex) if first),
+        (_fs_row(*divmod(code, size), size) for code in drawn))
     d2 = ({a: 1, b: -1, c: 1} for a, b, c in rows)
     return cycles - _sparse_rank(d2, limit=cycles)
 

@@ -198,3 +198,64 @@ def test_main_compiles_both_trees_alike_before_the_first_pair(
     assert commands[0][1][1:] == ("-m", "compileall", "-q", "src")
     assert [e[0] for e in events[3:]] == ["run"] * 4
     assert {e[1] for e in events[3:]} == {base, tmp_path}
+
+
+def test_source_hash_follows_the_package_sources(tmp_path):
+    package = tmp_path / "src" / "torelli"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n")
+    first = bench_pairs.source_hash(tmp_path)
+    assert bench_pairs.source_hash(tmp_path) == first
+    # files outside src/torelli/*.py do not count
+    (package / "notes.txt").write_text("y")
+    (tmp_path / "README.md").write_text("z")
+    assert bench_pairs.source_hash(tmp_path) == first
+    (package / "a.py").write_text("x = 2\n")
+    changed = bench_pairs.source_hash(tmp_path)
+    assert changed != first
+    (package / "b.py").write_text("")
+    assert bench_pairs.source_hash(tmp_path) not in (first, changed)
+
+
+def test_main_stops_when_the_sources_change_during_the_run(
+        monkeypatch, tmp_path):
+    # an edit of the package after the first pair stops the run before
+    # the second, and no file is written
+    package = tmp_path / "src" / "torelli"
+    package.mkdir(parents=True)
+    (package / "lattice.py").write_text("x = 1\n")
+    runs = []
+
+    def fake_run(tree, workload, seed, seconds):
+        runs.append(tree)
+        if len(runs) == 2:
+            (package / "lattice.py").write_text("x = 2\n")
+        return {"failed": 0, "metrics": {"pass_norm_s": {"value": 1.0},
+                                         "peak_rss_mib": {"value": 25.0}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    monkeypatch.setattr(bench_pairs, "export_commit",
+                        lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "compile_tree", lambda tree: None)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "pass_norm_s", "better": "lower",'
+        ' "bound": 0.25}]}')
+    args = ["--pr", "t", "--pairs", "3", "--seconds", "1",
+            "--workload", "fs-h1"]
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main(args)
+    assert "changed since the run started (before fs-h1 pair 2)" in str(
+        stop.value)
+    assert len(runs) == 2
+    assert not (tmp_path / "BENCH_t.json").exists()
+    # unchanged sources run every pair and record their hash
+    runs.clear()
+    monkeypatch.setattr(bench_pairs, "run_once", lambda tree, *rest: (
+        runs.append(tree) or {"failed": 0, "metrics": {
+            "pass_norm_s": {"value": 1.0}, "peak_rss_mib": {"value": 25.0}}}))
+    assert bench_pairs.main(args) == 0
+    assert len(runs) == 6
+    written = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert written["change_sources_sha256"] == bench_pairs.source_hash(
+        tmp_path)

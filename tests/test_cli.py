@@ -412,6 +412,18 @@ def test_fs_subcommand(runner, tmp_path):
     assert dot.read_text().startswith("graph fs {")
 
 
+def test_fs_homology_counts_the_components_once(runner, monkeypatch):
+    # `connected` and dim ker d1 share one component count
+    calls = []
+    real = lattice.fs_components
+    monkeypatch.setattr(lattice, "fs_components",
+                        lambda *args: calls.append(1) or real(*args))
+    result = invoke(runner, "fs", "--n", "3", "--bound", "1", "--homology")
+    data = json.loads(result.output)
+    assert data["connected"] is True and data["h1_rank"] == 0
+    assert calls == [1]
+
+
 def test_fs_dot_into_a_missing_directory_exit_1(runner, tmp_path):
     # a --dot path that cannot be written is a domain error, not a
     # traceback

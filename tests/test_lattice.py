@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 import sympy
@@ -422,24 +423,48 @@ def test_fs_h1_n3_bound4():
     assert fs_h1_rank(3, 4) == 0
 
 
-def _record_simplices(monkeypatch, edge_test=None):
-    """Wrap the per-edge test seam so that every candidate test is
-    counted and the accepted triangles are recorded in order."""
-    real = edge_test or lattice._fs_edge_test
-    seen = {"calls": 0, "simplices": []}
+@pytest.mark.slow
+@pytest.mark.parametrize("n,bound", [(7, 1), (5, 2), (3, 5)])
+def test_fs_h1_beyond_the_cli_cap(n, bound):
+    # library calls: `fs` refuses (7, 1) and (5, 2), and would print
+    # 587,559 edges at (7, 1); 986,010 edges at (5, 2), 121,317 at (3, 5)
+    assert fs_h1_rank(n, bound) == 0
 
-    def recording_edge_test(u, v):
-        test = real(u, v)
 
-        def recording(w):
-            seen["calls"] += 1
-            ok = test(w)
-            if ok:
-                seen["simplices"].append((u, v, w))
+def _record_fs_h1(monkeypatch, vertex_test=None):
+    """Wrap the seams of fs_h1: every candidate test is recorded in
+    order as ((u, v), w, ok), meaning the edge (u, v) and the third
+    vertex w; phase 1 leaves its index, its apex table, its row count
+    and the number of tests made by then; every exact rank leaves its
+    limit and its rows."""
+    real_test = vertex_test or lattice._fs_vertex_test
+    real_apparent = lattice._fs_apparent
+    real_rank = lattice._sparse_rank
+    seen = {"tests": [], "ranks": []}
+
+    def recording_vertex_test(u):
+        test = real_test(u)
+
+        def recording(v, w):
+            ok = test(v, w)
+            seen["tests"].append(((u, v), w, ok))
             return ok
         return recording
 
-    monkeypatch.setattr(lattice, "_fs_edge_test", recording_edge_test)
+    def recording_apparent(fs, cycles):
+        apex, found = real_apparent(fs, cycles)
+        seen.update(fs=fs, apex=apex, found=found,
+                    phase1=len(seen["tests"]))
+        return apex, found
+
+    def recording_rank(rows, limit=None):
+        rows = list(rows)
+        seen["ranks"].append((limit, rows))
+        return real_rank(rows, limit)
+
+    monkeypatch.setattr(lattice, "_fs_vertex_test", recording_vertex_test)
+    monkeypatch.setattr(lattice, "_fs_apparent", recording_apparent)
+    monkeypatch.setattr(lattice, "_sparse_rank", recording_rank)
     return seen
 
 
@@ -447,64 +472,195 @@ def _cycle_rank(verts, edges):
     return len(edges) - len(verts) + lattice.fs_components(verts, edges)
 
 
+def _common_lower(fs, j, k):
+    both = fs.below[j] & fs.below[k]
+    return [i for i in range(j) if both >> i & 1]
+
+
+def _check_candidates(seen):
+    """Assert the certificate's bookkeeping for one recorded run, and
+    return the triangles drawn, in order, as sorted vertex triples.
+
+    - No candidate (edge, third vertex) is tested twice, in either phase.
+    - Phase 1 walks the edges (j, k), j < k in the norm order, in
+      lexicographic order, tests the common lower neighbours i of each
+      lowest first, and stops at the first simplex.  Each hit's row
+      leads on the largest edge (j, k) of i < j < k, no two hits share
+      a leading edge, and the apex table holds exactly these rows.
+    - Phase 2 tests only edges with an apex, and only candidates above
+      it.
+    """
+    fs, tests = seen["fs"], seen["tests"]
+    pos = {v: i for i, v in enumerate(fs.order)}
+    size = len(fs.order)
+    candidates = [(frozenset(edge), w) for edge, w, _ in tests]
+    assert len(set(candidates)) == len(candidates)
+    by_edge = {}
+    for (u, v), w, ok in tests[:seen["phase1"]]:
+        by_edge.setdefault((pos[u], pos[v]), []).append((pos[w], ok))
+    assert list(by_edge) == sorted(by_edge)
+    apparent = {}
+    for (j, k), tested in by_edge.items():
+        assert j < k
+        common = _common_lower(fs, j, k)
+        assert [i for i, _ in tested] == common[:len(tested)]
+        hits = [i for i, ok in tested if ok]
+        if hits:
+            assert hits == [tested[-1][0]]
+            i = hits[0]
+            assert max((i, j), (i, k), (j, k)) == (j, k)
+            apparent[j * size + k] = i + 1
+        else:
+            assert len(tested) == len(common)
+    assert len(apparent) == sum(ok for *_, ok in tests[:seen["phase1"]])
+    assert apparent == {lead: first for lead, first in enumerate(seen["apex"])
+                        if first}
+    assert len(apparent) == seen["found"]
+    for (u, v), w, _ in tests[seen["phase1"]:]:
+        first = seen["apex"][pos[u] * size + pos[v]]
+        assert first and pos[w] >= first
+    return [tuple(sorted((u, v, w))) for (u, v), w, ok in tests if ok]
+
+
+def _every_candidate(fs):
+    return {(j, k, i) for k in range(len(fs.order))
+            for j in range(k) if fs.below[k] >> j & 1
+            for i in _common_lower(fs, j, k)}
+
+
+def _assert_exit_at_the_cycle_rank(triangles, edges, cycles):
+    # the exit fires exactly when rank d2 reaches dim ker d1, and not
+    # one row earlier
+    assert matrix_rank(_d2(triangles, edges)) == cycles
+    assert matrix_rank(_d2(triangles[:-1], edges)) == cycles - 1
+
+
 def test_fs_h1_stops_once_the_cycle_space_is_filled(monkeypatch):
     verts, edges = fs_graph(4, 1)
-    seen = _record_simplices(monkeypatch)
     triangles = fs_triangles(edges)
-    all_calls = seen["calls"]
-    seen["calls"], seen["simplices"] = 0, []
-    assert fs_h1(verts, edges) == 0
-    consumed = seen["simplices"]
-    assert seen["calls"] < all_calls
-    assert len(consumed) < len(triangles) == 7040
-    assert consumed == triangles[:len(consumed)]
-    # the exit fires exactly when rank d2 reaches dim ker d1, and not
-    # one triangle earlier
     cycles = _cycle_rank(verts, edges)
-    assert matrix_rank(_d2(consumed, edges)) == cycles
-    assert matrix_rank(_d2(consumed[:-1], edges)) == cycles - 1
+    seen = _record_fs_h1(monkeypatch)
+    assert fs_h1(verts, edges) == 0
+    drawn = _check_candidates(seen)
+    # 681 apparent rows of 683 cycles; phase 2 finds the last two
+    assert (seen["found"], cycles) == (681, 683)
+    assert len(seen["tests"]) < len(_every_candidate(seen["fs"]))
+    assert len(drawn) < len(triangles) == 7040
+    assert set(drawn) <= set(triangles)
+    assert seen["ranks"] == []
+    _assert_exit_at_the_cycle_rank(drawn, edges, cycles)
+
+
+def test_fs_h1_of_a_cone_stops_in_phase_1(monkeypatch):
+    # the star of the first vertex o in the norm order, keeping only the
+    # link edges that span a simplex with o: o is every link edge's
+    # lowest candidate, so the apparent rows fill the cycle space
+    all_verts, all_edges = fs_graph(3, 2)
+    o = min(all_verts, key=lattice._fs_order_key)
+    link = sorted({x for e in all_edges if o in e for x in e} - {o})
+    verts = sorted([o, *link])
+    edges = [(u, v) for u, v in all_edges
+             if o in (u, v) or (u in link and v in link
+                                and fs_is_simplex([o, u, v]))]
+    cycles = _cycle_rank(verts, edges)
+    seen = _record_fs_h1(monkeypatch)
+    assert fs_h1(verts, edges) == 0
+    drawn = _check_candidates(seen)
+    assert seen["found"] == cycles > 0
+    assert seen["phase1"] == len(seen["tests"]) == cycles
+    assert seen["ranks"] == []
+    _assert_exit_at_the_cycle_rank(drawn, edges, cycles)
+
+
+def _assert_every_triangle_ranked_once(seen, triangles, cycles):
+    """The triangles ran out: every candidate was tested exactly once,
+    every triangle drawn once, and the exact rank got every row with
+    limit dim ker d1."""
+    drawn = _check_candidates(seen)
+    assert len(seen["tests"]) == len(_every_candidate(seen["fs"]))
+    assert sorted(drawn) == sorted(triangles)
+    [(limit, rows)] = seen["ranks"]
+    assert limit == cycles
+    assert len(rows) == len(triangles)
 
 
 def test_fs_h1_ranks_every_triangle_when_h1_is_not_zero(monkeypatch):
-    verts, edges = fs_graph(3, 1)
-    seen = _record_simplices(monkeypatch)
-    for kept in (edges[::2], edges[::3], edges[1::4]):
-        seen["calls"], seen["simplices"] = 0, []
-        triangles = fs_triangles(kept)
-        tested = seen["calls"]
-        assert fs_h1(verts, kept) > 0
-        # fs_h1 tests every candidate and ranks every triangle again
-        assert seen["calls"] == 2 * tested
-        assert seen["simplices"] == triangles + triangles
+    for n, bound, slices in [(3, 1, ((0, 2), (0, 3), (1, 4))),
+                             (3, 2, ((0, 3), (1, 4), (2, 5)))]:
+        verts, all_edges = fs_graph(n, bound)
+        for start, step in slices:
+            edges = all_edges[start::step]
+            triangles = fs_triangles(edges)
+            with monkeypatch.context() as patch:
+                seen = _record_fs_h1(patch)
+                assert fs_h1(verts, edges) > 0
+            _assert_every_triangle_ranked_once(
+                seen, triangles, _cycle_rank(verts, edges))
+
+
+RP2_FACES = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+             (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
+
+
+def _rp2():
+    """The 6-vertex RP^2 on six vectors, every pair an edge, and a
+    vertex test that accepts exactly its ten faces."""
+    labels = [(0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 1, 1), (1, 0, 1),
+              (1, 1, 0)]
+    faces = [tuple(sorted(labels[x] for x in face)) for face in RP2_FACES]
+    verts = sorted(labels)
+    edges = list(itertools.combinations(verts, 2))
+
+    def vertex_test(u):
+        return lambda v, w: tuple(sorted((u, v, w))) in faces
+    return verts, edges, sorted(faces), vertex_test
 
 
 def test_fs_h1_of_rp2_consumes_every_face(monkeypatch):
-    # H_1(RP^2; Q) = 0, and d2 is injective, so rank d2 reaches
-    # dim ker d1 = 10 only at the last of the 10 faces
-    faces = {tuple(sorted(t)) for t in
-             [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
-              (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]}
-    verts = list(range(6))
-    edges = list(itertools.combinations(verts, 2))
-    seen = _record_simplices(
-        monkeypatch, lambda u, v: lambda w: tuple(sorted((u, v, w))) in faces)
+    # H_1(RP^2; Q) = 0 with d2 injective, so every face is needed
+    verts, edges, faces, vertex_test = _rp2()
     assert _cycle_rank(verts, edges) == 10
+    seen = _record_fs_h1(monkeypatch, vertex_test)
     assert fs_h1(verts, edges) == 0
-    assert set(seen["simplices"]) == faces
-    assert len(seen["simplices"]) == 10
+    _assert_every_triangle_ranked_once(seen, faces, 10)
 
 
-def _record_sparse_rank(monkeypatch):
-    """Record the limit of every call of the exact rank kernel."""
-    real = lattice._sparse_rank
-    limits = []
+def test_fs_h1_of_rp2_falls_back_to_the_exact_rank(monkeypatch):
+    # H_1(RP^2; Z) = Z/2: over GF(2) the ten faces have rank 9 against
+    # 10 cycles, so only the exact rank over Q shows H_1(RP^2; Q) = 0
+    verts, edges, faces, vertex_test = _rp2()
+    d2 = DomainMatrix.from_Matrix(sympy.Matrix(_d2(faces, edges)))
+    assert d2.convert_to(sympy.GF(2)).rank() == 9
+    seen = _record_fs_h1(monkeypatch, vertex_test)
+    assert fs_h1(verts, edges) == 0
+    [(limit, rows)] = seen["ranks"]
+    assert limit == _cycle_rank(verts, edges) == 10
+    # the rows ranked are the faces' boundaries, each once, in the
+    # edge indices of the norm order
+    size = len(verts)
+    pos = {v: i for i, v in enumerate(seen["fs"].order)}
 
-    def recording(rows, limit=None):
-        limits.append(limit)
-        return real(rows, limit)
+    def row(face):
+        i, j, k = sorted(pos[x] for x in face)
+        return {j * size + k: 1, i * size + k: -1, i * size + j: 1}
+    assert sorted(map(sorted, (r.items() for r in rows))) == sorted(
+        sorted(row(face).items()) for face in faces)
 
-    monkeypatch.setattr(lattice, "_sparse_rank", recording)
-    return limits
+
+@pytest.mark.parametrize("n,bound,step", [(3, 1, 1), (4, 1, 1), (3, 1, 3)])
+def test_fs_h1_does_not_depend_on_the_input_order(n, bound, step):
+    # fs_h1 sorts the vertices by its own order and orients each edge in
+    # it, so shuffled lists and flipped edges give the same rank
+    verts, edges = fs_graph(n, bound)
+    edges = edges[::step]
+    expected = fs_h1(verts, edges)
+    assert expected == (0 if step == 1 else _dense_h1(verts, edges))
+    rng = random.Random(10 * n + bound)
+    for _ in range(3):
+        shuffled = rng.sample(verts, len(verts))
+        flipped = [e[::-1] if rng.random() < 0.5 else e
+                   for e in rng.sample(edges, len(edges))]
+        assert fs_h1(shuffled, flipped) == expected
 
 
 @pytest.mark.parametrize("n,bound", [(4, 1), (3, 2), (5, 1)])
@@ -512,39 +668,22 @@ def test_fs_h1_zero_is_certified_over_gf2(monkeypatch, n, bound):
     # the GF(2) rank of d2 reaches dim ker d1, so the exact kernel never
     # runs
     verts, edges = fs_graph(n, bound)
-    limits = _record_sparse_rank(monkeypatch)
+    seen = _record_fs_h1(monkeypatch)
     assert fs_h1(verts, edges) == 0
-    assert limits == []
-
-
-def test_fs_h1_of_rp2_falls_back_to_the_exact_rank(monkeypatch):
-    # H_1(RP^2; Z) = Z/2: over GF(2) the ten faces have rank 9 against
-    # 10 cycles, so only the exact rank over Q shows H_1(RP^2; Q) = 0
-    faces = sorted(tuple(sorted(t)) for t in
-                   [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
-                    (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)])
-    verts = list(range(6))
-    edges = list(itertools.combinations(verts, 2))
-    d2 = DomainMatrix.from_Matrix(sympy.Matrix(_d2(faces, edges)))
-    assert d2.convert_to(sympy.GF(2)).rank() == 9
-    seen = _record_simplices(
-        monkeypatch, lambda u, v: lambda w: (u, v, w) in faces)
-    limits = _record_sparse_rank(monkeypatch)
-    assert fs_h1(verts, edges) == 0
-    assert limits == [_cycle_rank(verts, edges)] == [10]
-    # the fallback ranks the stored rows: no face is tested twice
-    assert seen["simplices"] == faces
+    assert seen["ranks"] == []
 
 
 def test_fs_h1_with_h1_positive_matches_dense_oracle_at_n3_bound2(
         monkeypatch):
     verts, edges = fs_graph(3, 2)
-    limits = _record_sparse_rank(monkeypatch)
-    for kept in (edges[::3], edges[1::4], edges[2::5]):
-        h1 = fs_h1(verts, kept)
-        assert h1 == _dense_h1(verts, kept)
+    seen = _record_fs_h1(monkeypatch)
+    kept = (edges[::3], edges[1::4], edges[2::5])
+    for edges in kept:
+        h1 = fs_h1(verts, edges)
+        assert h1 == _dense_h1(verts, edges)
         assert h1 > 0
-    assert len(limits) == 3
+    assert [limit for limit, _ in seen["ranks"]] == [
+        _cycle_rank(verts, edges) for edges in kept]
 
 
 def test_fs_dot_output():

@@ -24,6 +24,11 @@ holds none, and with ``PYTHONDONTWRITEBYTECODE`` set no import writes
 it, so otherwise only one side's set-up would compile the package from
 source on every run.
 
+The change side is read from the working tree on every run, so the
+sources of ``src/torelli/*.py`` there are hashed when the run starts and
+again before each pair; if they changed, the command stops with an
+error and writes no file, rather than mix two versions of the code.
+
 ``perfbench/run.py`` exits 0 even when some of its outputs fail their
 checks, so each run's ``failed`` count is read as well: a workload
 whose change side fails outputs in any pair gets a FAILURES line, and
@@ -33,6 +38,7 @@ the command then exits 1 (after writing the file).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import platform
 import statistics
@@ -156,6 +162,14 @@ def compile_tree(tree: Path) -> None:
                    cwd=tree, capture_output=True, check=True)
 
 
+def source_hash(tree: Path) -> str:
+    """SHA-256 over the names and contents of ``src/torelli/*.py``."""
+    digest = hashlib.sha256()
+    for path in sorted((tree / "src" / "torelli").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", required=True,
@@ -176,6 +190,7 @@ def main(argv=None) -> int:
                          + " ".join(argv if argv is not None else sys.argv[1:]),
               "seconds": args.seconds, "python": platform.python_version(),
               "machine": platform.machine(), "workloads": {}}
+    sources = result["change_sources_sha256"] = source_hash(ROOT)
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         base_tree = Path(tmp) / "base"
         base_tree.mkdir()
@@ -185,6 +200,11 @@ def main(argv=None) -> int:
         for workload in args.workload:
             pairs = []
             for i in range(args.pairs):
+                if source_hash(ROOT) != sources:
+                    raise SystemExit(
+                        f"bench_pairs: src/torelli/*.py in {ROOT} changed"
+                        f" since the run started (before {workload} pair"
+                        f" {i + 1}); no file written")
                 seed = args.first_seed + i
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 records = {side: run_once(base_tree if side == "base" else ROOT,
