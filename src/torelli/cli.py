@@ -36,20 +36,21 @@ COMPLETE_BASIS_MAX_N = 54
 # `rewrite` and `push-factor` expand each letter of the word into
 # Schreier factors; the raw count, before any cancels, is known from
 # one scan.  At n = 3, x1^k x2^k x1^-k x2^-k has k^2 of them: `push-factor`
-# takes about 0.4 s of CPU at k = 40 and 1.5 s at k = 64 (the cap), and
-# its work at k = 80 takes 2.4 s in the library, on a 2-vCPU Xeon host.
-# Seeded words of about 100 letters, as in the push-long benchmark, stay
-# below 100.
+# takes 0.13-0.2 s of CPU at k = 40 and 0.5-0.7 s at k = 64 (the cap),
+# and its work at k = 80 takes 0.9-1.3 s in the library, on a 2-vCPU
+# Xeon host under varying load.  Seeded words of about 100 letters, as
+# in the push-long benchmark, stay below 100.
 REWRITE_MAX_FACTORS = 4096
-# `push-factor` writes each Schreier factor m [x_i, x_j] m^-1 as
-# 2 (n - 1) |d|_1 + 1 drag tokens, d the exponents of m, before it
-# reduces the drag word; the raw count comes from the same scan.  At the
+# `push-factor`'s drag word, with a whole W . BCD . W^-1 for each
+# Schreier factor m [x_i, x_j] m^-1, has 2 (n - 1) |d|_1 + 1 tokens per
+# factor before free reduction, d the exponents of m; this raw count
+# comes from the same scan and bounds the tokens it emits.  At the
 # cap it admits x1^64 x2^64 x1^-64 x2^-64 at n = 3 (1,036,288 tokens,
-# 1.5 s of CPU) and x1^8 x2^8 x1^-8 x2^-8 at n = 999 (894,272 tokens,
-# 1.7-2.0 s), and refuses the same word with exponent 16 at n = 300
-# (2,296,576 tokens, 2.2 s of work in the library) and exponent 64 at
-# n = 999 (515,067,904), on a 2-vCPU Xeon host.  Seeded words of
-# about 100 letters, as in the push-long benchmark, build a few hundred
+# 0.5-0.7 s of CPU) and x1^8 x2^8 x1^-8 x2^-8 at n = 999 (894,272 tokens,
+# 0.45-0.7 s), and refuses the same word with exponent 16 at n = 300
+# (2,296,576 tokens, 0.6-0.95 s of work in the library) and exponent 64
+# at n = 999 (515,067,904), on a 2-vCPU Xeon host.  Seeded words of
+# about 100 letters, as in the push-long benchmark, count a few hundred
 # (at most 632 over seeds 0-11).
 PUSH_MAX_TOKENS = 2 ** 20
 # `rho` and `rewrite` allocate rank-sized lists, and each Schreier

@@ -21,10 +21,11 @@ The actions of the drags and pushes (``_drag_action``,
 each moved generator index to its image, all freely reduced letter
 tuples.  ``_accumulate`` is the one loop that builds images: it runs
 over ``Action``s in product order and rewrites only the generators each
-one moves, in an identity table that its caller starts.  A dense table
-(``_realize_images``) realizes drag words, their inverses for the
-certificate and pushes as validated ``Word``s.  A sparse one
-(``_moved_images``) gives {k: image} for the generators the product
+one moves, in an identity table (``words._Unmoved``) that its caller
+starts; the image of an inverse letter is built only when it is read.
+``_realize_images`` reads back every image, as validated ``Word``s, for
+drag words, their inverses for the certificate and pushes.
+``_moved_images`` reads back {k: image} for the generators the product
 moves, and the verifier's membership, tau, rank and relation checks
 compare only those.  A push at boundary (1, 1) and PD(1, j) conjugate
 every generator off block 1, so their ``Action`` is an inner
@@ -40,7 +41,6 @@ the public ``verify_*`` functions wrap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, NamedTuple
 
@@ -61,7 +61,6 @@ from .words import (
     PreconditionError,
     Word,
     _Unmoved,
-    _action_table,
     _certified,
     _homology_trivial,
     _join,
@@ -75,17 +74,21 @@ from .words import (
 _KINDS = ("HD", "CD+", "CD-", "BCD", "PD")
 
 
-@dataclass(frozen=True)
-class DragGenerator:
-    kind: str
-    indices: tuple[int, ...]
+class DragGenerator(NamedTuple("DragGenerator",
+                                [("kind", str), ("indices", tuple[int, ...])])):
+    """A drag generator, validated in shape.  It is a tuple, so the
+    (generator, sign) tokens of a drag word hash and compare at C
+    speed."""
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown drag kind {self.kind!r}")
-        want = {"HD": 2, "CD+": 3, "CD-": 3, "BCD": 4, "PD": 2}[self.kind]
-        if len(self.indices) != want:
-            raise ValueError(f"{self.kind} takes {want} indices")
+    __slots__ = ()
+
+    def __new__(cls, kind: str, indices: tuple[int, ...]) -> DragGenerator:
+        if kind not in _KINDS:
+            raise ValueError(f"unknown drag kind {kind!r}")
+        want = {"HD": 2, "CD+": 3, "CD-": 3, "BCD": 4, "PD": 2}[kind]
+        if len(indices) != want:
+            raise ValueError(f"{kind} takes {want} indices")
+        return super().__new__(cls, kind, indices)
 
     def token(self) -> str:
         return f"{self.kind}:{','.join(str(i) for i in self.indices)}"
@@ -153,7 +156,9 @@ def parse_drag_word(text: str) -> DragWord:
 
 
 def drag_word_text(w: DragWord) -> str:
-    return " ".join(g.token() + ("" if e == 1 else "^-1") for g, e in w)
+    """The text of w; each distinct token is formatted once."""
+    text = {(g, e): g.token() + ("" if e == 1 else "^-1") for g, e in set(w)}
+    return " ".join(map(text.__getitem__, w))
 
 
 # --- validation -----------------------------------------------------------
@@ -324,51 +329,56 @@ def realize(config: PartitionConfig, g: DragGenerator) -> GroupMap:
     return realize_word(config, ((g, 1),))
 
 
-def _accumulate(table, actions: Iterable[Action]) -> list[int]:
+def _accumulate(table: _Unmoved, actions: Iterable[Action]) -> list[int]:
     """Fold the product of ``actions`` (the leftmost outermost) into
     ``table`` and return u, so that a_1 o ... o a_k = iota_u o phi with
-    phi in ``table``.  The caller starts ``table`` as the identity, dense
-    (``words._action_table``) or sparse (``_Unmoved``); it maps each
-    signed letter to its image, a reduced letter list.
+    phi in ``table``.  The caller starts ``table`` as the identity, an
+    empty ``words._Unmoved``.
 
     An action iota_c o B applies acc <- acc o iota_c o B =
     iota_{u . phi(c)} o (phi o B): u takes phi(c) on the right, and the
     images under B of the generators B moves are substituted into the
-    old phi, every other image staying as it is.
+    old phi, every other image staying as it is.  The inverse image of
+    a rewritten generator is deleted, and the table builds it again
+    only if it is read.
     """
     u: list[int] = []
     for inner, action in actions:
         if inner:
-            _join(u, _substitute(inner, table))
+            _join(u, map(table.__getitem__, inner))
+        if len(action) == 1:
+            [(k, image)] = action.items()
+            table[k] = _substitute(image, table)
+            table.pop(-k, None)
+            continue
         moved = [(k, _substitute(image, table))
                  for k, image in action.items()]
         for k, letters in moved:
             table[k] = letters
-            table[-k] = [-x for x in reversed(letters)]
+            table.pop(-k, None)
     return u
 
 
-def _table_images(m: int, table, u: list[int]):
+def _table_images(m: int, table: _Unmoved, u: list[int]):
     """The images of x_1..x_m under iota_u o phi, phi in ``table``; each
     is conjugated by u, cancelling only where the words meet."""
     images = map(table.__getitem__, range(1, m + 1))
     if not u:
         return images
     outer = [-x for x in reversed(u)]
-    return (_join(_join(list(u), letters), outer) for letters in images)
+    return (_join(list(u), (letters, outer)) for letters in images)
 
 
 def _realize_images(m: int, actions: Iterable[Action]) -> tuple[Word, ...]:
-    """The images of the product of ``actions`` on a dense table."""
-    table = _action_table((k,) for k in range(1, m + 1))
+    """The images of x_1..x_m under the product of ``actions``."""
+    table = _Unmoved()
     u = _accumulate(table, actions)
     return tuple(Word(m, tuple(x)) for x in _table_images(m, table, u))
 
 
 def _moved_images(m: int, actions: Iterable[Action]) -> dict[int, list[int]]:
-    """The product of ``actions`` on a sparse table, read back as
-    {k: image} for every x_k it moves: two maps are equal exactly when
-    these dicts are."""
+    """The product of ``actions`` read back as {k: image} for every x_k
+    it moves: two maps are equal exactly when these dicts are."""
     table = _Unmoved()
     u = _accumulate(table, actions)
     if u:
@@ -387,11 +397,12 @@ def _word_actions(config: PartitionConfig,
     """
     basis = build_basis(config)
     actions: dict[tuple[DragGenerator, int], Action] = {}
-    for g, e in w:
+    for token in w:
+        g, e = token
         if e not in (1, -1):
             raise PreconditionError(
                 f"drag word exponents must be +-1, got {e!r}")
-        if (g, 1) not in actions:
+        if token not in actions:
             _check_generator(config, g)
             for sign in (1, -1):
                 actions[(g, sign)] = _drag_action(basis, g, sign)

@@ -16,9 +16,10 @@ itself.  Each factorization carries a multiply-back certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import PartitionConfig
-from .drags import DragWord, bcd, drag_word_inv, hd
+from .drags import DragGenerator, DragWord, bcd, drag_word_inv, hd
 from .words import (
     ParseError,
     PreconditionError,
@@ -28,19 +29,19 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class TomaszewskiFactor:
-    """i < j plus the conjugator exponents d = (d_i, ..., d_n)."""
+class TomaszewskiFactor(NamedTuple("TomaszewskiFactor", [
+        ("i", int), ("j", int), ("d", tuple[int, ...])])):
+    """i < j plus the conjugator exponents d = (d_i, ..., d_n); a tuple,
+    so factors compare at C speed."""
 
-    i: int
-    j: int
-    d: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.i < self.j:
+    def __new__(cls, i: int, j: int, d: tuple[int, ...]) -> TomaszewskiFactor:
+        if not 1 <= i < j:
             raise ValueError("need 1 <= i < j")
-        if self.j > self.rank:
+        if j > i + len(d) - 1:
             raise ValueError("j exceeds the rank implied by d")
+        return super().__new__(cls, i, j, d)
 
     @property
     def rank(self) -> int:
@@ -131,8 +132,9 @@ def _expand_gamma(a: list[int], k: int) -> list[tuple[TomaszewskiFactor, int]]:
 
 def _expansion_size(w: Word) -> tuple[int, int]:
     """(factors, tokens): how many factors ``tomaszewski_factor`` emits
-    for w, those that cancel included, and how many drag tokens
-    ``push_factorization`` would build from them, before any cancel.
+    for w, those that cancel included, and how many drag tokens they
+    give with a whole W . BCD . W^-1 each, before any cancel: at least
+    as many as ``push_factorization`` emits.
 
     The letter x_k^(+-1) expands into |a_q| factors for each q < k, a
     the abelianized prefix, whose conjugator exponents d are
@@ -163,11 +165,11 @@ def _expansion_size(w: Word) -> tuple[int, int]:
 
 def _cancel_onto(out: list, tokens) -> None:
     """Append (item, +-1) tokens to out, keeping it freely reduced."""
-    for item, sign in tokens:
-        if out and out[-1][1] == -sign and out[-1][0] == item:
+    for token in tokens:
+        if out and out[-1][1] == -token[1] and out[-1][0] == token[0]:
             out.pop()
         else:
-            out.append((item, sign))
+            out.append(token)
 
 
 def tomaszewski_factor(w: Word) -> Factorization:
@@ -211,23 +213,40 @@ def push_factorization(config: PartitionConfig, boundary: tuple[int, int],
     the handle-drag word acting as conjugation by m on the loops while
     fixing every arc and handle (each letter x_idx^(+-1) of m gives
     HD(a, idx)^(+-1) for all a != idx), and push([y_i, y_j]) =
-    BCD(r,s,i,j)^-1.  Blocks cancel onto the word as they are emitted.
+    BCD(r,s,i,j)^-1.  Between consecutive factors only W^-1 of the rest
+    of the previous conjugator after their common prefix, then W of the
+    rest of the next, is emitted: the same element of the free group on
+    the tokens, whose free reduction ``_cancel_onto`` keeps.  The prefix
+    is taken on letters, since the block of x^-1 is not the token
+    inverse of the block of x.
     """
     if w.rank != config.n:
         raise PreconditionError(
             f"push word must have rank n = {config.n}, got {w.rank}")
-    # HD(a, idx)^(+-1) for all a != idx, built once per loop index idx
-    handles: dict[int, list] = {}
+    # letter -> (its handle drags, their inverse), built once per letter;
+    # BCD(r, s, i, j) built once per (i, j)
+    blocks: dict[int, tuple[tuple, tuple]] = {}
+    pushes: dict[tuple[int, int], DragGenerator] = {}
     out: list[tuple] = []
+    last: list[int] = []
     for f, e in tomaszewski_factor(w).factors:
-        conjugator: list[tuple] = []
-        for x in _conjugator(f):
-            if x not in handles:
-                idx = abs(x)
-                gs = [hd(a, idx) for a in range(1, config.n + 1) if a != idx]
-                handles[idx] = [(g, 1) for g in gs]
-                handles[-idx] = [(g, -1) for g in gs]
-            conjugator.extend(handles[x])
-        _cancel_onto(out, (*conjugator, (bcd(*boundary, f.i, f.j), -e),
-                           *drag_word_inv(tuple(conjugator))))
+        m = _conjugator(f)
+        p, limit = 0, min(len(last), len(m))
+        while p < limit and last[p] == m[p]:
+            p += 1
+        for x in reversed(last[p:]):
+            _cancel_onto(out, blocks[x][1])
+        for x in m[p:]:
+            if x not in blocks:
+                idx, sign = abs(x), 1 if x > 0 else -1
+                block = tuple((hd(a, idx), sign)
+                              for a in range(1, config.n + 1) if a != idx)
+                blocks[x] = block, drag_word_inv(block)
+            _cancel_onto(out, blocks[x][0])
+        if (f.i, f.j) not in pushes:
+            pushes[f.i, f.j] = bcd(*boundary, f.i, f.j)
+        _cancel_onto(out, ((pushes[f.i, f.j], -e),))
+        last = m
+    for x in reversed(last):
+        _cancel_onto(out, blocks[x][1])
     return tuple(out)

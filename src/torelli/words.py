@@ -187,51 +187,52 @@ def identity_map(rank: int) -> GroupMap:
     return GroupMap(rank, gens, gens)
 
 
-def _action_table(images) -> list:
-    """Image lookup by signed letter: ``table[k]`` is the image of x_k and,
-    through Python's negative indexing, ``table[-k]`` that of x_k^-1.
-    Entries are lists, like the output of ``_substitute``, so that
-    slices of the two compare."""
-    images = [list(image) for image in images]
-    inverses = [[-x for x in reversed(image)] for image in reversed(images)]
-    return [[], *images, *inverses]
+class _Unmoved(dict):
+    """An image table by signed letter: ``table[k]`` is the image of x_k
+    and ``table[-k]`` that of x_k^-1, each a reduced letter sequence.
+    A letter it does not hold maps to itself, unless it holds the
+    inverse letter: then the letter's image is that one's inverse,
+    built when it is first read and kept.  So a caller that rewrites
+    the image of x_k marks that of x_k^-1 stale by deleting it."""
+
+    def __missing__(self, letter: int) -> list[int]:
+        inverse = self.get(-letter)
+        image = self[letter] = ([letter] if inverse is None
+                                else [-x for x in reversed(inverse)])
+        return image
 
 
-def _join(out: list[int], piece) -> list[int]:
-    """Extend the reduced letters ``out`` in place by the reduced letters
-    ``piece``, cancelling letter by letter as far as the tail of ``out``
-    is the inverse of the head of ``piece``; returns ``out``.  This is
-    the package's one junction scan."""
-    top = len(out)
-    limit, k = min(top, len(piece)), 0
-    while k < limit and out[top - 1 - k] == -piece[k]:
-        k += 1
-    del out[top - k:]
-    out.extend(piece[k:])
+def _join(out: list[int], pieces) -> list[int]:
+    """Extend the reduced letters ``out`` in place by each of the
+    reduced letter sequences ``pieces`` in turn; returns ``out``.
+
+    Letters cancel only where ``out`` meets the next piece, letter by
+    letter as far as the tail of ``out`` is the inverse of the head of
+    the piece.  This is the package's one junction scan.
+    """
+    for piece in pieces:
+        if out and piece and out[-1] == -piece[0]:
+            limit, k = min(len(out), len(piece)), 1
+            while k < limit and out[~k] == -piece[k]:
+                k += 1
+            del out[-k:]
+            out += piece[k:]
+        else:
+            out += piece
     return out
 
 
 def _substitute(letters, table) -> list[int]:
-    """The reduced image of the reduced letters under ``table``.
-
-    Every image is reduced, so letters cancel only where the output so
-    far meets the next image, and only where the output's last letter
-    is the inverse of the image's first; there ``_join`` cancels.
-    """
-    out: list[int] = []
-    for letter in letters:
-        piece = table[letter]
-        if out and piece and out[-1] == -piece[0]:
-            _join(out, piece)
-        else:
-            out.extend(piece)
-    return out
+    """The reduced image of the reduced letters under ``table`` (an
+    ``_Unmoved``): every image is reduced, so ``_join`` of the images
+    of the letters in turn is reduced."""
+    return _join([], map(table.__getitem__, letters))
 
 
 def apply(f: GroupMap, w: Word) -> Word:
     if f.rank != w.rank:
         raise ValueError(f"rank mismatch: map {f.rank} vs word {w.rank}")
-    table = _action_table(x.letters for x in f.images)
+    table = _Unmoved(_image_dict(f.images))
     return Word(f.rank, tuple(_substitute(w.letters, table)))
 
 
@@ -239,12 +240,12 @@ def compose(f: GroupMap, g: GroupMap) -> GroupMap:
     """(f o g): g acts first.  Inverse certificates compose the other way."""
     if f.rank != g.rank:
         raise ValueError(f"rank mismatch: {f.rank} vs {g.rank}")
-    table = _action_table(w.letters for w in f.images)
+    table = _Unmoved(_image_dict(f.images))
     images = tuple(Word(f.rank, tuple(_substitute(w.letters, table)))
                    for w in g.images)
     inverse_images = None
     if f.inverse_images is not None and g.inverse_images is not None:
-        table = _action_table(w.letters for w in g.inverse_images)
+        table = _Unmoved(_image_dict(g.inverse_images))
         inverse_images = tuple(
             Word(f.rank, tuple(_substitute(w.letters, table)))
             for w in f.inverse_images)
@@ -272,13 +273,6 @@ def _image_dict(images: Iterable[Word]) -> dict[int, tuple[int, ...]]:
     return {k: w.letters for k, w in enumerate(images, 1)}
 
 
-class _Unmoved(dict):
-    """A sparse image table: a letter it does not hold maps to itself."""
-
-    def __missing__(self, letter: int) -> list[int]:
-        return [letter]
-
-
 def _certified(images: dict, inverse_images: dict) -> bool:
     """``verify_certificate`` on {k: letters} images that may list only
     the generators each map moves: both maps fix every generator
@@ -286,8 +280,6 @@ def _certified(images: dict, inverse_images: dict) -> bool:
     keys = images.keys() | inverse_images.keys()
     for family, other in ((inverse_images, images), (images, inverse_images)):
         table = _Unmoved(other)
-        table.update((-k, [-x for x in reversed(letters)])
-                     for k, letters in other.items())
         if any(_substitute(family.get(k, [k]), table) != [k] for k in keys):
             return False
     return True

@@ -8,7 +8,9 @@ one whole summand test per vertex pair and per triangle, substitution
 into words by concatenating whole images and reducing afterwards, drag
 actions and Tomaszewski factors built from validated words, products by
 a left fold of ``mul``, the reduced generating set enumerated family by
-family, and word strategies for property tests.
+family, folds of drag actions over whole images with every inverse built
+up front, push factorizations with a whole conjugating drag word per
+factor, and word strategies for property tests.
 """
 
 import itertools
@@ -25,6 +27,7 @@ from torelli import (
     cd_minus,
     comm,
     conj,
+    drag_word_inv,
     fs_is_simplex,
     fs_vertices,
     gen,
@@ -35,6 +38,7 @@ from torelli import (
     reduce,
     rho,
     spans_summand,
+    tomaszewski_factor,
 )
 
 # --- truncated Magnus series ------------------------------------------------
@@ -155,6 +159,27 @@ def push_boundary_words(config, boundary, gamma: Word) -> tuple:
     return tuple(out)
 
 
+def fold_actions_eagerly(m: int, actions) -> tuple:
+    """The images of x_1..x_m under the product of ``actions``, the
+    leftmost outermost, each ``Action`` (inner c, table B) the map
+    x |-> c B(x) c^-1.  The running map is kept as all m images; before
+    each action the images of every inverse letter are built, then the
+    running map is substituted into each word c B(x_k) c^-1 whole and
+    reduced afterwards."""
+    images = [Word(m, (k,)) for k in range(1, m + 1)]
+    for inner, table in actions:
+        inverses = [inv(w) for w in images]
+        outer = tuple(-x for x in reversed(inner))
+        new = []
+        for k in range(1, m + 1):
+            raw: list[int] = []
+            for x in (*inner, *table.get(k, (k,)), *outer):
+                raw.extend((images if x > 0 else inverses)[abs(x) - 1].letters)
+            new.append(reduce(raw, m))
+        images = new
+    return tuple(images)
+
+
 # --- the Johnson homomorphism from validated words ------------------------
 
 def tau_words(f) -> HomTable:
@@ -176,6 +201,33 @@ def factor_word_words(f) -> Word:
         e = f.d[idx - f.i]
         letters.extend([idx if e > 0 else -idx] * abs(e))
     return conj(Word(n, tuple(letters)), comm(gen(n, f.i), gen(n, f.j)))
+
+
+# --- push factorizations with a whole conjugator per factor ------------------
+
+def push_factorization_tokens(config, boundary, w) -> tuple:
+    """The push of boundary (r, s) around the commutator word w as a drag
+    word: each Tomaszewski factor m [x_i, x_j]^e m^-1 gives the whole
+    W . BCD(r, s, i, j)^-e . W^-1, W the handle drags HD(a, idx)^(+-1),
+    a != idx, of each letter x_idx^(+-1) of m, and every token is
+    cancelled onto the word as it comes."""
+    n = config.n
+    out: list = []
+    for f, e in tomaszewski_factor(w).factors:
+        conjugator = []
+        for idx in range(f.rank, f.i - 1, -1):
+            exponent = f.d[idx - f.i]
+            sign = 1 if exponent > 0 else -1
+            for _ in range(abs(exponent)):
+                conjugator.extend((hd(a, idx), sign)
+                                  for a in range(1, n + 1) if a != idx)
+        for g, sign in (*conjugator, (bcd(*boundary, f.i, f.j), -e),
+                        *drag_word_inv(tuple(conjugator))):
+            if out and out[-1] == (g, -sign):
+                out.pop()
+            else:
+                out.append((g, sign))
+    return tuple(out)
 
 
 # --- products by a left fold ------------------------------------------------

@@ -1,6 +1,10 @@
 import importlib.util
 import json
+import os
+import signal
 import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -259,3 +263,86 @@ def test_main_stops_when_the_sources_change_during_the_run(
     written = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert written["change_sources_sha256"] == bench_pairs.source_hash(
         tmp_path)
+
+
+_DRIVER = """
+import importlib.util, pathlib, shutil, sys
+spec = importlib.util.spec_from_file_location("bench_pairs", {tool!r})
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+root = pathlib.Path({root!r})
+
+
+def export(rev, dest):
+    shutil.copytree(root / "perfbench", dest / "perfbench")
+    (root / "export.txt").write_text(str(dest))
+    return "0" * 40
+
+
+bench_pairs.ROOT = root
+bench_pairs.export_commit = export
+bench_pairs.compile_tree = lambda tree: None
+sys.exit(bench_pairs.main(["--pr", "t", "--pairs", "1", "--seconds", "1",
+                           "--workload", "fs-h1"]))
+"""
+
+_STUB_RUN = """
+import os, pathlib, time
+pathlib.Path({pid_file!r}).write_text(str(os.getpid()))
+time.sleep(60)
+"""
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _wait_for(predicate, seconds: float = 10.0) -> bool:
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.05)
+    return predicate()
+
+
+def test_sigterm_removes_the_export_and_kills_the_run(tmp_path):
+    # the tool (one process) runs a stub perfbench/run.py (the second)
+    # that sleeps; SIGTERM to the tool removes the export directory and
+    # kills the stub
+    root = tmp_path / "root"
+    (root / "src" / "torelli").mkdir(parents=True)
+    (root / "src" / "torelli" / "a.py").write_text("x = 1\n")
+    (root / "perfbench").mkdir()
+    pid_file = tmp_path / "run.pid"
+    (root / "perfbench" / "run.py").write_text(
+        _STUB_RUN.format(pid_file=str(pid_file)))
+    (root / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "pass_norm_s", "better": "lower",'
+        ' "bound": 0.25}]}')
+    driver = subprocess.Popen(
+        [sys.executable, "-c", _DRIVER.format(tool=str(_PATH),
+                                              root=str(root))],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    pid = None
+    try:
+        assert _wait_for(lambda: pid_file.exists()
+                         and pid_file.read_text().isdigit())
+        pid = int(pid_file.read_text())
+        export = Path((root / "export.txt").read_text())
+        assert export.is_dir() and _alive(pid)
+        driver.send_signal(signal.SIGTERM)
+        assert driver.wait(timeout=10) == 128 + signal.SIGTERM
+        assert _wait_for(lambda: not _alive(pid))
+        assert not export.parent.exists()
+        assert not (root / "BENCH_t.json").exists()
+    finally:
+        if driver.poll() is None:
+            driver.kill()
+            driver.wait(timeout=10)
+        if pid is not None and _alive(pid):
+            os.kill(pid, signal.SIGKILL)

@@ -59,6 +59,7 @@ from torelli import (
     word_text,
 )
 from torelli.drags import (
+    Action,
     DragGenerator,
     _drag_action,
     _moved_images,
@@ -73,6 +74,7 @@ from .oracles import (
     drag_action_words,
     drag_words_strategy,
     drag_words_toward_strategy,
+    fold_actions_eagerly,
     push_boundary_words,
     reduced_generating_set_direct,
     words_strategy,
@@ -115,6 +117,21 @@ def test_generator_shape_validation():
         DragGenerator("HD", (1, 2, 3))
     with pytest.raises(ValueError):
         DragGenerator("XY", (1, 2))
+
+
+def test_bare_generator_in_a_token_position_is_refused():
+    # a generator is a 2-tuple (kind, indices): in a token position it
+    # unpacks with its indices as the exponent, which is refused
+    g = hd(1, 2)
+    for w in ((g,), ((hd(2, 1), 1), g)):
+        with pytest.raises(PreconditionError, match="exponents must be"):
+            realize_word(CFG21, w)
+    # drag_word takes a bare generator as a token of exponent 1, and
+    # refuses a generator's fields or a generator as an exponent
+    assert drag_word(g) == ((g, 1),)
+    for token in (tuple(g), (g, hd(2, 1))):
+        with pytest.raises(ValueError, match="exponents must be"):
+            drag_word(token)
 
 
 def test_generator_domain_validation():
@@ -581,6 +598,25 @@ def test_sparse_images_materialize_to_realize_images(data):
     m = capped_rank(config)
     assert all(x != [k] for k, x in moved.items())
     assert _materialized(m, moved) == realize_images(config, w)
+
+
+@given(st.data())
+def test_fold_equals_a_fold_with_inverses_built_up_front(data):
+    # random actions, with a conjugator and without, moving one generator
+    # or several: the fold that builds an inverse image only when it is
+    # read gives every image, and the moved ones, of the eager fold
+    m = data.draw(st.integers(1, 5))
+    actions = []
+    for _ in range(data.draw(st.integers(0, 8))):
+        inner = data.draw(st.just(Word(m)) | words_strategy(m, 4))
+        moved = data.draw(st.lists(st.integers(1, m), min_size=1,
+                                   max_size=3, unique=True))
+        actions.append(Action(inner.letters, {
+            k: data.draw(words_strategy(m, 5)).letters for k in moved}))
+    want = fold_actions_eagerly(m, actions)
+    assert _realize_images(m, actions) == want
+    assert _moved_images(m, actions) == {
+        k: list(w.letters) for k, w in enumerate(want, 1) if w.letters != (k,)}
 
 
 @given(st.data())

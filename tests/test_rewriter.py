@@ -23,6 +23,7 @@ from torelli import (
     realize_word,
     rho,
     same_map,
+    standard_grid,
     tomaszewski_factor,
     wedge,
     word_text,
@@ -32,6 +33,7 @@ from torelli.johnson import ext_vector
 
 from .oracles import (
     commutator_words_strategy,
+    push_factorization_tokens,
     factor_word_words,
     mul_fold,
     words_strategy,
@@ -251,6 +253,29 @@ def test_push_factorization_reduced_and_realizes_push(w):
                 assert not _has_cancelling_pair(dw)
                 assert same_map(realize_word(config, dw),
                                 push_boundary(config, (r, s), w))
+
+
+@given(st.data())
+def test_push_factorization_equals_whole_conjugators_cancelled(data):
+    # emitting only the conjugator differences between factors gives the
+    # word of a whole W . BCD . W^-1 per factor, at every boundary
+    config = data.draw(st.sampled_from(
+        standard_grid(ns=(2, 3, 4, 5), bs=(1, 2, 3))))
+    w = data.draw(commutator_words_strategy(config.n))
+    for r, block in enumerate(config.partition, start=1):
+        for s in range(1, len(block) + 1):
+            assert push_factorization(config, (r, s), w) == \
+                push_factorization_tokens(config, (r, s), w)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n, k", [(999, 8), (3, 64)])
+def test_push_factorization_equals_whole_conjugators_at_the_cap(n, k):
+    # the two inputs at PUSH_MAX_TOKENS: 894,272 and 1,036,288 raw tokens
+    w = comm(power(gen(n, 1), k), power(gen(n, 2), k))
+    config = partition_config(n, 1, [[1]])
+    assert push_factorization(config, (1, 1), w) == \
+        push_factorization_tokens(config, (1, 1), w)
 
 
 def _raw_factors(w):

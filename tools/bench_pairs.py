@@ -5,7 +5,10 @@
 
 The committed files of ``--base`` (default ``HEAD~1``) are exported with
 ``git archive`` into a temporary directory, so no worktree is registered
-in the repository and nothing is left behind if a run is interrupted.
+in the repository.  Nothing is left behind if a run is interrupted, by
+Ctrl-C or by SIGTERM: SIGTERM raises ``SystemExit``, the export is
+removed on the way out, and the process group of the running
+``perfbench/run.py``, which starts in its own session, is killed.
 For each workload and pair, ``perfbench/run.py`` runs once in that copy
 and once in the working tree, on the same seed, alternating which side
 goes first.  The last line of each run's stdout is its JSON record.
@@ -38,9 +41,12 @@ the command then exits 1 (after writing the file).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
+import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -51,16 +57,40 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run in ``tree``; its final JSON record."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, check=False)
-    if proc.returncode != 0 or not proc.stdout.strip():
+    """One perfbench run in ``tree``; its final JSON record.  The run
+    starts in its own session, and if this call is left by an exception
+    its whole process group is killed."""
+    with subprocess.Popen(
+            [sys.executable, "perfbench/run.py", "--workload", workload,
+             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+            cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, start_new_session=True) as proc:
+        try:
+            stdout, stderr = proc.communicate()
+        except BaseException:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            raise
+    if proc.returncode != 0 or not stdout.strip():
         raise RuntimeError(f"perfbench failed in {tree} ({workload}, seed "
                            f"{seed}, exit {proc.returncode}): "
-                           f"{proc.stderr.strip()}")
-    return last_record(proc.stdout)
+                           f"{stderr.strip()}")
+    return last_record(stdout)
+
+
+@contextlib.contextmanager
+def _sigterm_exits():
+    """Inside the block SIGTERM raises ``SystemExit``, so that what the
+    block opened is closed on the way out."""
+
+    def stop(signum: int, frame) -> None:
+        raise SystemExit(128 + signum)
+
+    previous = signal.signal(signal.SIGTERM, stop)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 def last_record(stdout: str) -> dict:
@@ -191,7 +221,8 @@ def main(argv=None) -> int:
               "seconds": args.seconds, "python": platform.python_version(),
               "machine": platform.machine(), "workloads": {}}
     sources = result["change_sources_sha256"] = source_hash(ROOT)
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+    with _sigterm_exits(), \
+            tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         base_tree = Path(tmp) / "base"
         base_tree.mkdir()
         result["base"] = export_commit(args.base, base_tree)
