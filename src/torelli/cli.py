@@ -64,9 +64,11 @@ PUSH_MAX_TOKENS = 2 ** 20
 WORD_MAX_RANK = 1000
 # `rank` and `verify --config` realize the config's ~n^3 drag generators
 # and rank their Johnson images; the capped rank bounds n and b at once.
-# At the cap, `verify --all` of n = 12, b = 1 takes 1.8 s of CPU (45 MiB)
-# and `rank` of n = 13, b = 0 1.1 s, on a 2-vCPU Xeon host.  The CLI
-# sweep and the benchmark's grid reach capped rank 9 and 7.
+# At the cap, `verify --all` of n = 12, b = 1 takes 0.12-0.23 s of CPU
+# (22 MiB) and `rank` of n = 13, b = 0 0.03-0.05 s (21 MiB), on a 2-vCPU
+# Xeon host (1.8 s and 1.1 s when the cap was set); `verify_config` of
+# n = 20, b = 0 takes 0.7 s (36 MiB).  The CLI sweep and the benchmark's
+# grid reach capped rank 9 and 7.
 VERIFY_MAX_RANK = 13
 # `gens` lists them unrealized: 1.2 s, 84 MiB and 3.7 MB of stdout at
 # n = 64, b = 0; 3.9 s, 317 MiB and 14.6 MB at n = 100, b = 2.

@@ -21,8 +21,9 @@ The actions of the drags and pushes (``_drag_action``,
 each moved generator index to its image, all freely reduced letter
 tuples.  ``_accumulate`` is the one loop that builds images: it runs
 over ``Action``s in product order and rewrites only the generators each
-one moves, in an identity table (``words._Unmoved``) that its caller
-starts; the image of an inverse letter is built only when it is read.
+one moves, in a table (``words._Unmoved``) that the first action's
+images seed; the image of an inverse letter is built only when it is
+read.
 ``_realize_images`` reads back every image, as validated ``Word``s, for
 drag words, their inverses for the certificate and pushes.
 ``_moved_images`` reads back {k: image} for the generators the product
@@ -46,13 +47,13 @@ from typing import Callable, Iterable, NamedTuple
 
 from .config import CappedBasis, PartitionConfig, build_basis, capped_rank
 from .johnson import (
-    ExtVector,
+    Entries,
     HomTable,
     _flat_entries,
     _hom_table,
     _tau_columns,
+    _wedge,
     tau,
-    wedge,
 )
 from .lattice import _sparse_rank, smith_invariants
 from .words import (
@@ -329,20 +330,26 @@ def realize(config: PartitionConfig, g: DragGenerator) -> GroupMap:
     return realize_word(config, ((g, 1),))
 
 
-def _accumulate(table: _Unmoved, actions: Iterable[Action]) -> list[int]:
-    """Fold the product of ``actions`` (the leftmost outermost) into
-    ``table`` and return u, so that a_1 o ... o a_k = iota_u o phi with
-    phi in ``table``.  The caller starts ``table`` as the identity, an
-    empty ``words._Unmoved``.
+def _accumulate(actions: Iterable[Action]) -> tuple[_Unmoved, list[int]]:
+    """(table, u) for the product of ``actions`` (the leftmost
+    outermost), so that a_1 o ... o a_k = iota_u o phi with phi in
+    ``table``, a ``words._Unmoved``.
 
-    An action iota_c o B applies acc <- acc o iota_c o B =
+    The product starts as the identity, so the first action
+    iota_c o B is copied in: u = c, and the table holds B's images.
+    Each later action iota_c o B applies acc <- acc o iota_c o B =
     iota_{u . phi(c)} o (phi o B): u takes phi(c) on the right, and the
     images under B of the generators B moves are substituted into the
     old phi, every other image staying as it is.  The inverse image of
     a rewritten generator is deleted, and the table builds it again
-    only if it is read.
+    only if it is read.  The table's images are lists of its own, so
+    no ``Action`` shares one.
     """
-    u: list[int] = []
+    actions = iter(actions)
+    inner, action = next(actions, ((), {}))
+    table, u = _Unmoved(), list(inner)
+    for k, image in action.items():
+        table[k] = list(image)
     for inner, action in actions:
         if inner:
             _join(u, map(table.__getitem__, inner))
@@ -356,7 +363,7 @@ def _accumulate(table: _Unmoved, actions: Iterable[Action]) -> list[int]:
         for k, letters in moved:
             table[k] = letters
             table.pop(-k, None)
-    return u
+    return table, u
 
 
 def _table_images(m: int, table: _Unmoved, u: list[int]):
@@ -371,16 +378,14 @@ def _table_images(m: int, table: _Unmoved, u: list[int]):
 
 def _realize_images(m: int, actions: Iterable[Action]) -> tuple[Word, ...]:
     """The images of x_1..x_m under the product of ``actions``."""
-    table = _Unmoved()
-    u = _accumulate(table, actions)
+    table, u = _accumulate(actions)
     return tuple(Word(m, tuple(x)) for x in _table_images(m, table, u))
 
 
 def _moved_images(m: int, actions: Iterable[Action]) -> dict[int, list[int]]:
     """The product of ``actions`` read back as {k: image} for every x_k
     it moves: two maps are equal exactly when these dicts are."""
-    table = _Unmoved()
-    u = _accumulate(table, actions)
+    table, u = _accumulate(actions)
     if u:
         return {k: x for k, x in enumerate(_table_images(m, table, u), 1)
                 if x != [k]}
@@ -462,16 +467,17 @@ def reduced_generating_set(config: PartitionConfig) -> list[DragGenerator]:
     expresses them); with b = 0 there are no P-drags, and the grand
     relation removes HD(max{k != j}, j) for each j instead.
     """
-    n = config.n
+    return [g for g in all_generators(config) if not _dropped(config, g)]
 
-    def dropped(g: DragGenerator) -> bool:
-        if g.kind == "HD":
-            i, j = g.indices
-            return config.b == 0 and i == (n - 1 if j == n else n)
-        return (g.kind == "CD+" or (g.kind == "BCD" and g.indices[1] == 1)
-                or (g.kind == "PD" and g.indices[0] == 1))
 
-    return [g for g in all_generators(config) if not dropped(g)]
+def _dropped(config: PartitionConfig, g: DragGenerator) -> bool:
+    """Whether ``reduced_generating_set`` leaves g out."""
+    if g.kind == "HD":
+        i, j = g.indices
+        n = config.n
+        return config.b == 0 and i == (n - 1 if j == n else n)
+    return (g.kind == "CD+" or (g.kind == "BCD" and g.indices[1] == 1)
+            or (g.kind == "PD" and g.indices[0] == 1))
 
 
 def membership_IOP(config: PartitionConfig, f: GroupMap) -> bool:
@@ -588,20 +594,20 @@ def tau_star_formula(config: PartitionConfig, g: DragGenerator) -> HomTable:
 
 
 def _formula_columns(basis: CappedBasis,
-                     g: DragGenerator) -> dict[int, ExtVector]:
-    """The nonzero columns of ``tau_star_formula``: each listed column
-    is a wedge e_i ^ e_j with i != j."""
+                     g: DragGenerator) -> dict[int, Entries]:
+    """The nonzero columns of ``tau_star_formula``, as entries: each
+    listed column is a wedge e_i ^ e_j with i != j."""
     config, m = basis.config, basis.m
-    cols: dict[int, ExtVector] = {}
+    cols: dict[int, Entries] = {}
     if g.kind == "HD":
         i, j = g.indices
-        cols[i] = wedge(m, j, i)
+        cols[i] = _wedge(j, i)
     elif g.kind == "CD-":
         i, j, k = g.indices
-        cols[i] = wedge(m, j, k)
+        cols[i] = _wedge(j, k)
     elif g.kind == "CD+":
         i, j, k = g.indices
-        cols[i] = wedge(m, j, k, -1)
+        cols[i] = _wedge(j, k, -1)
     elif g.kind == "BCD":
         r, s, i, j = g.indices
         block = basis.block_indices(r)
@@ -609,21 +615,21 @@ def _formula_columns(basis: CappedBasis,
         if not singleton:
             if s > 1:
                 a = block[s - 2]
-                cols[a] = wedge(m, i, j, -1 if r > 1 else 1)
+                cols[a] = _wedge(i, j, -1 if r > 1 else 1)
             else:
                 for a in block:
-                    cols[a] = wedge(m, i, j, 1 if r > 1 else -1)
+                    cols[a] = _wedge(i, j, 1 if r > 1 else -1)
         # singleton blocks: conjugation, zero image
     else:  # PD
         r, j = g.indices
         if r > 1:
             for a in basis.block_indices(r):
-                cols[a] = wedge(m, j, a)
+                cols[a] = _wedge(j, a)
         else:
             block = set(basis.block_indices(1))
             for idx in range(1, m + 1):
                 if idx not in block and idx != j:
-                    cols[idx] = wedge(m, idx, j)
+                    cols[idx] = _wedge(idx, j)
     return cols
 
 
@@ -656,15 +662,20 @@ def abelianization_rank(config: PartitionConfig) -> tuple[int, int, list[int]]:
 
 
 def _rank_from_taus(config: PartitionConfig,
-                    taus: dict[DragGenerator, dict[int, ExtVector]]
+                    taus: dict[DragGenerator, dict[int, Entries]]
                     ) -> tuple[int, int, list[int]]:
     """``abelianization_rank`` from the nonzero Johnson columns
     (``johnson._tau_columns``) of ``all_generators(config)``.
 
     About 1% of a row's coordinates are nonzero, so rows stay sparse.
-    The Smith invariants are taken on the reduced rows restricted to
-    the union S of their supports: rows supported on S span a summand
-    of Z^N exactly when they span one of Z^S, and zero columns add no
+    The reduced set is the given generators less those ``_dropped``
+    names, as in ``reduced_generating_set``.  Its rows are reduced by
+    unit pivots alone (``_sparse_rank`` with ``unimodular``); when
+    every row keeps a +-1 lead they span a summand, and every Smith
+    invariant is 1.  Otherwise the invariants
+    are taken by ``smith_invariants`` on the rows restricted to the
+    union S of their supports: rows supported on S span a summand of
+    Z^N exactly when they span one of Z^S, and zero columns add no
     nonzero invariant.
     """
     m = capped_rank(config)
@@ -676,7 +687,11 @@ def _rank_from_taus(config: PartitionConfig,
         computed = _sparse_rank(rows + inner_rows) - _sparse_rank(inner_rows)
     else:
         computed = _sparse_rank(rows)
-    reduced_rows = [row_of[g] for g in reduced_generating_set(config)]
+    reduced_rows = [row for g, row in row_of.items()
+                    if not _dropped(config, g)]
+    units = _sparse_rank(reduced_rows, unimodular=True)
+    if units is not None:
+        return computed, formula_rank(config), [1] * units
     support = sorted(set().union(*reduced_rows))
     invariants = smith_invariants([[row.get(c, 0) for c in support]
                                    for row in reduced_rows])
@@ -701,9 +716,10 @@ def verify_config(config: PartitionConfig, mode: str = "all") -> list[Check]:
 
     Every realization reads one ``_word_actions`` table of all the
     generators, and every check compares only moved images
-    (``_moved_images``) or nonzero tau columns.  Membership checks each
-    generator's homology once, and one that fails it fails its
-    tau_table check and the rank check.
+    (``_moved_images``) or nonzero tau columns, as {(i, j): c} entries.
+    Membership checks each generator's homology once, and one that
+    fails it fails its tau_table check and the rank check, which
+    decides its Smith invariants by unit pivots (``_rank_from_taus``).
     """
     if mode not in ("membership", "relations", "all"):
         raise ValueError(f"unknown verify mode {mode!r}")

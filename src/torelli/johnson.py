@@ -23,6 +23,10 @@ from .words import (
 )
 
 
+# the nonzero {(i, j): c}, i < j, of an element of wedge^2 Z^rank
+Entries = dict[tuple[int, int], int]
+
+
 @dataclass(frozen=True)
 class ExtVector:
     """Element of wedge^2 Z^rank; coeffs holds (i, j, c) with i < j,
@@ -79,8 +83,14 @@ def wedge(rank: int, i: int, j: int, c: int = 1) -> ExtVector:
     return ext_vector(rank, {(i, j): c})
 
 
-def _rho_letters(rank: int, letters: Iterable[int]) -> ExtVector:
-    """rho of a letter sequence whose exponent sums are all zero.
+def _wedge(i: int, j: int, c: int = 1) -> Entries:
+    """The entries of ``wedge`` for i != j and c != 0."""
+    return {(i, j): c} if i < j else {(j, i): -c}
+
+
+def _rho_letters(rank: int, letters: Iterable[int]) -> Entries:
+    """rho of a letter sequence whose exponent sums are all zero, as
+    its nonzero {(i, j): c} entries, i < j.
 
     Single left-to-right scan: the (i, j) coefficient (i < j) is
     sum over positions s < t of eps_s eps_t [idx_s = i][idx_t = j],
@@ -90,7 +100,7 @@ def _rho_letters(rank: int, letters: Iterable[int]) -> ExtVector:
     letter, so the letters need not be freely reduced.
     """
     prefix = [0] * (rank + 1)
-    table: dict[tuple[int, int], int] = {}
+    table: Entries = {}
     for letter in letters:
         k = abs(letter)
         eps = 1 if letter > 0 else -1
@@ -99,7 +109,7 @@ def _rho_letters(rank: int, letters: Iterable[int]) -> ExtVector:
                 key = (i, k)
                 table[key] = table.get(key, 0) + prefix[i] * eps
         prefix[k] += eps
-    return ext_vector(rank, table)
+    return {key: c for key, c in table.items() if c}
 
 
 def rho(w: Word) -> ExtVector:
@@ -109,7 +119,7 @@ def rho(w: Word) -> ExtVector:
         raise PreconditionError(
             "rho needs a word with zero abelianization, got "
             f"{abelianization_vector(w)}")
-    return _rho_letters(w.rank, w.letters)
+    return ext_vector(w.rank, _rho_letters(w.rank, w.letters))
 
 
 @dataclass(frozen=True)
@@ -135,10 +145,10 @@ class HomTable:
                             for col in self.columns]}
 
 
-def _hom_table(rank: int, columns: dict[int, ExtVector]) -> HomTable:
-    """The table with these {1-based index: column} columns, absent
+def _hom_table(rank: int, columns: dict[int, Entries]) -> HomTable:
+    """The table with these {1-based index: entries} columns, absent
     ones zero."""
-    return HomTable(rank, tuple(columns.get(i, ExtVector(rank))
+    return HomTable(rank, tuple(ext_vector(rank, columns.get(i, {}))
                                 for i in range(1, rank + 1)))
 
 
@@ -152,25 +162,26 @@ def tau(f: GroupMap) -> HomTable:
     return _hom_table(f.rank, _tau_columns(f.rank, _image_dict(f.images)))
 
 
-def _tau_columns(rank: int, images: dict) -> dict[int, ExtVector]:
-    """The nonzero columns of ``tau`` of a map the caller knows to be
-    homology-trivial, from {k: letters} images that may list only the
-    moved generators: a fixed generator's column is zero.  Each column
+def _tau_columns(rank: int, images: dict) -> dict[int, Entries]:
+    """The nonzero columns of ``tau``, as ``_rho_letters`` entries, of
+    a map the caller knows to be homology-trivial, from {k: letters}
+    images that may list only the moved generators: a fixed
+    generator's column is zero.  Each column
     runs the letter kernel of ``rho`` on the letters of f(x_k) followed
     by x_k^-1, with no product word built: rho does not see free
     reduction."""
     columns = ((k, _rho_letters(rank, (*x, -k))) for k, x in images.items())
-    return {k: col for k, col in columns if col.coeffs}
+    return {k: col for k, col in columns if col}
 
 
-def _flat_entries(rank: int, columns: dict[int, ExtVector]) -> dict[int, int]:
+def _flat_entries(rank: int, columns: dict[int, Entries]) -> dict[int, int]:
     """The nonzero entries of ``flatten`` of the table with these
-    {1-based index: column} columns, absent ones zero, as
-    {coordinate: value}, read straight from the column coefficients."""
+    {1-based index: entries} columns, absent ones zero, as
+    {coordinate: value}."""
     width = rank * (rank - 1) // 2
     entries: dict[int, int] = {}
-    for col, ext in columns.items():
-        for i, j, c in ext.coeffs:
+    for col, table in columns.items():
+        for (i, j), c in table.items():
             # (i, j) is preceded by the pairs (a, b), a < i, and (i, b), b < j
             entries[(col - 1) * width + (i - 1) * rank - (i - 1) * i // 2
                     + j - i - 1] = c
@@ -181,7 +192,9 @@ def flatten(t: HomTable) -> tuple[int, ...]:
     """Fixed coordinate layout: column-major, (i, j) lexicographic inside
     each column; length rank * rank * (rank - 1) / 2."""
     out = [0] * (t.rank * t.rank * (t.rank - 1) // 2)
-    entries = _flat_entries(t.rank, dict(enumerate(t.columns, 1)))
+    entries = _flat_entries(t.rank, {
+        k: {(i, j): c for i, j, c in col.coeffs}
+        for k, col in enumerate(t.columns, 1)})
     for c, x in entries.items():
         out[c] = x
     return tuple(out)

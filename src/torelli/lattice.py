@@ -99,7 +99,8 @@ def det(a: Matrix) -> int:
     return sign * m[k - 1][k - 1]
 
 
-def _sparse_rank(rows: Iterable[SparseRow], limit: int | None = None) -> int:
+def _sparse_rank(rows: Iterable[SparseRow], limit: int | None = None,
+                 unimodular: bool = False) -> int | None:
     """Rank over Q of integer rows given as {column: value}.
 
     Fraction-free elimination, each row divided by the gcd of its
@@ -111,6 +112,13 @@ def _sparse_rank(rows: Iterable[SparseRow], limit: int | None = None) -> int:
     With a limit that the caller knows the rank cannot exceed, no row
     is drawn once the rank reaches it, so a lazy row iterator is
     consumed only as far as needed.
+
+    With ``unimodular``, every step keeps the lattice the rows span: a
+    pivot needs a +-1 lead, and the result is None as soon as a row
+    reduces to zero, to a non-unit lead or to a common factor.
+    Otherwise the pivots are triangular with +-1 on their leads, so the
+    rows span a summand of rank len(rows), which is returned, and every
+    Smith invariant of the rows is 1.
     """
     pivots: dict[int, SparseRow] = {}
     for row in rows:
@@ -119,6 +127,8 @@ def _sparse_rank(rows: Iterable[SparseRow], limit: int | None = None) -> int:
             lead = max(row)
             pivot = pivots.get(lead)
             if pivot is None:
+                if unimodular and abs(row[lead]) != 1:
+                    return None
                 pivots[lead] = row
                 break
             p, q = pivot[lead], row[lead]
@@ -134,7 +144,11 @@ def _sparse_rank(rows: Iterable[SparseRow], limit: int | None = None) -> int:
                     del row[c]
             g = gcd(*row.values())
             if g > 1:
+                if unimodular:
+                    return None
                 row = {c: x // g for c, x in row.items()}
+        if unimodular and not row:
+            return None
         if len(pivots) == limit:
             break
     return len(pivots)

@@ -107,6 +107,22 @@ def test_verify_config_past_the_composition_sweep(n, partition):
     assert not failed, failed
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("n, counts", [
+    (16, {"membership": 3600, "pd_relation": 16, "cd_identity": 1680,
+          "tau_table": 3600, "rank": 1}),
+    (20, {"membership": 7220, "pd_relation": 20, "cd_identity": 3420,
+          "tau_table": 7220, "rank": 1}),
+])
+def test_verify_config_anchors_past_the_cli_cap(n, counts):
+    # b = 0 at capped ranks 16 and 20, past VERIFY_MAX_RANK, as library
+    # calls; each count is the closed form written out
+    config = T.partition_config(n, 0, [])
+    assert _closed_form_counts(config) == {"bcd_relation": 0, **counts}
+    failed = [check for check in _grid_checks(config) if not check.ok]
+    assert not failed, failed
+
+
 def _verdicts(name):
     """(config, check) for every check of the given name on the grid."""
     return [(config, check) for config in GRID

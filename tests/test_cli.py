@@ -204,10 +204,10 @@ def _count_image_realizations(monkeypatch) -> list:
     seen: list = []
     loop = drags._accumulate
 
-    def counted(table, actions):
+    def counted(actions):
         actions = tuple(actions)
         seen.append(actions)
-        return loop(table, actions)
+        return loop(actions)
 
     monkeypatch.setattr(drags, "_accumulate", counted)
     return seen

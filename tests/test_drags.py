@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -5,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from torelli import (
-    ExtVector,
     GroupMap,
     ParseError,
     PreconditionError,
@@ -22,6 +22,7 @@ from torelli import (
     drag_word,
     drag_word_inv,
     drag_word_text,
+    ext_vector,
     flatten,
     formula_rank,
     gen,
@@ -58,6 +59,7 @@ from torelli import (
     verify_pd_relation,
     word_text,
 )
+from torelli import drags
 from torelli.drags import (
     Action,
     DragGenerator,
@@ -67,7 +69,7 @@ from torelli.drags import (
     _rank_from_taus,
     _realize_images,
 )
-from torelli.johnson import _tau_columns
+from torelli.johnson import _hom_table, _tau_columns
 from torelli.words import _certified, _homology_trivial
 
 from .oracles import (
@@ -538,6 +540,55 @@ def test_sparse_rank_route_equals_the_dense_route():
             _dense_rank_from_taus(config, dense), config
 
 
+def test_rank_check_falls_back_to_the_dense_smith_form(monkeypatch):
+    # Johnson rows of the reduced set that the unit pivots cannot
+    # decide, one row doubled (a non-unit lead) or repeated (a row that
+    # reduces to zero), go through smith_invariants on the dense rows;
+    # the real rows never do
+    dense_calls = []
+    real_smith = drags.smith_invariants
+    monkeypatch.setattr(drags, "smith_invariants",
+                        lambda a: dense_calls.append(a) or real_smith(a))
+    for config in (CFG30, CFG23):
+        m, gens = capped_rank(config), all_generators(config)
+        taus = {g: _tau_columns(m, _moved_word_images(config, ((g, 1),)))
+                for g in gens}
+        first, second = reduced_generating_set(config)[:2]
+        assert _rank_from_taus(config, taus)[2] == [1] * len(
+            reduced_generating_set(config))
+        assert not dense_calls
+        doubled = {k: {key: 2 * c for key, c in col.items()}
+                   for k, col in taus[first].items()}
+        for forced in ({**taus, first: doubled},
+                       {**taus, second: taus[first]}):
+            dense = [list(flatten(_hom_table(m, forced[g])))
+                     for g in reduced_generating_set(config)]
+            invariants = _rank_from_taus(config, forced)[2]
+            assert dense_calls.pop() and not dense_calls
+            assert invariants == smith_invariants(dense) == \
+                snf(dense).invariants()
+            assert invariants != [1] * len(dense)
+
+
+def test_verify_config_leaves_the_action_table_unchanged(monkeypatch):
+    # the first action of every realization seeds its image table with
+    # copies, so no check writes into the shared table of actions
+    tables = []
+    real = drags._word_actions
+
+    def recorded(config, w):
+        m, actions = real(config, w)
+        tables.append((actions, copy.deepcopy(actions)))
+        return m, actions
+
+    monkeypatch.setattr(drags, "_word_actions", recorded)
+    for config in (*FOLD_CONFIGS, *INNER_CONFIGS):
+        assert all(check.ok for check in verify_config(config))
+    assert len(tables) == len(FOLD_CONFIGS) + len(INNER_CONFIGS)
+    for actions, snapshot in tables:
+        assert actions == snapshot
+
+
 def _materialized(m: int, moved: dict) -> tuple:
     """The full image tuple of the map with these moved images."""
     return tuple(Word(m, tuple(moved.get(k, [k]))) for k in range(1, m + 1))
@@ -564,7 +615,7 @@ def test_sparse_membership_and_tau_equal_the_dense_checks():
             assert _homology_trivial(moved) == (abelianization_matrix(f) == [
                 [int(a == b) for b in range(m)] for a in range(m)])
             columns = _tau_columns(m, moved)
-            full = tuple(columns.get(k, ExtVector(m))
+            full = tuple(ext_vector(m, columns.get(k, {}))
                          for k in range(1, m + 1))
             assert full == tau(f).columns == \
                 tau_star_formula(config, g).columns

@@ -82,6 +82,65 @@ def test_sparse_rank_matches_sympy(m):
     assert matrix_rank(m) == expected
 
 
+@st.composite
+def unit_pivot_rows(draw):
+    """(width, sparse rows): mostly +-1 entries on a few columns, as in
+    the rank check's Johnson rows, mixed with rows that have no +-1
+    entry, integer combinations of earlier rows and zero rows."""
+    width = draw(st.integers(min_value=1, max_value=7))
+    column = st.integers(min_value=0, max_value=width - 1)
+    rows: list[dict[int, int]] = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        kind = draw(st.sampled_from(["unit", "unit", "no unit", "combination",
+                                     "zero"]))
+        if kind == "combination" and rows:
+            a, b = draw(st.lists(st.sampled_from(rows), min_size=2,
+                                 max_size=2))
+            p, q = draw(st.lists(st.integers(-2, 2), min_size=2,
+                                 max_size=2))
+            row = {c: p * a.get(c, 0) + q * b.get(c, 0)
+                   for c in a.keys() | b.keys()}
+            rows.append({c: x for c, x in row.items() if x})
+        elif kind == "zero":
+            rows.append({})
+        else:
+            values = [1, -1, 2] if kind == "unit" else [2, -2, 3, -4]
+            rows.append(draw(st.dictionaries(column, st.sampled_from(values),
+                                             min_size=1, max_size=3)))
+    return width, rows
+
+
+@given(unit_pivot_rows())
+@example((2, [{0: 1}, {0: 1}]))
+@example((2, [{0: 1}, {}]))
+@example((2, [{0: 2, 1: 3}]))
+@example((3, [{2: 1, 0: 1}, {2: 1, 1: 1}]))
+@example((3, [{2: 1, 0: 2}, {2: 1, 1: 2}]))
+def test_unit_pivot_decision_agrees_with_spans_summand(case):
+    # the unimodular mode claims a summand only where spans_summand and
+    # the Smith invariants do; rows it cannot decide (a non-unit lead,
+    # a common factor, a zero or dependent row) get None, and rows with
+    # one +-1 entry each on distinct columns, the shape of the rank
+    # check's rows, are always decided
+    width, rows = case
+    before = [dict(row) for row in rows]
+    units = lattice._sparse_rank(rows, unimodular=True)
+    assert rows == before
+    dense = [[row.get(c, 0) for c in range(width)] for row in rows]
+    if units is not None:
+        assert units == len(rows)
+        assert spans_summand(dense)
+        assert smith_invariants(dense) == snf(dense).invariants() == \
+            [1] * len(rows)
+    else:
+        assert rows
+    if not spans_summand(dense):
+        assert units is None
+    leads = [c for row in rows for c, x in row.items() if abs(x) == 1]
+    if all(len(row) == 1 for row in rows) and len(set(leads)) == len(rows):
+        assert units == len(rows)
+
+
 def _d2(triangles, edges):
     """Dense boundary matrix of oriented triangles u < v < w."""
     index = {e: i for i, e in enumerate(edges)}
