@@ -36,31 +36,31 @@ COMPLETE_BASIS_MAX_N = 54
 # `rewrite` and `push-factor` expand each letter of the word into
 # Schreier factors; the raw count, before any cancels, is known from
 # one scan.  At n = 3, x1^k x2^k x1^-k x2^-k has k^2 of them: `push-factor`
-# takes 0.13-0.2 s of CPU at k = 40 and 0.5-0.7 s at k = 64 (the cap),
-# and its work at k = 80 takes 0.9-1.3 s in the library, on a 2-vCPU
-# Xeon host under varying load.  Seeded words of about 100 letters, as
-# in the push-long benchmark, stay below 100.
+# takes 0.11-0.19 s of CPU at k = 40 and 0.42-0.72 s at k = 64 (the
+# cap), and its work at k = 80 takes 0.78-1.1 s in the library, on a
+# 2-vCPU Xeon host under varying load.  Seeded words of about 100
+# letters, as in the push-long benchmark, stay below 100.
 REWRITE_MAX_FACTORS = 4096
 # `push-factor`'s drag word, with a whole W . BCD . W^-1 for each
 # Schreier factor m [x_i, x_j] m^-1, has 2 (n - 1) |d|_1 + 1 tokens per
 # factor before free reduction, d the exponents of m; this raw count
 # comes from the same scan and bounds the tokens it emits.  At the
 # cap it admits x1^64 x2^64 x1^-64 x2^-64 at n = 3 (1,036,288 tokens,
-# 0.5-0.7 s of CPU) and x1^8 x2^8 x1^-8 x2^-8 at n = 999 (894,272 tokens,
-# 0.45-0.7 s), and refuses the same word with exponent 16 at n = 300
-# (2,296,576 tokens, 0.6-0.95 s of work in the library) and exponent 64
-# at n = 999 (515,067,904), on a 2-vCPU Xeon host.  Seeded words of
-# about 100 letters, as in the push-long benchmark, count a few hundred
-# (at most 632 over seeds 0-11).
+# 0.42-0.72 s of CPU) and x1^8 x2^8 x1^-8 x2^-8 at n = 999 (894,272
+# tokens, 0.37-0.69 s), and refuses the same word with exponent 16 at
+# n = 300 (2,296,576 tokens, 0.51-0.95 s of work in the library) and
+# exponent 64 at n = 999 (515,067,904), on a 2-vCPU Xeon host.  Seeded
+# words of about 100 letters, as in the push-long benchmark, count a few
+# hundred (at most 632 over seeds 0-11).
 PUSH_MAX_TOKENS = 2 ** 20
 # `rho` and `rewrite` allocate rank-sized lists, and each Schreier
 # factor carries up to n conjugator exponents; `tau`, `realize`, `push`
 # and `push-factor` build a map of the config's capped rank, which they
 # check against the same cap.  At the cap, `rewrite` of
-# x1^64 x2^64 x1^-64 x2^-64 (4096 factors) takes 1.7 s of CPU and peaks
-# at 99 MiB, printing 8.3 MB, on a 2-vCPU Xeon host; `rho`, `rewrite`
-# and `push-factor` of x1 x2 x1^-1 x2^-1 take under 0.02 s, and `tau`,
-# `realize` and `push` of a few tokens under 0.3 s.
+# x1^64 x2^64 x1^-64 x2^-64 (4096 factors) takes 0.74-1.4 s of CPU and
+# peaks at 98 MiB, printing 8.3 MB, on a 2-vCPU Xeon host; `rho`,
+# `rewrite` and `push-factor` of x1 x2 x1^-1 x2^-1 take under 0.02 s,
+# and `tau`, `realize` and `push` of a few tokens under 0.3 s.
 WORD_MAX_RANK = 1000
 # `rank` and `verify --config` realize the config's ~n^3 drag generators
 # and rank their Johnson images; the capped rank bounds n and b at once.
@@ -348,11 +348,12 @@ def push_factor(config_text: str, boundary: str, word_text: str) -> dict:
         raise words.PreconditionError(
             f"push-factor: {tokens} drag tokens exceed PUSH_MAX_TOKENS"
             f" = {PUSH_MAX_TOKENS}")
+    m, push_action = drags._checked_push(config, addr, w)
     dw = rewriter.push_factorization(config, addr, w)
-    # maps are equal when their images are; no inverse image is built
-    # on either side
-    matches = (drags.realize_images(config, dw)
-               == drags._push_images(config, addr, w))
+    # maps are equal when their moved images are; no inverse image is
+    # built on either side
+    matches = (drags._moved_word_images(config, dw)
+               == drags._moved_images(m, (push_action,)))
     return {"drags": drags.drag_word_text(dw), "matches_push": matches}
 
 

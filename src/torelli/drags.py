@@ -25,11 +25,13 @@ one moves, in a table (``words._Unmoved``) that the first action's
 images seed; the image of an inverse letter is built only when it is
 read.
 ``_realize_images`` reads back every image, as validated ``Word``s, for
-drag words, their inverses for the certificate and pushes.
-``_moved_images`` reads back {k: image} for the generators the product
-moves, and the verifier's membership, tau, rank and relation checks
-compare only those.  A push at boundary (1, 1) and PD(1, j) conjugate
-every generator off block 1, so their ``Action`` is an inner
+the maps that are printed or returned: drag words, their inverses for
+the certificate, and pushes.  ``_moved_images`` reads back {k: image}
+for the generators the product moves, and the checks compare only
+those: the verifier's membership, tau, rank and relation checks, and
+``push-factor``'s match of a drag word with its push (on the
+``_checked_push`` action).  A push at boundary (1, 1) and PD(1, j)
+conjugate every generator off block 1, so their ``Action`` is an inner
 automorphism followed by a correction on block 1; the loop keeps the
 conjugator apart and applies it once, at the end.
 
@@ -271,18 +273,25 @@ def _push_action(basis: CappedBasis, r: int, s: int,
     return Action((), action)
 
 
-def _push_images(config: PartitionConfig, boundary: tuple[int, int],
-                 gamma: Word) -> tuple[Word, ...]:
-    """The generator images of the push of boundary (r, s) around the
-    loop gamma (a rank-n word), without a certificate."""
+def _checked_push(config: PartitionConfig, boundary: tuple[int, int],
+                  gamma: Word) -> tuple[int, Action]:
+    """(capped rank, ``Action``) of the push of boundary (r, s) around the
+    loop gamma, once the boundary and the rank of gamma are checked."""
     r, s = boundary
     _check_boundary(config, r, s)
     if gamma.rank != config.n:
         raise PreconditionError(
             f"push loop must have rank n = {config.n}, got {gamma.rank}")
     basis = build_basis(config)
-    action = _push_action(basis, r, s, gamma.letters)
-    return _realize_images(basis.m, (action,))
+    return basis.m, _push_action(basis, r, s, gamma.letters)
+
+
+def _push_images(config: PartitionConfig, boundary: tuple[int, int],
+                 gamma: Word) -> tuple[Word, ...]:
+    """The generator images of the push of boundary (r, s) around the
+    loop gamma (a rank-n word), without a certificate."""
+    m, action = _checked_push(config, boundary, gamma)
+    return _realize_images(m, (action,))
 
 
 def push_boundary(config: PartitionConfig, boundary: tuple[int, int],

@@ -66,23 +66,53 @@ def parse_factor(text: str) -> TomaszewskiFactor:
 def _conjugator(f: TomaszewskiFactor) -> list[int]:
     """The letters of m = x_n^{d_n} ... x_i^{d_i}, indices descending."""
     m: list[int] = []
-    for idx in range(f.rank, f.i - 1, -1):
-        e = f.d[idx - f.i]
+    for idx, e in zip(range(f.rank, f.i - 1, -1), reversed(f.d)):
         if e:
-            m.extend([idx if e > 0 else -idx] * abs(e))
+            m += [idx if e > 0 else -idx] * abs(e)
     return m
 
 
-def _factor_letters(f: TomaszewskiFactor) -> tuple[int, ...]:
-    """The letters of m [x_i, x_j] m^-1, unreduced: they cancel where the
-    conjugator meets the commutator (d_i < 0), so callers reduce them."""
-    m = _conjugator(f)
-    return (*m, f.i, f.j, -f.i, -f.j, *(-x for x in reversed(m)))
-
-
 def factor_word(f: TomaszewskiFactor) -> Word:
-    """The conjugated commutator m [x_i, x_j] m^-1, reduced."""
-    return reduce(_factor_letters(f), f.rank)
+    """The conjugated commutator m [x_i, x_j] m^-1, reduced: the
+    conjugator cancels into the commutator where d_i < 0."""
+    m = _conjugator(f)
+    return reduce((*m, f.i, f.j, -f.i, -f.j, *(-x for x in reversed(m))),
+                  f.rank)
+
+
+def _conjugators(factors) -> dict[TomaszewskiFactor, list[int]]:
+    """{f: ``_conjugator(f)``}, built once for each distinct factor."""
+    return {f: _conjugator(f) for f in dict.fromkeys(f for f, _ in factors)}
+
+
+def _steps(factors, conjugators):
+    """For each factor (f, e), f's conjugator m: (drop, add, f, e), the
+    rests of the previous conjugator and of m after their common prefix
+    (taken on letters); then (the last conjugator, [], None, 0).  The
+    product is drop^-1 . add . [x_i, x_j]^e, step by step, then the last
+    conjugator's inverse."""
+    last: list[int] = []
+    for f, e in factors:
+        m = conjugators[f]
+        p, limit = 0, min(len(last), len(m))
+        while p < limit and last[p] == m[p]:
+            p += 1
+        yield last[p:], m[p:], f, e
+        last = m
+    yield last, [], None, 0
+
+
+def _product(factors, conjugators, rank: int) -> Word:
+    """The product of the factors, from the letters of ``_steps``,
+    reduced in one pass and validated as one ``Word``."""
+    letters: list[int] = []
+    for drop, add, f, e in _steps(factors, conjugators):
+        letters += [-x for x in reversed(drop)]
+        letters += add
+        if f is not None:
+            letters += ((f.i, f.j, -f.i, -f.j) if e == 1
+                        else (f.j, f.i, -f.j, -f.i))
+    return reduce(letters, rank)
 
 
 @dataclass(frozen=True)
@@ -91,13 +121,11 @@ class Factorization:
     factors: tuple[tuple[TomaszewskiFactor, int], ...]
 
     def multiply_back(self) -> Word:
-        """The product of the factors, reduced in one pass over all of
-        their letters and validated as one ``Word``."""
-        letters: list[int] = []
-        for f, e in self.factors:
-            piece = _factor_letters(f)
-            letters.extend(piece if e == 1 else [-x for x in reversed(piece)])
-        return reduce(letters, self.word.rank)
+        """The product of the factors, reduced: each distinct factor's
+        conjugator is built once, and consecutive factors contribute
+        only the difference of their conjugators (``_steps``)."""
+        return _product(self.factors, _conjugators(self.factors),
+                        self.word.rank)
 
 
 def in_commutator_subgroup(w: Word) -> bool:
@@ -179,8 +207,17 @@ def tomaszewski_factor(w: Word) -> Factorization:
     x_k emits the Schreier generator at (a, k) and then increments a_k;
     a negative letter decrements first and emits the inverse.  Factors
     cancel against their inverses as they are emitted.  The
-    multiply-back certificate is checked before returning.
+    multiply-back certificate is checked before returning: the whole
+    reduced product, built as in ``Factorization.multiply_back``, must
+    equal w.
     """
+    return _factorize(w)[0]
+
+
+def _factorize(w: Word) -> tuple[Factorization, dict]:
+    """``tomaszewski_factor(w)`` and the ``_conjugators`` of its factors,
+    which its multiply-back check builds and ``push_factorization``
+    reads again."""
     if not in_commutator_subgroup(w):
         raise PreconditionError(
             "factorization needs a commutator-subgroup word, abelianization "
@@ -197,9 +234,10 @@ def tomaszewski_factor(w: Word) -> Factorization:
             _cancel_onto(factors, ((f, -e) for f, e
                                    in reversed(_expand_gamma(a, k))))
     result = Factorization(w, tuple(factors))
-    if result.multiply_back() != w:
+    conjugators = _conjugators(factors)
+    if _product(factors, conjugators, w.rank) != w:
         raise AssertionError("factorization failed its multiply-back check")
-    return result
+    return result, conjugators
 
 
 # --- pushes as drag words ---------------------------------------------------
@@ -216,37 +254,32 @@ def push_factorization(config: PartitionConfig, boundary: tuple[int, int],
     BCD(r,s,i,j)^-1.  Between consecutive factors only W^-1 of the rest
     of the previous conjugator after their common prefix, then W of the
     rest of the next, is emitted: the same element of the free group on
-    the tokens, whose free reduction ``_cancel_onto`` keeps.  The prefix
-    is taken on letters, since the block of x^-1 is not the token
-    inverse of the block of x.
+    the tokens, whose free reduction ``_cancel_onto`` keeps; the walk
+    is ``_steps``, which the multiply-back check also takes, on the
+    conjugators that check built.  The prefix is taken on letters,
+    since the block of x^-1 is not the token inverse of the block of x.
     """
     if w.rank != config.n:
         raise PreconditionError(
             f"push word must have rank n = {config.n}, got {w.rank}")
+    fact, conjugators = _factorize(w)
     # letter -> (its handle drags, their inverse), built once per letter;
     # BCD(r, s, i, j) built once per (i, j)
     blocks: dict[int, tuple[tuple, tuple]] = {}
     pushes: dict[tuple[int, int], DragGenerator] = {}
     out: list[tuple] = []
-    last: list[int] = []
-    for f, e in tomaszewski_factor(w).factors:
-        m = _conjugator(f)
-        p, limit = 0, min(len(last), len(m))
-        while p < limit and last[p] == m[p]:
-            p += 1
-        for x in reversed(last[p:]):
+    for drop, add, f, e in _steps(fact.factors, conjugators):
+        for x in reversed(drop):
             _cancel_onto(out, blocks[x][1])
-        for x in m[p:]:
+        for x in add:
             if x not in blocks:
                 idx, sign = abs(x), 1 if x > 0 else -1
                 block = tuple((hd(a, idx), sign)
                               for a in range(1, config.n + 1) if a != idx)
                 blocks[x] = block, drag_word_inv(block)
             _cancel_onto(out, blocks[x][0])
-        if (f.i, f.j) not in pushes:
-            pushes[f.i, f.j] = bcd(*boundary, f.i, f.j)
-        _cancel_onto(out, ((pushes[f.i, f.j], -e),))
-        last = m
-    for x in reversed(last):
-        _cancel_onto(out, blocks[x][1])
+        if f is not None:
+            if (f.i, f.j) not in pushes:
+                pushes[f.i, f.j] = bcd(*boundary, f.i, f.j)
+            _cancel_onto(out, ((pushes[f.i, f.j], -e),))
     return tuple(out)

@@ -122,6 +122,11 @@ def _read_index(text: str) -> int | None:
 
 
 def parse_word(text: str, rank: int) -> Word:
+    """The reduced word that ``text`` spells at the given rank.
+
+    Each distinct token is read once per call; a token that cannot be
+    read raises a ``ParseError`` naming its first position, before it
+    is ever stored."""
     # the rank is checked before any token, so a bad rank is one domain
     # error whatever the text is
     if rank < 1:
@@ -131,18 +136,22 @@ def parse_word(text: str, rank: int) -> Word:
         raise ParseError("empty input; the identity is written 'e'")
     if tokens == ["e"]:
         return Word(rank)
+    read: dict[str, int] = {}
     letters: list[int] = []
     for pos, token in enumerate(tokens, start=1):
-        body, negative = token, False
-        if token.endswith("^-1"):
-            body, negative = token[:-3], True
-        k = _read_index(body[1:]) if body.startswith("x") else None
-        if k is None:
-            raise ParseError(f"token {pos}: cannot read {token!r}")
-        if not 1 <= k <= rank:
-            raise ParseError(
-                f"token {pos}: index {k} out of range for rank {rank}")
-        letters.append(-k if negative else k)
+        letter = read.get(token)
+        if letter is None:
+            body, negative = token, False
+            if token.endswith("^-1"):
+                body, negative = token[:-3], True
+            k = _read_index(body[1:]) if body.startswith("x") else None
+            if k is None:
+                raise ParseError(f"token {pos}: cannot read {token!r}")
+            if not 1 <= k <= rank:
+                raise ParseError(
+                    f"token {pos}: index {k} out of range for rank {rank}")
+            letter = read[token] = -k if negative else k
+        letters.append(letter)
     return reduce(letters, rank)
 
 

@@ -10,7 +10,8 @@ actions and Tomaszewski factors built from validated words, products by
 a left fold of ``mul``, the reduced generating set enumerated family by
 family, folds of drag actions over whole images with every inverse built
 up front, push factorizations with a whole conjugating drag word per
-factor, and word strategies for property tests.
+factor, words parsed token by token with no memory of earlier tokens,
+and word strategies for property tests.
 """
 
 import itertools
@@ -21,6 +22,8 @@ from hypothesis import strategies as st
 
 from torelli import (
     HomTable,
+    ParseError,
+    PreconditionError,
     Word,
     bcd,
     build_basis,
@@ -40,6 +43,7 @@ from torelli import (
     spans_summand,
     tomaszewski_factor,
 )
+from torelli.words import _read_index
 
 # --- truncated Magnus series ------------------------------------------------
 #
@@ -228,6 +232,33 @@ def push_factorization_tokens(config, boundary, w) -> tuple:
             else:
                 out.append((g, sign))
     return tuple(out)
+
+
+# --- words parsed token by token -------------------------------------------
+
+def parse_word_per_token(text: str, rank: int) -> Word:
+    """``parse_word`` reading every token from scratch, repeats included:
+    the same word, or the same error naming the same token position."""
+    if rank < 1:
+        raise PreconditionError(f"rank must be >= 1, got {rank}")
+    tokens = text.split()
+    if not tokens:
+        raise ParseError("empty input; the identity is written 'e'")
+    if tokens == ["e"]:
+        return Word(rank)
+    letters: list[int] = []
+    for pos, token in enumerate(tokens, start=1):
+        body, negative = token, False
+        if token.endswith("^-1"):
+            body, negative = token[:-3], True
+        k = _read_index(body[1:]) if body.startswith("x") else None
+        if k is None:
+            raise ParseError(f"token {pos}: cannot read {token!r}")
+        if not 1 <= k <= rank:
+            raise ParseError(
+                f"token {pos}: index {k} out of range for rank {rank}")
+        letters.append(-k if negative else k)
+    return reduce(letters, rank)
 
 
 # --- products by a left fold ------------------------------------------------

@@ -294,25 +294,61 @@ def test_push_factor_matches_golden_realizing_once(runner, monkeypatch,
 
 @pytest.mark.parametrize("index", range(4))
 def test_push_factor_builds_push_images_only(runner, monkeypatch, index):
-    # the check reads only the images of the push: one images-only push
-    # per input, and no push with its inverse family; stdout stays golden
+    # the check reads only the moved images of the push: one push action
+    # per input, and neither validated push images nor the push with its
+    # inverse family; stdout stays golden
     pushes: list = []
-    images_only = drags._push_images
+    checked = drags._checked_push
 
     def counted(config, boundary, gamma):
         pushes.append(gamma)
-        return images_only(config, boundary, gamma)
+        return checked(config, boundary, gamma)
 
     def refused(*args):
-        raise AssertionError("push-factor built the inverse push")
+        raise AssertionError("push-factor built whole or inverse images")
 
-    monkeypatch.setattr(drags, "_push_images", counted)
-    monkeypatch.setattr(drags, "push_boundary", refused)
+    monkeypatch.setattr(drags, "_checked_push", counted)
+    for name in ("push_boundary", "_push_images", "realize_images"):
+        monkeypatch.setattr(drags, name, refused)
     case = json.loads((GOLDEN / "push_factor.json").read_text())[index]
     result = invoke(runner, *case["args"])
     assert result.exit_code == 0
     assert result.output == case["stdout"]
     assert len(pushes) == 1
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_push_factor_reports_a_drag_word_short_of_the_push(runner,
+                                                          monkeypatch, index):
+    # the drag word less its last token realizes another map
+    real = rewriter.push_factorization
+    monkeypatch.setattr(rewriter, "push_factorization",
+                        lambda *args: real(*args)[:-1])
+    case = json.loads((GOLDEN / "push_factor.json").read_text())[index]
+    result = invoke(runner, *case["args"])
+    assert result.exit_code == 0
+    golden = json.loads(case["stdout"])
+    assert json.loads(result.output) == {
+        "drags": golden["drags"].rsplit(" ", 1)[0], "matches_push": False}
+
+
+@pytest.mark.parametrize("boundary, error", [
+    ("1,2", "boundary (1,2) does not exist"),
+    ("3,1", "block 3 does not exist")])
+@pytest.mark.parametrize("word", ["e", "x1 x2 x1^-1 x2^-1"])
+def test_push_factor_refuses_a_missing_boundary_before_any_work(
+        runner, monkeypatch, boundary, error, word):
+    def refused(*args):
+        raise AssertionError("the boundary must be refused before any "
+                             "factor is built")
+
+    for name in ("tomaszewski_factor", "_factorize", "push_factorization"):
+        monkeypatch.setattr(rewriter, name, refused)
+    result = invoke(runner, "push-factor", "--config", CFG21,
+                    "--boundary", boundary, "--word", word)
+    assert result.exit_code == 1
+    assert result.output == json.dumps({"error": error},
+                                       separators=(",", ":")) + "\n"
 
 
 @pytest.mark.slow
@@ -630,9 +666,10 @@ def test_map_commands_refuse_capped_ranks_over_the_cap(runner, monkeypatch,
     for module in (cli.cfg, drags):
         monkeypatch.setattr(module, "build_basis", refused)
     for name in ("tau_star", "realize_word", "realize_images",
-                 "push_boundary", "_push_images", "parse_drag_word"):
+                 "push_boundary", "_push_images", "_checked_push",
+                 "_moved_word_images", "parse_drag_word"):
         monkeypatch.setattr(drags, name, refused)
-    for name in ("_expansion_size", "push_factorization"):
+    for name in ("_expansion_size", "_factorize", "push_factorization"):
         monkeypatch.setattr(rewriter, name, refused)
     monkeypatch.setattr(words, "parse_word", refused)
     config = {"n": n, "b": 1, "partition": [[1]]}

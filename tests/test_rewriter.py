@@ -28,7 +28,7 @@ from torelli import (
     wedge,
     word_text,
 )
-from torelli import rewriter
+from torelli import drags, rewriter
 from torelli.johnson import ext_vector
 
 from .oracles import (
@@ -276,6 +276,84 @@ def test_push_factorization_equals_whole_conjugators_at_the_cap(n, k):
     config = partition_config(n, 1, [[1]])
     assert push_factorization(config, (1, 1), w) == \
         push_factorization_tokens(config, (1, 1), w)
+
+
+@given(st.data())
+def test_moved_image_match_agrees_with_whole_images(data):
+    # push-factor compares the moved images of the drag word with those
+    # of the push's one action: the same verdict as comparing every
+    # validated image, for the push's drag word and for one that lacks
+    # its last token
+    config = data.draw(st.sampled_from(
+        standard_grid(ns=(2, 3, 4), bs=(1, 2, 3))))
+    w = data.draw(commutator_words_strategy(config.n))
+    for r, block in enumerate(config.partition, start=1):
+        for s in range(1, len(block) + 1):
+            m, action = drags._checked_push(config, (r, s), w)
+            pushed = drags._moved_images(m, (action,))
+            images = drags._push_images(config, (r, s), w)
+            dw = push_factorization(config, (r, s), w)
+            for word in (dw, dw[:-1]):
+                assert (drags._moved_word_images(config, word) == pushed) \
+                    == (drags.realize_images(config, word) == images)
+
+
+def _counted_conjugators(monkeypatch) -> list:
+    built: list = []
+    real = rewriter._conjugator
+
+    def counted(f):
+        built.append(f)
+        return real(f)
+
+    monkeypatch.setattr(rewriter, "_conjugator", counted)
+    return built
+
+
+def test_conjugator_built_once_per_distinct_factor(monkeypatch):
+    # w repeats every factor of its square root, so each call meets each
+    # distinct factor twice; its conjugator is built once per call
+    c = comm(power(gen(3, 1), 3), power(gen(3, 2), -2))
+    w = mul(conj(gen(3, 3), c), c)
+    w = mul(w, w)
+    fact = tomaszewski_factor(w)
+    factors = [f for f, _ in fact.factors]
+    distinct = list(dict.fromkeys(factors))
+    assert len(factors) > len(distinct)
+    built = _counted_conjugators(monkeypatch)
+    for call in (lambda: tomaszewski_factor(w),
+                 lambda: push_factorization(CFG31, (1, 1), w),
+                 fact.multiply_back):
+        built.clear()
+        call()
+        assert built == distinct
+
+
+@pytest.mark.parametrize("corrupt", ["drop", "flip"])
+def test_multiply_back_refuses_a_corrupted_factorization(monkeypatch,
+                                                         corrupt):
+    # the first nonempty expansion of each scan loses its last factor or
+    # has that factor's exponent flipped
+    real = rewriter._expand_gamma
+    seen: list = []
+
+    def corrupted(a, k):
+        out = real(a, k)
+        if out and not seen:
+            seen.append(k)
+            f, e = out.pop()
+            if corrupt == "flip":
+                out.append((f, -e))
+        return out
+
+    monkeypatch.setattr(rewriter, "_expand_gamma", corrupted)
+    w = comm(power(gen(3, 1), 2), mul(gen(3, 2), gen(3, 3)))
+    for call in (lambda: tomaszewski_factor(w),
+                 lambda: push_factorization(CFG31, (1, 1), w)):
+        seen.clear()
+        with pytest.raises(AssertionError, match="multiply-back check"):
+            call()
+        assert seen
 
 
 def _raw_factors(w):

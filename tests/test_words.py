@@ -32,6 +32,7 @@ from torelli import (
 from .oracles import (
     letters_strategy,
     mul_fold,
+    parse_word_per_token,
     substitute_then_reduce,
     words_strategy,
 )
@@ -107,6 +108,42 @@ def test_parse_word_reports_token_position():
         parse_word("x1 x2 x9", 3)
     with pytest.raises(ParseError):
         parse_word("   ", 3)
+
+
+def test_parse_word_names_the_first_bad_token_of_a_repeat():
+    # a token that cannot be read is never stored, so its repeats do not
+    # move the position the error names
+    with pytest.raises(ParseError, match="^token 2: index 9 out of range"):
+        parse_word("x1 x9 x9", 2)
+    with pytest.raises(ParseError, match="^token 2: cannot read 'y'$"):
+        parse_word("x1 y x1 y", 2)
+
+
+_GOOD_TOKENS = st.sampled_from(["x1", "x2", "x3", "x4", "x1^-1", "x2^-1",
+                                 "x3^-1", "x4^-1"])
+_BAD_TOKENS = st.one_of(
+    st.sampled_from(["x9", "x0", "x01", "e", "y", "x", "x1^-2", "x1^-1^-1",
+                     "x\u0663", "^-1"]),
+    st.text(alphabet="x1209^-e", min_size=1, max_size=5))
+
+
+@given(st.lists(_GOOD_TOKENS, max_size=12),
+       st.lists(st.tuples(st.integers(0, 12), _BAD_TOKENS), max_size=3),
+       st.integers(-1, 4), st.sampled_from([" ", "  ", "\t", "\n "]))
+def test_parse_word_agrees_with_the_per_token_oracle(tokens, bad, rank, sep):
+    # the same Word, or the same exception type and message, as a parser
+    # that reads every token from scratch, repeats included; x4 is out of
+    # range below rank 4, and each other bad token is inserted at a
+    # position of its own
+    for pos, token in bad:
+        tokens.insert(pos, token)
+    outcomes = []
+    for parse in (parse_word, parse_word_per_token):
+        try:
+            outcomes.append(parse(sep.join(tokens), rank))
+        except ValueError as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize("text", ["x\u0663", "x01", "x1 x02^-1", "x\uff11"])
