@@ -21,8 +21,9 @@ from . import drags, johnson, lattice, rewriter, words
 # Inputs whose work would explode are refused, with exit 1, before any
 # work starts.  `fs` enumerates (2 bound + 1)^n candidate vectors and
 # then tests pairs of them.  The cap admits n <= 6 at bound 1 and
-# (n, bound) = (4, 2) and (3, 4); with --homology, each of those takes
-# 1.5-3.5 s of CPU on a 2-vCPU Xeon host, depending on its load.
+# (n, bound) = (4, 2) and (3, 4); with --homology, in-process, those
+# take 0.39-0.54, 0.17-0.21 and 0.25-0.38 s of CPU on a 2-vCPU Xeon
+# host, depending on its load, and print 0.6-2.1 MB.
 FS_MAX_CANDIDATES = 729
 # `complete-basis` builds, checks and prints an n x n matrix, and the
 # entries of its Smith-form completion grow with n.  On random rows with

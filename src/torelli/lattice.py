@@ -23,15 +23,12 @@ is a simplex exactly when the images of v and w there have 2x2 minors
 of gcd 1.
 
 Ranks over Q come from one sparse fraction-free elimination.  The FS
-homology orders the vertices unit vectors first and takes for each edge
-its first triangle below it, the "apparent pairs" of Ripser: rows of d2
-with distinct leading edges, independent with no elimination.  Only if
-they fall short of dim ker d1 are the remaining triangles reduced over
-GF(2), each pivot a tuple of edge indices: rank_Q d2 >= rank_GF(2) d2,
-and rank d2 <= dim ker d1, so it stops as soon as the GF(2) rank
-reaches dim ker d1, and H_1 = 0 is then exact.  Otherwise every row is
-ranked over Q by the sparse elimination.  Common neighbours in the
-graph are the AND of two ints whose bits mark neighbours.
+homology adds the vertices unit vectors first, and H_1 = 0 over Z
+follows with no elimination when the lower link of every vertex is
+empty or connected.  Only if some lower link stays disconnected is
+every triangle ranked over Q by the sparse elimination.  Common
+neighbours in the graph are the AND of two ints whose bits mark
+neighbours.
 """
 
 from __future__ import annotations
@@ -448,19 +445,20 @@ def fs_edges(n: int, bound: int) -> list[Edge]:
     return fs_graph(n, bound)[1]
 
 
+def _root(parent: list[int], x: int) -> int:
+    """The root of x in a union-find forest, halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def fs_components(verts: list[Vertex], edges: list[Edge]) -> int:
     """Number of connected components of the graph."""
     index = {v: i for i, v in enumerate(verts)}
     parent = list(range(len(verts)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for u, v in edges:
-        ru, rv = find(index[u]), find(index[v])
+        ru, rv = _root(parent, index[u]), _root(parent, index[v])
         if ru != rv:
             parent[ru] = rv
     return sum(parent[i] == i for i in range(len(verts)))
@@ -484,13 +482,11 @@ def _bits(x: int) -> Iterator[int]:
 
 
 class _FsIndex(NamedTuple):
-    """Sorted vertices, and as bits of one int per vertex its lower and
-    its higher neighbours.  The edge (j, k), j < k, has the index
-    j * len(order) + k, so edge indices follow the lexicographic order
-    of the edges."""
+    """Sorted vertices, and as the bits of one int per vertex its lower
+    neighbours.  The edge (j, k), j < k, has the index j * len(order) + k,
+    so edge indices follow the lexicographic order of the edges."""
     order: list[Vertex]
     below: list[int]
-    above: list[int]
 
 
 def _fs_index(verts: Iterable[Vertex], edges: list[Edge],
@@ -498,186 +494,171 @@ def _fs_index(verts: Iterable[Vertex], edges: list[Edge],
     order = sorted(verts, key=key)
     index = {v: i for i, v in enumerate(order)}
     below = [0] * len(order)
-    above = [0] * len(order)
     for u, v in edges:
         j, k = index[u], index[v]
         if j > k:
             j, k = k, j
         below[k] |= 1 << j
-        above[j] |= 1 << k
-    return _FsIndex(order, below, above)
+    return _FsIndex(order, below)
 
 
-def _fs_vertex_test(u: Vertex) -> Callable[[Vertex, Vertex], bool]:
-    """The simplex test of (u, v, w) for further vertices v and w.
+def _fs_vertex_test(order: list[Vertex], k: int,
+                    near: int) -> Callable[[int, int], bool]:
+    """The simplex test of (order[k], order[j], order[i]) for positions
+    j and i among the set bits of ``near``.
 
-    Z^n/<u> is built once, and the image of each vertex there is cached.
-    By the extension lemma (u, v, w) is a simplex exactly when those two
-    images span a summand of rank 2 of Z^(n-1), that is when their 2x2
-    minors have gcd 1.
+    Z^n/<order[k]> is built once, and the image there of each vertex of
+    ``near`` once, kept in a list by position.  By the extension lemma
+    the triple is a simplex exactly when the two images span a summand
+    of rank 2 of Z^(n-1), that is when their 2x2 minors have gcd 1; the
+    minors are read only until their gcd reaches 1.  A vertex that is
+    not primitive is in no simplex.
     """
+    u = order[k]
     quotient = _summand_quotient([u], len(u))
     if quotient is None:
-        return lambda v, w: False
+        return lambda j, i: False
     pairs = list(itertools.combinations(range(len(quotient[1])), 2))
-    images: dict[Vertex, list[int]] = {}
+    images: list[list[int]] = [[]] * near.bit_length()
+    for j in _bits(near):
+        images[j] = _image(quotient, order[j])
 
-    def test(v: Vertex, w: Vertex) -> bool:
-        a = images.get(v)
-        if a is None:
-            a = images[v] = _image(quotient, v)
-        b = images.get(w)
-        if b is None:
-            b = images[w] = _image(quotient, w)
-        return gcd(*[a[p] * b[q] - a[q] * b[p] for p, q in pairs]) == 1
+    def test(j: int, i: int) -> bool:
+        a, b = images[j], images[i]
+        g = 0
+        for p, q in pairs:
+            g = gcd(g, a[p] * b[q] - a[q] * b[p])
+            if g == 1:
+                return True
+        return False
     return test
+
+
+def _fs_simplices(fs: _FsIndex) -> Iterator[tuple[int, int, int]]:
+    """Every 2-simplex as positions (i, j, k), i < j < k, ordered by k,
+    then j, then i: the common lower neighbours i of each edge (j, k)
+    are tested by ``_fs_vertex_test`` for k, each candidate once."""
+    below = fs.below
+    for k, lower in enumerate(below):
+        test = _fs_vertex_test(fs.order, k, lower)
+        for j in _bits(lower):
+            for i in _bits(below[j] & lower):
+                if test(j, i):
+                    yield i, j, k
 
 
 def fs_triangles(edges: list[Edge]) -> list[Triangle]:
     """The 2-simplices (u, v, w), u < v < w, in lexicographic order.
 
-    Every 2-simplex is a triangle of the graph, so only the common
-    neighbours w > v of each edge (u, v) are tested, by
-    ``_fs_vertex_test(u)``.  Each vertex keeps its higher neighbours as
-    the bits of one int, so an edge's common neighbours are the AND of
-    two ints, read from the lowest bit up.
+    Every 2-simplex is a triangle of the graph, so only the common lower
+    neighbours of each edge are tested (``_fs_simplices``).  Each vertex
+    keeps its lower neighbours as the bits of one int, so an edge's
+    common lower neighbours are the AND of two ints.
     """
-    verts, _, above = _fs_index({x for edge in edges for x in edge}, edges)
-    out = []
-    for a, u in enumerate(verts):
-        test = _fs_vertex_test(u)
-        for b in _bits(above[a]):
-            v = verts[b]
-            out.extend((u, v, verts[c]) for c in _bits(above[a] & above[b])
-                       if test(v, verts[c]))
-    return out
+    fs = _fs_index({x for edge in edges for x in edge}, edges)
+    order = fs.order
+    return sorted((order[i], order[j], order[k])
+                  for i, j, k in _fs_simplices(fs))
 
 
-def _fs_apparent(fs: _FsIndex, cycles: int) -> tuple[list[int], int]:
-    """Phase 1: for each edge (j, k), the lowest common lower neighbour
-    i for which (i, j, k) is a simplex.
+def _fs_join_link(test: Callable[[int, int], bool], below: list[int],
+                  lower: int, up: dict[int, int], roots: int) -> bool:
+    """Whether a lower link is connected, given its first edges.
 
-    Returns the table ``apex``, with apex[j * len(order) + k] = i + 1
-    for such an i and 0 where there is none, and the number of rows
-    found; it stops as soon as that number reaches ``cycles``.  The row
-    of (i, j, k) leads on its largest edge (j, k), so these rows have
-    distinct leading edges, each with entry 1: they are independent over
-    Q and over GF(2) with no elimination.
+    ``up`` maps each link vertex j that has one to its lowest link
+    neighbour i < j; the other ``roots`` link vertices had no link
+    neighbour below them.  Union-find starts from the edges (j, up[j]),
+    and only the pairs not tested yet, i above up[j], are tested, and
+    only while their ends lie in two different components.  It stops as
+    soon as one component is left.
+    """
+    parent = list(range(lower.bit_length()))
+    for j, i in up.items():
+        parent[j] = i
+    for j, first in up.items():
+        rj = _root(parent, j)
+        for i in _bits(below[j] & lower >> first + 1 << first + 1):
+            ri = _root(parent, i)
+            if ri != rj and test(j, i):
+                parent[ri] = rj
+                roots -= 1
+                if roots == 1:
+                    return True
+    return False
+
+
+def _fs_links_connected(fs: _FsIndex) -> bool:
+    """Whether the lower link of every vertex is empty or connected.
+
+    The lower link of vertex k has its lower neighbours as vertices, and
+    (i, j) as an edge when (i, j, k) is a simplex.  For each link vertex
+    j, lowest first, its common lower neighbours i are tested lowest
+    first, up to the first simplex.  If more than one link vertex finds
+    none, ``_fs_join_link`` decides.  It stops at the first link that
+    stays disconnected.
     """
     order, below = fs.order, fs.below
-    size = len(order)
-    apex = [0] * (size * size)
-    found = 0
-    for j, lower in enumerate(below):
-        if not lower:
+    for k, lower in enumerate(below):
+        if not lower & lower - 1:
+            # no lower neighbour or one: the link is empty or a point
             continue
-        test = _fs_vertex_test(order[j])
-        higher = fs.above[j]
-        while higher:
-            if found == cycles:
-                return apex, found
-            bit = higher & -higher
-            higher ^= bit
-            k = bit.bit_length() - 1
-            common = lower & below[k]
-            v = order[k]
+        test = _fs_vertex_test(order, k, lower)
+        up: dict[int, int] = {}
+        roots = 0
+        # the bit loops are written out: with ``_bits`` this pass takes
+        # about 15% longer on the benchmark's inputs
+        rest = lower
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
+            common = below[j] & lower
             while common:
-                low = common & -common
-                i = low.bit_length() - 1
-                if test(v, order[i]):
-                    apex[j * size + k] = i + 1
-                    found += 1
+                bit = common & -common
+                i = bit.bit_length() - 1
+                if test(j, i):
+                    up[j] = i
                     break
-                common ^= low
-    return apex, found
-
-
-def _fs_row(lead: int, i: int, size: int) -> tuple[int, int, int]:
-    """The edges (j, k), (i, k), (i, j) of the triangle i < j < k whose
-    largest edge has index ``lead``."""
-    j, k = divmod(lead, size)
-    return lead, i * size + k, i * size + j
+                common ^= bit
+            else:
+                roots += 1
+        if roots > 1 and not _fs_join_link(test, below, lower, up, roots):
+            return False
+    return True
 
 
 def fs_h1(verts: list[Vertex], edges: list[Edge]) -> int:
-    """Rank of H_1 of the 2-skeleton on these vertices and edges, by
-    boundary ranks over Q, certified over GF(2) where that suffices.
+    """Rank over Q of H_1 of the 2-skeleton on these vertices and edges.
 
-    rank d2 <= dim ker d1 = |E| - |V| + #components.  The vertices are
-    ordered by ``_fs_order_key`` and the edges lexicographically in that
-    order, so a triangle i < j < k has largest edge (j, k).
+    The vertices are added in ``_fs_order_key`` order, and X_k is the
+    complex on the first k + 1 of them.  The lower link L_k of vertex k
+    has its lower neighbours as vertices, and (i, j) as an edge when
+    (i, j, k) is a simplex.  Then X_k = X_(k-1) u (v_k * L_k), glued
+    along L_k, and by Mayer-Vietoris H_1(X_k; Z) is a quotient of
+    H_1(X_(k-1); Z) when L_k is empty or connected.  So if every lower
+    link is empty or connected, which ``_fs_links_connected`` decides,
+    then H_1(X; Z) = 0 with no elimination.
 
-    - Phase 1 (``_fs_apparent``) takes for each edge (j, k) the first
-      common lower neighbour i that makes a simplex.  These rows of d2
-      have distinct leading edges, so they are independent; if their
-      number reaches dim ker d1, H_1 = 0.
-    - Phase 2 draws the remaining triangles in the same order, testing
-      only the candidates above each edge's apex, and reduces each row
-      over GF(2), seeded with the phase-1 pivots.  A pivot of phase 2
-      is the tuple of its edge indices.  An odd minor is a nonzero
-      integer, so rank_Q d2 >= rank_GF(2) d2: once the pivots number
-      dim ker d1, H_1 = 0 exactly and no further candidate is tested.
-    - If the triangles run out first (H_1 > 0, or 2-torsion as in RP^2),
-      every row is ranked exactly over Q by ``_sparse_rank``.
-
-    No candidate (edge, third vertex) is tested twice.
+    Otherwise H_1 may be positive, as at n = 2 and in subcomplexes, or
+    be torsion only, as for the 6-vertex RP^2.  Then every triangle is
+    ranked exactly over Q by ``_sparse_rank``, which stops at dim ker
+    d1 = |E| - |V| + #components, since rank d2 cannot exceed it.  The
+    edges are ordered lexicographically in the vertex order, so a
+    triangle i < j < k has largest edge (j, k).
     """
     return _fs_h1(verts, edges, fs_components(verts, edges))
 
 
 def _fs_h1(verts: list[Vertex], edges: list[Edge], components: int) -> int:
     """``fs_h1`` for a graph with this many connected components."""
+    fs = _fs_index(verts, edges, _fs_order_key)
+    if _fs_links_connected(fs):
+        return 0
     # dim ker d1: the graph's incidence matrix has rank |V| - #components
     cycles = len(edges) - len(verts) + components
-    fs = _fs_index(verts, edges, _fs_order_key)
-    apex, found = _fs_apparent(fs, cycles)
-    if found == cycles:
-        return 0
     size = len(fs.order)
-    order, below = fs.order, fs.below
-    pivots: dict[int, tuple[int, ...]] = {}
-    drawn: list[int] = []
-    for j, lower in enumerate(below):
-        if not lower:
-            continue
-        test = _fs_vertex_test(order[j])
-        higher = fs.above[j]
-        while higher:
-            bit = higher & -higher
-            higher ^= bit
-            k = bit.bit_length() - 1
-            lead = j * size + k
-            first = apex[lead]
-            # the candidates above the apex; with no apex, every
-            # candidate failed in phase 1
-            common = lower & below[k] >> first << first if first else 0
-            v = order[k]
-            while common:
-                low = common & -common
-                common ^= low
-                i = low.bit_length() - 1
-                if not test(v, order[i]):
-                    continue
-                drawn.append(lead * size + i)
-                row = set(_fs_row(lead, i, size))
-                while row:
-                    top = max(row)
-                    if apex[top]:
-                        row.symmetric_difference_update(
-                            _fs_row(top, apex[top] - 1, size))
-                    elif top in pivots:
-                        row.symmetric_difference_update(pivots[top])
-                    else:
-                        pivots[top] = tuple(row)
-                        found += 1
-                        if found == cycles:
-                            return 0
-                        break
-    rows = itertools.chain(
-        (_fs_row(lead, first - 1, size)
-         for lead, first in enumerate(apex) if first),
-        (_fs_row(*divmod(code, size), size) for code in drawn))
-    d2 = ({a: 1, b: -1, c: 1} for a, b, c in rows)
+    d2 = ({j * size + k: 1, i * size + k: -1, i * size + j: 1}
+          for i, j, k in _fs_simplices(fs))
     return cycles - _sparse_rank(d2, limit=cycles)
 
 

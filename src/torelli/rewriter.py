@@ -169,24 +169,28 @@ def _expansion_size(w: Word) -> tuple[int, int]:
     (t, a_(q+1), ..., a_n) for t from 0 towards a_q (a_k included); a
     factor gives 2 (n - 1) |d|_1 + 1 tokens.  a_k itself is not among
     the a_q, so for the factor count it does not matter whether the
-    letter has moved it yet."""
+    letter has moved it yet.  The running total |a|_1 gives
+    |a_(q+1)| + ... + |a_n| as the total less |a_1| + ... + |a_q|, so
+    each letter walks a_1 .. a_(k-1) once and sums nothing else."""
     n = w.rank
     a = [0] * n
-    factors = tokens = 0
+    total = factors = tokens = 0
     for letter in w.letters:
         k = abs(letter)
         if letter < 0:
+            total += 1 if a[k - 1] <= 0 else -1
             a[k - 1] -= 1
-        above = sum(abs(x) for x in a[k - 1:])
-        for q in range(k - 1, 0, -1):
-            e = a[q - 1]
-            size = abs(e)
-            # the sum of |t| over the |e| factors of x_q
-            t_sum = size * (size - 1 if e > 0 else size + 1) // 2
-            tokens += 2 * (n - 1) * (size * above + t_sum) + size
-            factors += size
-            above += size
+        above = total
+        for e in a[:k - 1]:
+            if e:
+                size = abs(e)
+                above -= size
+                # the sum of |t| over the |e| factors of x_q
+                t_sum = size * (size - 1 if e > 0 else size + 1) // 2
+                tokens += 2 * (n - 1) * (size * above + t_sum) + size
+        factors += total - above
         if letter > 0:
+            total += 1 if a[k - 1] >= 0 else -1
             a[k - 1] += 1
     return factors, tokens
 

@@ -10,7 +10,8 @@ actions and Tomaszewski factors built from validated words, products by
 a left fold of ``mul``, the reduced generating set enumerated family by
 family, folds of drag actions over whole images with every inverse built
 up front, push factorizations with a whole conjugating drag word per
-factor, words parsed token by token with no memory of earlier tokens,
+factor, the cap scan of factor and token counts with a prefix sum per
+letter, words parsed token by token with no memory of earlier tokens,
 and word strategies for property tests.
 """
 
@@ -232,6 +233,33 @@ def push_factorization_tokens(config, boundary, w) -> tuple:
             else:
                 out.append((g, sign))
     return tuple(out)
+
+
+# --- the cap scan with a prefix sum per letter ------------------------------
+
+def expansion_size_per_letter_sum(w) -> tuple:
+    """``rewriter._expansion_size`` summing |a_q| over q >= k afresh for
+    every letter x_k and walking q < k downward: the raw count of
+    Tomaszewski factors of w, and of drag tokens with a whole
+    W . BCD . W^-1 each."""
+    n = w.rank
+    a = [0] * n
+    factors = tokens = 0
+    for letter in w.letters:
+        k = abs(letter)
+        if letter < 0:
+            a[k - 1] -= 1
+        above = sum(abs(x) for x in a[k - 1:])
+        for q in range(k - 1, 0, -1):
+            e = a[q - 1]
+            size = abs(e)
+            t_sum = size * (size - 1 if e > 0 else size + 1) // 2
+            tokens += 2 * (n - 1) * (size * above + t_sum) + size
+            factors += size
+            above += size
+        if letter > 0:
+            a[k - 1] += 1
+    return factors, tokens
 
 
 # --- words parsed token by token -------------------------------------------

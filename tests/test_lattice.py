@@ -491,30 +491,46 @@ def test_fs_h1_beyond_the_cli_cap(n, bound):
 
 
 def _record_fs_h1(monkeypatch, vertex_test=None):
-    """Wrap the seams of fs_h1: every candidate test is recorded in
-    order as ((u, v), w, ok), meaning the edge (u, v) and the third
-    vertex w; phase 1 leaves its index, its apex table, its row count
-    and the number of tests made by then; every exact rank leaves its
-    limit and its rows."""
-    real_test = vertex_test or lattice._fs_vertex_test
-    real_apparent = lattice._fs_apparent
+    """Wrap the seams of fs_h1.  Every simplex test is recorded in order
+    as (k, j, i, ok) in vertex-order positions: the triple i, j, k,
+    tested in the quotient by vertex k.  The link pass leaves its index,
+    its result and the number of tests made by then; each link closing
+    leaves its vertex, the span of its tests and its result; every exact
+    rank leaves its limit and its rows.  ``vertex_test(u)``, if given, replaces the
+    simplex test by one on vertices."""
+    real_test = lattice._fs_vertex_test
+    real_links = lattice._fs_links_connected
+    real_join = lattice._fs_join_link
     real_rank = lattice._sparse_rank
-    seen = {"tests": [], "ranks": []}
+    seen = {"tests": [], "joins": [], "ranks": []}
 
-    def recording_vertex_test(u):
-        test = real_test(u)
+    def recording_vertex_test(order, k, near):
+        seen["vertex"] = k
+        if vertex_test is None:
+            test = real_test(order, k, near)
+        else:
+            on_vertices = vertex_test(order[k])
 
-        def recording(v, w):
-            ok = test(v, w)
-            seen["tests"].append(((u, v), w, ok))
+            def test(j, i):
+                return on_vertices(order[j], order[i])
+
+        def recording(j, i):
+            ok = test(j, i)
+            seen["tests"].append((k, j, i, ok))
             return ok
         return recording
 
-    def recording_apparent(fs, cycles):
-        apex, found = real_apparent(fs, cycles)
-        seen.update(fs=fs, apex=apex, found=found,
-                    phase1=len(seen["tests"]))
-        return apex, found
+    def recording_links(fs):
+        connected = real_links(fs)
+        seen.update(fs=fs, connected=connected, passed=len(seen["tests"]))
+        return connected
+
+    def recording_join(*args):
+        start = len(seen["tests"])
+        joined = real_join(*args)
+        seen["joins"].append((seen["vertex"], start, len(seen["tests"]),
+                              joined))
+        return joined
 
     def recording_rank(rows, limit=None):
         rows = list(rows)
@@ -522,7 +538,8 @@ def _record_fs_h1(monkeypatch, vertex_test=None):
         return real_rank(rows, limit)
 
     monkeypatch.setattr(lattice, "_fs_vertex_test", recording_vertex_test)
-    monkeypatch.setattr(lattice, "_fs_apparent", recording_apparent)
+    monkeypatch.setattr(lattice, "_fs_links_connected", recording_links)
+    monkeypatch.setattr(lattice, "_fs_join_link", recording_join)
     monkeypatch.setattr(lattice, "_sparse_rank", recording_rank)
     return seen
 
@@ -536,49 +553,93 @@ def _common_lower(fs, j, k):
     return [i for i in range(j) if both >> i & 1]
 
 
-def _check_candidates(seen):
-    """Assert the certificate's bookkeeping for one recorded run, and
-    return the triangles drawn, in order, as sorted vertex triples.
+def _root(parent, x):
+    while parent.setdefault(x, x) != x:
+        x = parent[x]
+    return x
 
-    - No candidate (edge, third vertex) is tested twice, in either phase.
-    - Phase 1 walks the edges (j, k), j < k in the norm order, in
-      lexicographic order, tests the common lower neighbours i of each
-      lowest first, and stops at the first simplex.  Each hit's row
-      leads on the largest edge (j, k) of i < j < k, no two hits share
-      a leading edge, and the apex table holds exactly these rows.
-    - Phase 2 tests only edges with an apex, and only candidates above
-      it.
+
+def _check_candidates(seen):
+    """Assert the certificate's bookkeeping for one recorded link pass,
+    and return the triangles it found, in order, as sorted vertex
+    triples.
+
+    - No candidate (i, j, k) is tested twice within the link pass, and
+      vertex k tests only triples with k on top, k in ascending order.
+    - Each link vertex j, lowest first, tests its common lower
+      neighbours i with k lowest first, up to its first simplex, or all
+      of them if none is a simplex.
+    - The closing runs exactly on the links where more than one vertex
+      found no simplex below it.  It tests only candidates above j's
+      first simplex, only pairs whose ends lie in two different
+      components of the link found so far, and stops when one component
+      is left.  If it gives up, every pair that would join two
+      components was tested, and the pass stops at that vertex.
     """
-    fs, tests = seen["fs"], seen["tests"]
-    pos = {v: i for i, v in enumerate(fs.order)}
-    size = len(fs.order)
-    candidates = [(frozenset(edge), w) for edge, w, _ in tests]
+    fs, tests = seen["fs"], seen["tests"][:seen["passed"]]
+    candidates = [(k, j, i) for k, j, i, _ in tests]
     assert len(set(candidates)) == len(candidates)
-    by_edge = {}
-    for (u, v), w, ok in tests[:seen["phase1"]]:
-        by_edge.setdefault((pos[u], pos[v]), []).append((pos[w], ok))
-    assert list(by_edge) == sorted(by_edge)
-    apparent = {}
-    for (j, k), tested in by_edge.items():
-        assert j < k
-        common = _common_lower(fs, j, k)
-        assert [i for i, _ in tested] == common[:len(tested)]
-        hits = [i for i, ok in tested if ok]
-        if hits:
-            assert hits == [tested[-1][0]]
-            i = hits[0]
-            assert max((i, j), (i, k), (j, k)) == (j, k)
-            apparent[j * size + k] = i + 1
+    assert all(i < j < k for k, j, i in candidates)
+    closing = {t for _, start, stop, _ in seen["joins"]
+               for t in range(start, stop)}
+    joins = {k: span for k, *span in seen["joins"]}
+    assert len(joins) == len(seen["joins"])
+    by_vertex = {}
+    for t, (k, j, i, ok) in enumerate(tests):
+        by_vertex.setdefault(k, []).append((t, j, i, ok))
+    assert list(by_vertex) == sorted(by_vertex)
+    # the pass visits every vertex, or stops at a link that stays
+    # disconnected
+    last = len(fs.order) - 1
+    if not seen["connected"]:
+        last, *_, joined = seen["joins"][-1]
+        assert not joined
+    assert all(k <= last for k in by_vertex)
+    for k in range(last + 1):
+        made = by_vertex.get(k, [])
+        down = {}
+        for t, j, i, ok in made:
+            if t not in closing:
+                down.setdefault(j, []).append((i, ok))
+        assert list(down) == sorted(down)
+        lower = [j for j in range(k) if fs.below[k] >> j & 1]
+        first = {}
+        for j in lower:
+            tested = down.get(j, [])
+            common = _common_lower(fs, j, k)
+            assert [i for i, _ in tested] == common[:len(tested)]
+            hits = [i for i, ok in tested if ok]
+            if hits:
+                assert hits == [tested[-1][0]]
+                first[j] = hits[0]
+            else:
+                assert len(tested) == len(common)
+        roots = len(lower) - len(first)
+        assert (k in joins) == (roots > 1)
+        if k not in joins:
+            continue
+        parent = dict(first)
+        start, stop, joined = joins[k]
+        for k2, j, i, ok in tests[start:stop]:
+            assert k2 == k and j in first and i > first[j]
+            assert i in _common_lower(fs, j, k)
+            ri, rj = _root(parent, i), _root(parent, j)
+            assert ri != rj
+            if ok:
+                parent[ri] = rj
+                roots -= 1
+        assert (roots == 1) == joined
+        if joined:
+            assert tests[stop - 1][3]
         else:
-            assert len(tested) == len(common)
-    assert len(apparent) == sum(ok for *_, ok in tests[:seen["phase1"]])
-    assert apparent == {lead: first for lead, first in enumerate(seen["apex"])
-                        if first}
-    assert len(apparent) == seen["found"]
-    for (u, v), w, _ in tests[seen["phase1"]:]:
-        first = seen["apex"][pos[u] * size + pos[v]]
-        assert first and pos[w] >= first
-    return [tuple(sorted((u, v, w))) for (u, v), w, ok in tests if ok]
+            assert k == last
+            tried = {(j, i) for _, j, i, _ in made}
+            assert all((j, i) in tried for j in lower
+                       for i in _common_lower(fs, j, k)
+                       if _root(parent, i) != _root(parent, j))
+    order = fs.order
+    return [tuple(sorted((order[i], order[j], order[k])))
+            for k, j, i, ok in tests if ok]
 
 
 def _every_candidate(fs):
@@ -588,8 +649,8 @@ def _every_candidate(fs):
 
 
 def _assert_exit_at_the_cycle_rank(triangles, edges, cycles):
-    # the exit fires exactly when rank d2 reaches dim ker d1, and not
-    # one row earlier
+    # the triangles found fill the cycle space exactly: rank d2 reaches
+    # dim ker d1 with the last of them, and not one row earlier
     assert matrix_rank(_d2(triangles, edges)) == cycles
     assert matrix_rank(_d2(triangles[:-1], edges)) == cycles - 1
 
@@ -601,9 +662,13 @@ def test_fs_h1_stops_once_the_cycle_space_is_filled(monkeypatch):
     seen = _record_fs_h1(monkeypatch)
     assert fs_h1(verts, edges) == 0
     drawn = _check_candidates(seen)
-    # 681 apparent rows of 683 cycles; phase 2 finds the last two
-    assert (seen["found"], cycles) == (681, 683)
+    # 743 downward tests leave two links with two roots each; one
+    # closing test joins each
+    assert seen["connected"] and seen["passed"] == len(seen["tests"])
+    assert [stop - start for _, start, stop, _ in seen["joins"]] == [1, 1]
+    assert len(seen["tests"]) == 743 + 2
     assert len(seen["tests"]) < len(_every_candidate(seen["fs"]))
+    assert len(drawn) == cycles == 683
     assert len(drawn) < len(triangles) == 7040
     assert set(drawn) <= set(triangles)
     assert seen["ranks"] == []
@@ -612,8 +677,9 @@ def test_fs_h1_stops_once_the_cycle_space_is_filled(monkeypatch):
 
 def test_fs_h1_of_a_cone_stops_in_phase_1(monkeypatch):
     # the star of the first vertex o in the norm order, keeping only the
-    # link edges that span a simplex with o: o is every link edge's
-    # lowest candidate, so the apparent rows fill the cycle space
+    # link edges that span a simplex with o: o is the lowest candidate
+    # of every link edge, so each link vertex's first test joins it to
+    # o, and no link needs closing
     all_verts, all_edges = fs_graph(3, 2)
     o = min(all_verts, key=lattice._fs_order_key)
     link = sorted({x for e in all_edges if o in e for x in e} - {o})
@@ -625,18 +691,25 @@ def test_fs_h1_of_a_cone_stops_in_phase_1(monkeypatch):
     seen = _record_fs_h1(monkeypatch)
     assert fs_h1(verts, edges) == 0
     drawn = _check_candidates(seen)
-    assert seen["found"] == cycles > 0
-    assert seen["phase1"] == len(seen["tests"]) == cycles
+    assert seen["joins"] == []
+    assert seen["passed"] == len(seen["tests"]) == len(drawn) == cycles > 0
     assert seen["ranks"] == []
     _assert_exit_at_the_cycle_rank(drawn, edges, cycles)
 
 
 def _assert_every_triangle_ranked_once(seen, triangles, cycles):
-    """The triangles ran out: every candidate was tested exactly once,
-    every triangle drawn once, and the exact rank got every row with
-    limit dim ker d1."""
-    drawn = _check_candidates(seen)
-    assert len(seen["tests"]) == len(_every_candidate(seen["fs"]))
+    """A lower link stayed disconnected: the fallback tested every
+    candidate exactly once, drew every triangle once, and the exact
+    rank got every row with limit dim ker d1."""
+    _check_candidates(seen)
+    assert not seen["connected"]
+    fallback = seen["tests"][seen["passed"]:]
+    order = seen["fs"].order
+    assert ({(j, k, i) for k, j, i, _ in fallback}
+            == _every_candidate(seen["fs"]))
+    assert len(fallback) == len(_every_candidate(seen["fs"]))
+    drawn = [tuple(sorted((order[i], order[j], order[k])))
+             for k, j, i, ok in fallback if ok]
     assert sorted(drawn) == sorted(triangles)
     [(limit, rows)] = seen["ranks"]
     assert limit == cycles
@@ -723,13 +796,46 @@ def test_fs_h1_does_not_depend_on_the_input_order(n, bound, step):
 
 
 @pytest.mark.parametrize("n,bound", [(4, 1), (3, 2), (5, 1)])
-def test_fs_h1_zero_is_certified_over_gf2(monkeypatch, n, bound):
-    # the GF(2) rank of d2 reaches dim ker d1, so the exact kernel never
-    # runs
+def test_fs_h1_zero_is_certified_by_connected_links(monkeypatch, n, bound):
+    # every lower link is empty or connected, so H_1 = 0 over Z, and
+    # neither the fallback's tests nor the exact kernel ever run
     verts, edges = fs_graph(n, bound)
     seen = _record_fs_h1(monkeypatch)
     assert fs_h1(verts, edges) == 0
+    _check_candidates(seen)
+    assert seen["connected"]
+    assert seen["passed"] == len(seen["tests"])
     assert seen["ranks"] == []
+
+
+def test_fs_h1_closes_links_with_several_roots_at_n3_bound2(monkeypatch):
+    # the downward tests leave 14 links with more than one root; the
+    # closing joins each with 18 tests in all, and no exact rank runs
+    verts, edges = fs_graph(3, 2)
+    seen = _record_fs_h1(monkeypatch)
+    assert fs_h1(verts, edges) == 0
+    drawn = _check_candidates(seen)
+    assert len(seen["joins"]) == 14
+    assert all(joined for *_, joined in seen["joins"])
+    closing = sum(stop - start for _, start, stop, _ in seen["joins"])
+    assert (len(seen["tests"]) - closing, closing) == (1528, 18)
+    assert seen["ranks"] == []
+    _assert_exit_at_the_cycle_rank(drawn, edges, _cycle_rank(verts, edges))
+
+
+def test_fs_h1_falls_back_when_a_lower_link_stays_disconnected(monkeypatch):
+    # in lexicographic order some lower link of (3, 1) stays
+    # disconnected, though H_1 = 0: the exact rank runs once, over every
+    # triangle, and agrees with the dense oracle
+    verts, edges = fs_graph(3, 1)
+    triangles = fs_triangles(edges)
+    monkeypatch.setattr(lattice, "_fs_order_key", lambda v: v)
+    seen = _record_fs_h1(monkeypatch)
+    assert fs_h1(verts, edges) == _dense_h1(verts, edges) == 0
+    assert seen["fs"].order == sorted(verts)
+    assert seen["joins"] and not seen["joins"][-1][-1]
+    _assert_every_triangle_ranked_once(seen, triangles,
+                                       _cycle_rank(verts, edges))
 
 
 def test_fs_h1_with_h1_positive_matches_dense_oracle_at_n3_bound2(

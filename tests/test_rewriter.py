@@ -33,6 +33,7 @@ from torelli.johnson import ext_vector
 
 from .oracles import (
     commutator_words_strategy,
+    expansion_size_per_letter_sum,
     push_factorization_tokens,
     factor_word_words,
     mul_fold,
@@ -412,6 +413,12 @@ def test_push_tokens_count_the_raw_drag_word(w):
 @given(words_strategy(4, 20))
 def test_push_tokens_need_no_commutator_word(w):
     assert rewriter._expansion_size(w)[1] == _raw_push_tokens(w)
+
+
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: words_strategy(n, 40)))
+def test_expansion_size_agrees_with_the_per_letter_sum(w):
+    assert rewriter._expansion_size(w) == expansion_size_per_letter_sum(w)
 
 
 def test_push_tokens_of_square_commutators():
