@@ -393,7 +393,7 @@ def fs(n: int, bound: int, homology: bool, dot_path: str | None) -> dict:
         "connected": components == 1,
     }
     if homology:
-        out["h1_rank"] = lattice._fs_h1(verts, edges, components)
+        out["h1_rank"] = lattice.fs_h1(verts, edges)
     if dot_path:
         with open(dot_path, "w") as handle:
             handle.write(lattice.fs_dot(verts, edges))

@@ -57,7 +57,7 @@ from .johnson import (
     _wedge,
     tau,
 )
-from .lattice import _sparse_rank, smith_invariants
+from .lattice import _sparse_rank, _summand_quotient, smith_invariants
 from .words import (
     GroupMap,
     ParseError,
@@ -678,14 +678,12 @@ def _rank_from_taus(config: PartitionConfig,
 
     About 1% of a row's coordinates are nonzero, so rows stay sparse.
     The reduced set is the given generators less those ``_dropped``
-    names, as in ``reduced_generating_set``.  Its rows are reduced by
-    unit pivots alone (``_sparse_rank`` with ``unimodular``); when
-    every row keeps a +-1 lead they span a summand, and every Smith
-    invariant is 1.  Otherwise the invariants
-    are taken by ``smith_invariants`` on the rows restricted to the
-    union S of their supports: rows supported on S span a summand of
-    Z^N exactly when they span one of Z^S, and zero columns add no
-    nonzero invariant.
+    names, as in ``reduced_generating_set``.  If its rows span a summand
+    (``_summand_quotient``, on the sparse rows), every Smith invariant is
+    1.  Otherwise the invariants are taken by ``smith_invariants`` on the
+    rows restricted to the union S of their supports: rows supported on
+    S span a summand of Z^N exactly when they span one of Z^S, and zero
+    columns add no nonzero invariant.
     """
     m = capped_rank(config)
     row_of = {g: _flat_entries(m, cols) for g, cols in taus.items()}
@@ -698,9 +696,8 @@ def _rank_from_taus(config: PartitionConfig,
         computed = _sparse_rank(rows)
     reduced_rows = [row for g, row in row_of.items()
                     if not _dropped(config, g)]
-    units = _sparse_rank(reduced_rows, unimodular=True)
-    if units is not None:
-        return computed, formula_rank(config), [1] * units
+    if _summand_quotient(reduced_rows, m * m * (m - 1) // 2) is not None:
+        return computed, formula_rank(config), [1] * len(reduced_rows)
     support = sorted(set().union(*reduced_rows))
     invariants = smith_invariants([[row.get(c, 0) for c in support]
                                    for row in reduced_rows])
@@ -728,7 +725,7 @@ def verify_config(config: PartitionConfig, mode: str = "all") -> list[Check]:
     (``_moved_images``) or nonzero tau columns, as {(i, j): c} entries.
     Membership checks each generator's homology once, and one that
     fails it fails its tau_table check and the rank check, which
-    decides its Smith invariants by unit pivots (``_rank_from_taus``).
+    decides its Smith invariants by a summand test (``_rank_from_taus``).
     """
     if mode not in ("membership", "relations", "all"):
         raise ValueError(f"unknown verify mode {mode!r}")

@@ -15,19 +15,22 @@ rows that fail it go through snf().
 
 The elimination keeps its column operations and the columns it leaves
 (``_summand_quotient``), which give coordinates on the quotient
-Z^n/<rows>.  A quotient is built once and then tests any number of
-further vectors w, each by the primitivity of its image there, which
-is the lemma's next step.  The FS truncation builds Z^n/<u> once per
-vertex u, both to find its edges and to find its triangles: (u, v, w)
-is a simplex exactly when the images of v and w there have 2x2 minors
-of gcd 1.
+Z^n/<rows>.  It is the one summand decision: ``spans_summand``, the FS
+code and the rank check of ``drags`` all ask it.  A quotient is built
+once and then tests any number of further vectors w, each by the
+primitivity of its image there, which is the lemma's next step.  The
+FS truncation builds Z^n/<u> twice per vertex u: once in lexicographic
+order to find its edges (``fs_graph``), and once more for the simplex
+tests, where (u, v, w) is a simplex exactly when the images of v and w
+there have 2x2 minors of gcd 1.  Past the graph, the FS code sees the
+vertices in one order, ``_fs_order_key``.
 
 Ranks over Q come from one sparse fraction-free elimination.  The FS
-homology adds the vertices unit vectors first, and H_1 = 0 over Z
-follows with no elimination when the lower link of every vertex is
-empty or connected.  Only if some lower link stays disconnected is
-every triangle ranked over Q by the sparse elimination.  Common
-neighbours in the graph are the AND of two ints whose bits mark
+homology adds the vertices in that order, unit vectors first, and
+H_1 = 0 over Z follows with no elimination when the lower link of every
+vertex is empty or connected.  Only if some lower link stays
+disconnected is every triangle ranked over Q by the sparse elimination.
+Common neighbours in the graph are the AND of two ints whose bits mark
 neighbours.
 """
 
@@ -72,10 +75,6 @@ def det(a: Matrix) -> int:
         raise ValueError("determinant needs a square matrix")
     if k == 0:
         return 1
-    if k == 1:
-        return a[0][0]
-    if k == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
     m = [row[:] for row in a]
     sign = 1
     prev = 1
@@ -96,8 +95,7 @@ def det(a: Matrix) -> int:
     return sign * m[k - 1][k - 1]
 
 
-def _sparse_rank(rows: Iterable[SparseRow], limit: int | None = None,
-                 unimodular: bool = False) -> int | None:
+def _sparse_rank(rows: Iterable[SparseRow], limit: int | None = None) -> int:
     """Rank over Q of integer rows given as {column: value}.
 
     Fraction-free elimination, each row divided by the gcd of its
@@ -110,12 +108,8 @@ def _sparse_rank(rows: Iterable[SparseRow], limit: int | None = None,
     is drawn once the rank reaches it, so a lazy row iterator is
     consumed only as far as needed.
 
-    With ``unimodular``, every step keeps the lattice the rows span: a
-    pivot needs a +-1 lead, and the result is None as soon as a row
-    reduces to zero, to a non-unit lead or to a common factor.
-    Otherwise the pivots are triangular with +-1 on their leads, so the
-    rows span a summand of rank len(rows), which is returned, and every
-    Smith invariant of the rows is 1.
+    The steps scale rows, so the lattice the rows span is not kept:
+    whether they span a summand is ``_summand_quotient``'s question.
     """
     pivots: dict[int, SparseRow] = {}
     for row in rows:
@@ -124,8 +118,6 @@ def _sparse_rank(rows: Iterable[SparseRow], limit: int | None = None,
             lead = max(row)
             pivot = pivots.get(lead)
             if pivot is None:
-                if unimodular and abs(row[lead]) != 1:
-                    return None
                 pivots[lead] = row
                 break
             p, q = pivot[lead], row[lead]
@@ -141,11 +133,7 @@ def _sparse_rank(rows: Iterable[SparseRow], limit: int | None = None,
                     del row[c]
             g = gcd(*row.values())
             if g > 1:
-                if unimodular:
-                    return None
                 row = {c: x // g for c, x in row.items()}
-        if unimodular and not row:
-            return None
         if len(pivots) == limit:
             break
     return len(pivots)
@@ -295,56 +283,54 @@ def smith_invariants(a: Matrix) -> list[int]:
     return snf(a).invariants()
 
 
-def is_primitive(v: list[int]) -> bool:
+def is_primitive(v: Iterable[int]) -> bool:
     return gcd(*v) == 1
 
 
-def _summand_quotient(rows: list[list[int]], n: int) -> Quotient | None:
-    """Coordinates on Z^n/<rows>, or None if the rows span no summand
-    of Z^n of rank len(rows).
+def _summand_quotient(rows: Iterable[SparseRow], n: int) -> Quotient | None:
+    """Coordinates on Z^n/<rows>, or None if the rows, {column: value}
+    with columns below n, span no summand of Z^n of rank len(rows).  The
+    rows are copied, never changed.  This is the one summand decision:
+    ``spans_summand``, the FS code and the rank check of ``drags`` ask it.
 
     By the extension lemma: the first row must be primitive, and the
     images of the other rows in Z^n/<first row> must span a summand.
     Column Euclid on the first row leaves one entry, a unit exactly when
-    the row is primitive; the same column operations on the other rows,
-    with that column dropped, give their images in the quotient Z^(n-1).
+    the row is primitive; the same column operations on each later row,
+    with that pivot column dropped, give its image in Z^(n-1).
 
     Returns (ops, live): the column operations (j, q, p), meaning
-    col j -= q * col p, in the order applied, and the columns left.
-    Replaying ops on a vector and reading its live entries gives its
-    image in Z^n/<rows> = Z^len(live) (``_primitive_image``).
+    col j -= q * col p, in the order applied, and the columns never
+    pivoted on.  Replaying ops on a vector and reading its live entries
+    gives its image in Z^n/<rows> = Z^len(live) (``_image``).
     """
-    rows = [list(v) for v in rows]
     ops: list[tuple[int, int, int]] = []
-    live = list(range(n))
-    for k, head in enumerate(rows):
-        if gcd(*[head[c] for c in live]) != 1:
+    pivots: set[int] = set()
+    for row in rows:
+        # a copy of the row, carried into the quotient by the rows before
+        head = dict(row)
+        for j, q, p in ops:
+            y = head.get(p)
+            if y:
+                head[j] = head.get(j, 0) - q * y
+        head = {c: x for c, x in head.items() if x and c not in pivots}
+        if gcd(*head.values()) != 1:
             return None
-        rest = rows[k + 1:]
-        while True:
+        while len(head) > 1:
             # column Euclid: reduce every other entry of head modulo its
             # smallest nonzero entry, until that entry is alone
-            p, size = 0, 0
-            for j in live:
-                x = head[j]
-                if x and (not size or abs(x) < size):
-                    p, size = j, abs(x)
-            pivot, alone = head[p], True
-            for j in live:
-                x = head[j]
-                if x and j != p:
+            p = min((abs(x), c) for c, x in head.items())[1]
+            pivot = head[p]
+            for j, x in head.items():
+                if j != p:
                     q = x // pivot
-                    head[j] = x - q * pivot
                     ops.append((j, q, p))
-                    for row in rest:
-                        row[j] -= q * row[p]
-                    alone = alone and not head[j]
-            if alone:
-                break
+                    head[j] = x - q * pivot
+            head = {j: x for j, x in head.items() if x}
         # head is now +-e_p, a basis vector, so the quotient by it drops
         # coordinate p
-        live.remove(p)
-    return ops, live
+        pivots.update(head)
+    return ops, [c for c in range(n) if c not in pivots]
 
 
 def _image(quotient: Quotient, w: Iterable[int]) -> list[int]:
@@ -357,12 +343,6 @@ def _image(quotient: Quotient, w: Iterable[int]) -> list[int]:
     return [w[c] for c in live]
 
 
-def _primitive_image(quotient: Quotient, w: Iterable[int]) -> bool:
-    """Whether the image of w in Z^n/<rows> is primitive: by the
-    extension lemma, exactly when rows + [w] span a summand."""
-    return gcd(*_image(quotient, w)) == 1
-
-
 def spans_summand(vectors: list[list[int]]) -> bool:
     """True iff the span of the rows is a direct summand of Z^n of rank
     len(vectors), by primitive quotients (``_summand_quotient``)."""
@@ -371,9 +351,8 @@ def spans_summand(vectors: list[list[int]]) -> bool:
     n = len(vectors[0])
     if any(len(v) != n for v in vectors):
         raise ValueError("mixed lengths")
-    if len(vectors) > n:
-        return False
-    return _summand_quotient(vectors, n) is not None
+    rows = [dict(enumerate(v)) for v in vectors]
+    return _summand_quotient(rows, n) is not None
 
 
 def complete_basis(vectors: list[list[int]], n: int) -> Matrix:
@@ -405,17 +384,14 @@ def complete_basis(vectors: list[list[int]], n: int) -> Matrix:
 
 def fs_vertices(n: int, bound: int) -> list[tuple[int, ...]]:
     """Primitive vectors with max-norm <= bound, one per sign pair
-    (first nonzero entry positive), sorted."""
+    (first nonzero entry positive, i.e. above zero in lex), sorted."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    out = []
-    for v in itertools.product(range(-bound, bound + 1), repeat=n):
-        first = next((x for x in v if x != 0), 0)
-        if first > 0 and is_primitive(list(v)):
-            out.append(v)
-    return sorted(out)
+    zero = (0,) * n
+    return [v for v in itertools.product(range(-bound, bound + 1), repeat=n)
+            if v > zero and is_primitive(v)]
 
 
 def fs_is_simplex(vertices: list[tuple[int, ...]]) -> bool:
@@ -430,14 +406,15 @@ def fs_graph(n: int, bound: int) -> tuple[list[Vertex], list[Edge]]:
     """Vertices and edges (u, v), u < v, in lexicographic order.
 
     The quotient Z^n/<u> is built once per vertex u, and each later
-    vertex v is an edge exactly when its image there is primitive.
+    vertex v is an edge exactly when its image there is primitive.  The
+    simplex tests build Z^n/<u> again (``_fs_vertex_test``).
     """
     verts = fs_vertices(n, bound)
     edges = []
     for i, u in enumerate(verts):
-        quotient = _summand_quotient([u], n)
+        quotient = _summand_quotient([dict(enumerate(u))], n)
         edges.extend((u, v) for v in verts[i + 1:]
-                     if _primitive_image(quotient, v))
+                     if is_primitive(_image(quotient, v)))
     return verts, edges
 
 
@@ -482,16 +459,15 @@ def _bits(x: int) -> Iterator[int]:
 
 
 class _FsIndex(NamedTuple):
-    """Sorted vertices, and as the bits of one int per vertex its lower
-    neighbours.  The edge (j, k), j < k, has the index j * len(order) + k,
-    so edge indices follow the lexicographic order of the edges."""
+    """The vertices in ``_fs_order_key`` order, and as the bits of one
+    int per vertex its lower neighbours.  The edge (j, k), j < k, has the
+    index j * len(order) + k, the lexicographic order of positions."""
     order: list[Vertex]
     below: list[int]
 
 
-def _fs_index(verts: Iterable[Vertex], edges: list[Edge],
-              key: Callable[[Vertex], object] | None = None) -> _FsIndex:
-    order = sorted(verts, key=key)
+def _fs_index(verts: Iterable[Vertex], edges: list[Edge]) -> _FsIndex:
+    order = sorted(verts, key=_fs_order_key)
     index = {v: i for i, v in enumerate(order)}
     below = [0] * len(order)
     for u, v in edges:
@@ -515,7 +491,7 @@ def _fs_vertex_test(order: list[Vertex], k: int,
     not primitive is in no simplex.
     """
     u = order[k]
-    quotient = _summand_quotient([u], len(u))
+    quotient = _summand_quotient([dict(enumerate(u))], len(u))
     if quotient is None:
         return lambda j, i: False
     pairs = list(itertools.combinations(range(len(quotient[1])), 2))
@@ -553,11 +529,12 @@ def fs_triangles(edges: list[Edge]) -> list[Triangle]:
     Every 2-simplex is a triangle of the graph, so only the common lower
     neighbours of each edge are tested (``_fs_simplices``).  Each vertex
     keeps its lower neighbours as the bits of one int, so an edge's
-    common lower neighbours are the AND of two ints.
+    common lower neighbours are the AND of two ints.  The simplices come
+    in ``_fs_order_key`` order, so each is sorted, and then the list.
     """
     fs = _fs_index({x for edge in edges for x in edge}, edges)
     order = fs.order
-    return sorted((order[i], order[j], order[k])
+    return sorted(tuple(sorted((order[i], order[j], order[k])))
                   for i, j, k in _fs_simplices(fs))
 
 
@@ -637,25 +614,21 @@ def fs_h1(verts: list[Vertex], edges: list[Edge]) -> int:
     along L_k, and by Mayer-Vietoris H_1(X_k; Z) is a quotient of
     H_1(X_(k-1); Z) when L_k is empty or connected.  So if every lower
     link is empty or connected, which ``_fs_links_connected`` decides,
-    then H_1(X; Z) = 0 with no elimination.
+    then H_1(X; Z) = 0 with no elimination and no component count.
 
     Otherwise H_1 may be positive, as at n = 2 and in subcomplexes, or
     be torsion only, as for the 6-vertex RP^2.  Then every triangle is
     ranked exactly over Q by ``_sparse_rank``, which stops at dim ker
-    d1 = |E| - |V| + #components, since rank d2 cannot exceed it.  The
-    edges are ordered lexicographically in the vertex order, so a
-    triangle i < j < k has largest edge (j, k).
+    d1 = |E| - |V| + #components, since rank d2 cannot exceed it; only
+    this fallback counts the components (``fs_components``).  The edges
+    are ordered lexicographically as positions in the vertex order, so
+    a triangle i < j < k has largest edge (j, k).
     """
-    return _fs_h1(verts, edges, fs_components(verts, edges))
-
-
-def _fs_h1(verts: list[Vertex], edges: list[Edge], components: int) -> int:
-    """``fs_h1`` for a graph with this many connected components."""
-    fs = _fs_index(verts, edges, _fs_order_key)
+    fs = _fs_index(verts, edges)
     if _fs_links_connected(fs):
         return 0
     # dim ker d1: the graph's incidence matrix has rank |V| - #components
-    cycles = len(edges) - len(verts) + components
+    cycles = len(edges) - len(verts) + fs_components(verts, edges)
     size = len(fs.order)
     d2 = ({j * size + k: 1, i * size + k: -1, i * size + j: 1}
           for i, j, k in _fs_simplices(fs))

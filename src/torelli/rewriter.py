@@ -24,6 +24,7 @@ from .words import (
     ParseError,
     PreconditionError,
     Word,
+    _read_index,
     abelianization_vector,
     reduce,
 )
@@ -52,15 +53,20 @@ class TomaszewskiFactor(NamedTuple("TomaszewskiFactor", [
 
 
 def parse_factor(text: str) -> TomaszewskiFactor:
+    """The factor written ``T:i,j:[d_i,...,d_n]``; i, j and each |d| are
+    read by ``words._read_index``, each d with an optional ``-``."""
     head, sep, tail = text.partition(":[")
-    if not sep or not tail.endswith("]") or not head.startswith("T:"):
+    ij = [_read_index(x) for x in head[2:].split(",")]
+    parts = tail[:-1].split(",")
+    size = [_read_index(x.removeprefix("-")) for x in parts]
+    if (not sep or not tail.endswith("]") or not head.startswith("T:")
+            or len(ij) != 2 or None in ij + size):
         raise ParseError(f"cannot read factor {text!r}")
+    d = tuple(-k if x.startswith("-") else k for x, k in zip(parts, size))
     try:
-        i, j = (int(x) for x in head[2:].split(","))
-        d = tuple(int(x) for x in tail[:-1].split(","))
-    except ValueError:
-        raise ParseError(f"cannot read factor {text!r}") from None
-    return TomaszewskiFactor(i, j, d)
+        return TomaszewskiFactor(*ij, d)
+    except ValueError as exc:
+        raise ParseError(f"cannot read factor {text!r}: {exc}") from None
 
 
 def _conjugator(f: TomaszewskiFactor) -> list[int]:

@@ -541,10 +541,10 @@ def test_sparse_rank_route_equals_the_dense_route():
 
 
 def test_rank_check_falls_back_to_the_dense_smith_form(monkeypatch):
-    # Johnson rows of the reduced set that the unit pivots cannot
-    # decide, one row doubled (a non-unit lead) or repeated (a row that
-    # reduces to zero), go through smith_invariants on the dense rows;
-    # the real rows never do
+    # Johnson rows of the reduced set that span no summand, one row
+    # doubled (a non-primitive row) or repeated (a row with zero image
+    # in the quotient by the others), go through smith_invariants on the
+    # dense rows; the real rows span a summand and never do
     dense_calls = []
     real_smith = drags.smith_invariants
     monkeypatch.setattr(drags, "smith_invariants",

@@ -117,28 +117,23 @@ def unit_pivot_rows(draw):
 @example((3, [{2: 1, 0: 1}, {2: 1, 1: 1}]))
 @example((3, [{2: 1, 0: 2}, {2: 1, 1: 2}]))
 def test_unit_pivot_decision_agrees_with_spans_summand(case):
-    # the unimodular mode claims a summand only where spans_summand and
-    # the Smith invariants do; rows it cannot decide (a non-unit lead,
-    # a common factor, a zero or dependent row) get None, and rows with
-    # one +-1 entry each on distinct columns, the shape of the rank
-    # check's rows, are always decided
+    # the summand decision on sparse rows, as the rank check asks it,
+    # agrees with spans_summand and the minors oracle on the dense rows,
+    # leaves the rows as they were, and always finds a summand in rows
+    # with one +-1 entry each on distinct columns, the shape of the rank
+    # check's rows
     width, rows = case
     before = [dict(row) for row in rows]
-    units = lattice._sparse_rank(rows, unimodular=True)
+    ok = lattice._summand_quotient(rows, width) is not None
     assert rows == before
     dense = [[row.get(c, 0) for c in range(width)] for row in rows]
-    if units is not None:
-        assert units == len(rows)
-        assert spans_summand(dense)
+    assert ok == spans_summand(dense) == minors_spans_summand(dense)
+    if ok:
         assert smith_invariants(dense) == snf(dense).invariants() == \
             [1] * len(rows)
-    else:
-        assert rows
-    if not spans_summand(dense):
-        assert units is None
     leads = [c for row in rows for c, x in row.items() if abs(x) == 1]
     if all(len(row) == 1 for row in rows) and len(set(leads)) == len(rows):
-        assert units == len(rows)
+        assert ok
 
 
 def _d2(triangles, edges):
@@ -332,8 +327,10 @@ def test_quotient_then_primitive_image_matches_minors_oracle(rows):
     # rows[:-1] do and the image of rows[-1] in their quotient is
     # primitive
     n = len(rows[0])
-    quotient = lattice._summand_quotient(rows[:-1], n)
-    ok = quotient is not None and lattice._primitive_image(quotient, rows[-1])
+    quotient = lattice._summand_quotient(
+        [dict(enumerate(v)) for v in rows[:-1]], n)
+    ok = quotient is not None and is_primitive(
+        lattice._image(quotient, rows[-1]))
     assert ok == minors_spans_summand(rows)
 
 
@@ -402,6 +399,20 @@ def test_fs_connected():
 def test_fs_h1_small():
     # n = 2 has no triangles, so h1 is the cycle rank of the graph
     assert fs_h1_rank(2, 1) == len(fs_edges(2, 1)) - len(fs_vertices(2, 1)) + 1
+
+
+@pytest.mark.parametrize("n, bound, counts, h1", [(3, 1, 0, 0), (2, 2, 1, 6)])
+def test_fs_h1_counts_the_components_only_in_the_fallback(
+        monkeypatch, n, bound, counts, h1):
+    # connected lower links certify h1 = 0 with no component count; only
+    # the exact rank needs dim ker d1
+    verts, edges = fs_graph(n, bound)
+    calls = []
+    real = lattice.fs_components
+    monkeypatch.setattr(lattice, "fs_components",
+                        lambda *args: calls.append(1) or real(*args))
+    assert fs_h1(verts, edges) == h1
+    assert len(calls) == counts
 
 
 def _dense_h1(verts, edges):

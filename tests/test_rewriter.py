@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -58,6 +60,21 @@ def test_factor_text_round_trip():
         parse_factor("T:2,3:(4)")
     with pytest.raises(ParseError):
         parse_factor("S:2,3:[4,-1]")
+
+
+@pytest.mark.parametrize("text", [
+    "T:\u0661,\u0662:[0,0]",  # Arabic-Indic digits
+    "T:1,2:[1_0,0]",
+    "T: 1,2:[0, 0]",
+    "T:+1,2:[0,0]",
+    "T:2,1:[0,0]",  # i > j
+    "T:1,3:[0,0]",  # j beyond the rank that d implies
+])
+def test_parse_factor_reads_indices_as_words_do(text):
+    # indices and |d| are ASCII digits as in words; a shape the factor
+    # refuses is a ParseError naming the text too
+    with pytest.raises(ParseError, match=re.escape(repr(text))):
+        parse_factor(text)
 
 
 def test_factor_word_examples():
