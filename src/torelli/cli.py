@@ -22,7 +22,7 @@ from . import drags, johnson, lattice, rewriter, words
 # work starts.  `fs` enumerates (2 bound + 1)^n candidate vectors and
 # then tests pairs of them.  The cap admits n <= 6 at bound 1 and
 # (n, bound) = (4, 2) and (3, 4); with --homology, in-process, those
-# take 0.39-0.54, 0.17-0.21 and 0.25-0.38 s of CPU on a 2-vCPU Xeon
+# take 0.35-0.58, 0.13-0.18 and 0.18-0.30 s of CPU on a 2-vCPU Xeon
 # host, depending on its load, and print 0.6-2.1 MB.
 FS_MAX_CANDIDATES = 729
 # `complete-basis` builds, checks and prints an n x n matrix, and the

@@ -57,7 +57,7 @@ from .johnson import (
     _wedge,
     tau,
 )
-from .lattice import _sparse_rank, _summand_quotient, smith_invariants
+from .lattice import _sparse_rank, _spans_summand_rows, smith_invariants
 from .words import (
     GroupMap,
     ParseError,
@@ -679,7 +679,7 @@ def _rank_from_taus(config: PartitionConfig,
     About 1% of a row's coordinates are nonzero, so rows stay sparse.
     The reduced set is the given generators less those ``_dropped``
     names, as in ``reduced_generating_set``.  If its rows span a summand
-    (``_summand_quotient``, on the sparse rows), every Smith invariant is
+    (``_spans_summand_rows``, on the sparse rows), every Smith invariant is
     1.  Otherwise the invariants are taken by ``smith_invariants`` on the
     rows restricted to the union S of their supports: rows supported on
     S span a summand of Z^N exactly when they span one of Z^S, and zero
@@ -696,7 +696,7 @@ def _rank_from_taus(config: PartitionConfig,
         computed = _sparse_rank(rows)
     reduced_rows = [row for g, row in row_of.items()
                     if not _dropped(config, g)]
-    if _summand_quotient(reduced_rows, m * m * (m - 1) // 2) is not None:
+    if _spans_summand_rows(reduced_rows):
         return computed, formula_rank(config), [1] * len(reduced_rows)
     support = sorted(set().union(*reduced_rows))
     invariants = smith_invariants([[row.get(c, 0) for c in support]

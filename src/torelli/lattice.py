@@ -5,25 +5,16 @@ arbitrary precision.  Smith normal form is computed by fraction-free
 elimination pivoting on a minimal absolute value; every snf() call
 verifies U A V = D and the unimodularity of U and V before returning.
 
-Summand tests use no Smith form.  By the extension lemma, rows
-v_1..v_k span a direct summand of Z^n exactly when v_1 is primitive and
-the images of v_2..v_k span a summand of Z^n/<v_1>, which is Z^(n-1)
-once column operations have turned v_1 into a unit vector.  The same
-test decides the all-unit case of smith_invariants: k rows span a
-summand of rank k exactly when their k invariants are all 1, and only
-rows that fail it go through snf().
-
-The elimination keeps its column operations and the columns it leaves
-(``_summand_quotient``), which give coordinates on the quotient
-Z^n/<rows>.  It is the one summand decision: ``spans_summand``, the FS
-code and the rank check of ``drags`` all ask it.  A quotient is built
-once and then tests any number of further vectors w, each by the
-primitivity of its image there, which is the lemma's next step.  The
-FS truncation builds Z^n/<u> twice per vertex u: once in lexicographic
-order to find its edges (``fs_graph``), and once more for the simplex
-tests, where (u, v, w) is a simplex exactly when the images of v and w
-there have 2x2 minors of gcd 1.  Past the graph, the FS code sees the
-vertices in one order, ``_fs_order_key``.
+Summand tests use no Smith form.  ``_spans_summand_rows``, by the
+extension lemma, is the one elimination-based summand decision: it
+serves ``spans_summand``, the rank check of ``drags`` and the all-unit
+case of smith_invariants, so only rows that fail it go through snf().
+The FS truncation asks only about pairs and triples of its own
+vertices, and k vectors span a summand of rank k exactly when their
+k x k minors have gcd 1.  So it builds no quotient: an edge is read off
+2x2 minors (``fs_graph``) and a simplex off 3x3 minors
+(``_fs_vertex_test``), each only until their gcd reaches 1.  Past the
+graph, the FS code sees the vertices in one order, ``_fs_order_key``.
 
 Ranks over Q come from one sparse fraction-free elimination.  The FS
 homology adds the vertices in that order, unit vectors first, and
@@ -46,8 +37,6 @@ SparseRow = dict[int, int]
 Vertex = tuple[int, ...]
 Edge = tuple[Vertex, Vertex]
 Triangle = tuple[Vertex, Vertex, Vertex]
-# column operations (j, q, p), col j -= q * col p, and the columns left
-Quotient = tuple[list[tuple[int, int, int]], list[int]]
 
 
 def identity(k: int) -> Matrix:
@@ -109,7 +98,7 @@ def _sparse_rank(rows: Iterable[SparseRow], limit: int | None = None) -> int:
     consumed only as far as needed.
 
     The steps scale rows, so the lattice the rows span is not kept:
-    whether they span a summand is ``_summand_quotient``'s question.
+    whether they span a summand is ``_spans_summand_rows``'s question.
     """
     pivots: dict[int, SparseRow] = {}
     for row in rows:
@@ -287,23 +276,19 @@ def is_primitive(v: Iterable[int]) -> bool:
     return gcd(*v) == 1
 
 
-def _summand_quotient(rows: Iterable[SparseRow], n: int) -> Quotient | None:
-    """Coordinates on Z^n/<rows>, or None if the rows, {column: value}
-    with columns below n, span no summand of Z^n of rank len(rows).  The
-    rows are copied, never changed.  This is the one summand decision:
-    ``spans_summand``, the FS code and the rank check of ``drags`` ask it.
+def _spans_summand_rows(rows: Iterable[SparseRow]) -> bool:
+    """Whether the rows, {column: value}, span a summand of Z^n of rank
+    len(rows).  The rows are copied, never changed.  This is the one
+    elimination-based summand decision: ``spans_summand`` and the rank
+    check of ``drags`` ask it.
 
     By the extension lemma: the first row must be primitive, and the
     images of the other rows in Z^n/<first row> must span a summand.
     Column Euclid on the first row leaves one entry, a unit exactly when
     the row is primitive; the same column operations on each later row,
     with that pivot column dropped, give its image in Z^(n-1).
-
-    Returns (ops, live): the column operations (j, q, p), meaning
-    col j -= q * col p, in the order applied, and the columns never
-    pivoted on.  Replaying ops on a vector and reading its live entries
-    gives its image in Z^n/<rows> = Z^len(live) (``_image``).
     """
+    # column operations (j, q, p), col j -= q * col p, in the order applied
     ops: list[tuple[int, int, int]] = []
     pivots: set[int] = set()
     for row in rows:
@@ -315,7 +300,7 @@ def _summand_quotient(rows: Iterable[SparseRow], n: int) -> Quotient | None:
                 head[j] = head.get(j, 0) - q * y
         head = {c: x for c, x in head.items() if x and c not in pivots}
         if gcd(*head.values()) != 1:
-            return None
+            return False
         while len(head) > 1:
             # column Euclid: reduce every other entry of head modulo its
             # smallest nonzero entry, until that entry is alone
@@ -330,29 +315,15 @@ def _summand_quotient(rows: Iterable[SparseRow], n: int) -> Quotient | None:
         # head is now +-e_p, a basis vector, so the quotient by it drops
         # coordinate p
         pivots.update(head)
-    return ops, [c for c in range(n) if c not in pivots]
-
-
-def _image(quotient: Quotient, w: Iterable[int]) -> list[int]:
-    """The coordinates of the image of w in Z^n/<rows>, for the quotient
-    ``_summand_quotient(rows, n)``."""
-    ops, live = quotient
-    w = list(w)
-    for j, q, p in ops:
-        w[j] -= q * w[p]
-    return [w[c] for c in live]
+    return True
 
 
 def spans_summand(vectors: list[list[int]]) -> bool:
     """True iff the span of the rows is a direct summand of Z^n of rank
-    len(vectors), by primitive quotients (``_summand_quotient``)."""
-    if not vectors:
-        return True
-    n = len(vectors[0])
-    if any(len(v) != n for v in vectors):
+    len(vectors), by primitive quotients (``_spans_summand_rows``)."""
+    if any(len(v) != len(vectors[0]) for v in vectors):
         raise ValueError("mixed lengths")
-    rows = [dict(enumerate(v)) for v in vectors]
-    return _summand_quotient(rows, n) is not None
+    return _spans_summand_rows(dict(enumerate(v)) for v in vectors)
 
 
 def complete_basis(vectors: list[list[int]], n: int) -> Matrix:
@@ -402,19 +373,39 @@ def fs_is_simplex(vertices: list[tuple[int, ...]]) -> bool:
     return spans_summand([list(v) for v in vertices])
 
 
+def _fs_minors(u: Vertex, size: int) -> list[tuple[int, ...]]:
+    """The columns of the size x size minors that decide whether u and
+    size - 1 further vectors span a summand: their gcd is 1 exactly when
+    that of all the minors is.
+
+    A minor vanishes on columns where u is all zero.  If u has an entry
+    +-1 in column p, row operations by u clear column p of the other
+    rows, so the minors through p are +-1 times those of their images in
+    Z^n/<u>, which decide by the extension lemma; no other is read.
+    """
+    units = [p for p, x in enumerate(u) if x in (1, -1)]
+    return [cols for cols in itertools.combinations(range(len(u)), size)
+            if (units[0] in cols if units else any(u[c] for c in cols))]
+
+
 def fs_graph(n: int, bound: int) -> tuple[list[Vertex], list[Edge]]:
     """Vertices and edges (u, v), u < v, in lexicographic order.
 
-    The quotient Z^n/<u> is built once per vertex u, and each later
-    vertex v is an edge exactly when its image there is primitive.  The
-    simplex tests build Z^n/<u> again (``_fs_vertex_test``).
+    {u, v} spans a summand of rank 2 exactly when its 2x2 minors have
+    gcd 1.  For each u, the minors ``_fs_minors`` names are read with
+    each later vertex v only until their gcd reaches 1.
     """
     verts = fs_vertices(n, bound)
     edges = []
     for i, u in enumerate(verts):
-        quotient = _summand_quotient([dict(enumerate(u))], n)
-        edges.extend((u, v) for v in verts[i + 1:]
-                     if is_primitive(_image(quotient, v)))
+        terms = [(p, q, u[p], u[q]) for p, q in _fs_minors(u, 2)]
+        for v in verts[i + 1:]:
+            g = 0
+            for p, q, a, b in terms:
+                g = gcd(g, a * v[q] - b * v[p])
+                if g == 1:
+                    edges.append((u, v))
+                    break
     return verts, edges
 
 
@@ -478,32 +469,26 @@ def _fs_index(verts: Iterable[Vertex], edges: list[Edge]) -> _FsIndex:
     return _FsIndex(order, below)
 
 
-def _fs_vertex_test(order: list[Vertex], k: int,
-                    near: int) -> Callable[[int, int], bool]:
-    """The simplex test of (order[k], order[j], order[i]) for positions
-    j and i among the set bits of ``near``.
+def _fs_vertex_test(order: list[Vertex],
+                    k: int) -> Callable[[int, int], bool]:
+    """The simplex test of (order[k], order[j], order[i]).
 
-    Z^n/<order[k]> is built once, and the image there of each vertex of
-    ``near`` once, kept in a list by position.  By the extension lemma
-    the triple is a simplex exactly when the two images span a summand
-    of rank 2 of Z^(n-1), that is when their 2x2 minors have gcd 1; the
-    minors are read only until their gcd reaches 1.  A vertex that is
-    not primitive is in no simplex.
+    The triple spans a summand of rank 3 exactly when its 3x3 minors
+    have gcd 1.  The minors ``_fs_minors`` names for order[k] are
+    expanded along it and read only until their gcd reaches 1.  A
+    vertex that is not primitive divides every minor, so it is in no
+    simplex.
     """
     u = order[k]
-    quotient = _summand_quotient([dict(enumerate(u))], len(u))
-    if quotient is None:
-        return lambda j, i: False
-    pairs = list(itertools.combinations(range(len(quotient[1])), 2))
-    images: list[list[int]] = [[]] * near.bit_length()
-    for j in _bits(near):
-        images[j] = _image(quotient, order[j])
+    terms = [(p, q, r, u[p], u[q], u[r]) for p, q, r in _fs_minors(u, 3)]
 
     def test(j: int, i: int) -> bool:
-        a, b = images[j], images[i]
+        v, w = order[j], order[i]
         g = 0
-        for p, q in pairs:
-            g = gcd(g, a[p] * b[q] - a[q] * b[p])
+        for p, q, r, a, b, c in terms:
+            g = gcd(g, a * (v[q] * w[r] - v[r] * w[q])
+                    - b * (v[p] * w[r] - v[r] * w[p])
+                    + c * (v[p] * w[q] - v[q] * w[p]))
             if g == 1:
                 return True
         return False
@@ -516,7 +501,7 @@ def _fs_simplices(fs: _FsIndex) -> Iterator[tuple[int, int, int]]:
     are tested by ``_fs_vertex_test`` for k, each candidate once."""
     below = fs.below
     for k, lower in enumerate(below):
-        test = _fs_vertex_test(fs.order, k, lower)
+        test = _fs_vertex_test(fs.order, k)
         for j in _bits(lower):
             for i in _bits(below[j] & lower):
                 if test(j, i):
@@ -579,7 +564,7 @@ def _fs_links_connected(fs: _FsIndex) -> bool:
         if not lower & lower - 1:
             # no lower neighbour or one: the link is empty or a point
             continue
-        test = _fs_vertex_test(order, k, lower)
+        test = _fs_vertex_test(order, k)
         up: dict[int, int] = {}
         roots = 0
         # the bit loops are written out: with ``_bits`` this pass takes

@@ -460,6 +460,45 @@ def test_fs_homology_counts_the_components_once(runner, monkeypatch):
     assert calls == [1]
 
 
+@pytest.mark.parametrize("n, bound, digest", [
+    ("4", "1", "d21333a956d1164f622aba9cb628ed41"
+               "8927f47ee9e901a66d8978ad2ae2709c"),
+    ("3", "2", "1fccfb7415e71dcb0454038ce56087b6"
+               "ef25c03239cd31e27708937e8125cc5d"),
+    ("2", "2", "625452637b92dcaf4c850f31d7737ab6"
+               "9d2f98bb64d5211418415ff301520905"),
+    pytest.param("6", "1", "070d418bbd9e5d12afc60ddc647ecef2"
+                           "118f0cc9348b252bb8d3c7dd2d3a5282",
+                 marks=pytest.mark.slow),
+    pytest.param("4", "2", "53b0184b37c1a9ad872909b800d33025"
+                           "d4337c09cca31d5a7cb697d5116309ea",
+                 marks=pytest.mark.slow),
+    pytest.param("3", "4", "c50eecc349b5e67ba4a6c82843d4699c"
+                           "2c4444af68220329edb20bf833b2d310",
+                 marks=pytest.mark.slow),
+])
+def test_fs_homology_stdout_is_pinned(runner, n, bound, digest):
+    # the three inputs of the fs-h1 benchmark and the exact fallback at
+    # (2, 2); under `slow`, the three inputs at the cap
+    out = invoke(runner, "fs", "--n", n, "--bound", bound,
+                 "--homology").output.encode()
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
+def test_fs_builds_no_quotient(runner, monkeypatch):
+    # edges and simplices are decided by the minors of the vertices, so
+    # the elimination-based summand decision never runs, the exact
+    # fallback at (2, 2) included
+    def kernel(rows):
+        raise AssertionError("fs must not run the summand elimination")
+    monkeypatch.setattr(lattice, "_spans_summand_rows", kernel)
+    for n, bound, h1 in (("4", "1", 0), ("2", "2", 6)):
+        result = invoke(runner, "fs", "--n", n, "--bound", bound,
+                        "--homology")
+        assert json.loads(result.output)["h1_rank"] == h1
+    assert lattice.fs_h1_rank(3, 2) == 0
+
+
 def test_fs_dot_into_a_missing_directory_exit_1(runner, tmp_path):
     # a --dot path that cannot be written is a domain error, not a
     # traceback

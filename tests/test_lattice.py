@@ -124,7 +124,7 @@ def test_unit_pivot_decision_agrees_with_spans_summand(case):
     # check's rows
     width, rows = case
     before = [dict(row) for row in rows]
-    ok = lattice._summand_quotient(rows, width) is not None
+    ok = lattice._spans_summand_rows(rows)
     assert rows == before
     dense = [[row.get(c, 0) for c in range(width)] for row in rows]
     assert ok == spans_summand(dense) == minors_spans_summand(dense)
@@ -322,16 +322,59 @@ def test_spans_summand_matches_minors_oracle_large_entries(rows):
 @example([[1, 0], [0, 1], [1, 1]])
 @example([[999999, 1000000], [1000000, 999999]])
 @example([[999999, 1000000, 0], [0, 0, 1], [1, 1, 0]])
-def test_quotient_then_primitive_image_matches_minors_oracle(rows):
-    # the extension lemma's step: rows span a summand exactly when
-    # rows[:-1] do and the image of rows[-1] in their quotient is
-    # primitive
-    n = len(rows[0])
-    quotient = lattice._summand_quotient(
-        [dict(enumerate(v)) for v in rows[:-1]], n)
-    ok = quotient is not None and is_primitive(
-        lattice._image(quotient, rows[-1]))
+def test_extension_lemma_step_through_spans_summand(rows):
+    # rows span a summand exactly when rows[:-1] do and the image of
+    # rows[-1] in their quotient is primitive.  The quotient's
+    # coordinates are those past len(rows) - 1 in a basis completing
+    # rows[:-1].
+    head, last = rows[:-1], rows[-1]
+    ok = spans_summand(rows)
     assert ok == minors_spans_summand(rows)
+    if not spans_summand(head):
+        assert not ok
+        return
+    basis = sympy.Matrix(complete_basis(head, len(last)))
+    coords = sympy.Matrix([last]) * basis.inv()
+    assert ok == is_primitive(int(x) for x in coords[len(head):])
+
+
+def _fs_row(rng, n):
+    """A row of Z^n for the FS tests: random, zero, non-primitive, or
+    with no entry +-1."""
+    kind = rng.choice(["random", "random", "zero", "scaled", "no unit"])
+    if kind == "zero":
+        return (0,) * n
+    if kind == "no unit":
+        return tuple(rng.choice([0, 2, -2, 3, -3, 5]) for _ in range(n))
+    scale = rng.randint(2, 4) if kind == "scaled" else 1
+    return tuple(scale * rng.randint(-3, 3) for _ in range(n))
+
+
+def test_fs_pair_and_triple_tests_match_the_summand_kernel(monkeypatch):
+    # the edge test of fs_graph and the simplex test of _fs_vertex_test,
+    # each from every end, decide as spans_summand and the minors oracle
+    # do on seeded pairs and triples of length 2-5
+    rng = random.Random(26)
+    verts = []
+    monkeypatch.setattr(lattice, "fs_vertices", lambda n, bound: verts)
+    decided = {2: set(), 3: set()}
+    for _ in range(1500):
+        n = rng.randint(2, 5)
+        pair = [_fs_row(rng, n) for _ in range(2)]
+        expected = spans_summand([list(v) for v in pair])
+        assert expected == minors_spans_summand(pair)
+        for u, v in (pair, pair[::-1]):
+            verts[:] = [u, v]
+            assert fs_graph(n, 1)[1] == ([(u, v)] if expected else [])
+        decided[2].add(expected)
+        triple = [_fs_row(rng, n) for _ in range(3)]
+        expected = spans_summand([list(v) for v in triple])
+        assert expected == minors_spans_summand(triple)
+        for k in range(3):
+            j, i = (x for x in range(3) if x != k)
+            assert lattice._fs_vertex_test(triple, k)(j, i) == expected
+        decided[3].add(expected)
+    assert decided == {2: {True, False}, 3: {True, False}}
 
 
 @given(st.lists(st.lists(small_int, min_size=4, max_size=4),
@@ -504,7 +547,7 @@ def test_fs_h1_beyond_the_cli_cap(n, bound):
 def _record_fs_h1(monkeypatch, vertex_test=None):
     """Wrap the seams of fs_h1.  Every simplex test is recorded in order
     as (k, j, i, ok) in vertex-order positions: the triple i, j, k,
-    tested in the quotient by vertex k.  The link pass leaves its index,
+    tested by the test of vertex k.  The link pass leaves its index,
     its result and the number of tests made by then; each link closing
     leaves its vertex, the span of its tests and its result; every exact
     rank leaves its limit and its rows.  ``vertex_test(u)``, if given, replaces the
@@ -515,10 +558,10 @@ def _record_fs_h1(monkeypatch, vertex_test=None):
     real_rank = lattice._sparse_rank
     seen = {"tests": [], "joins": [], "ranks": []}
 
-    def recording_vertex_test(order, k, near):
+    def recording_vertex_test(order, k):
         seen["vertex"] = k
         if vertex_test is None:
-            test = real_test(order, k, near)
+            test = real_test(order, k)
         else:
             on_vertices = vertex_test(order[k])
 
