@@ -7,7 +7,7 @@ handles per block):
 * CD-(i,j,k) commutator drag: y_i |-> [y_j, y_k] y_i.
 * CD+(i,j,k) commutator drag: y_i |-> y_i [y_j, y_k]^-1.
 * BCD(r,s,i,j) boundary commutator drag: the boundary (r, s) pushed
-  around [y_i, y_j]^-1 (see push_boundary for the case table).
+  around [y_i, y_j]^-1 (see _push_action for the case table).
 * PD(r, j)   block drag: block r pushed around y_j.
 
 Composition is ``compose(f, g) = f o g`` with g acting first; a drag

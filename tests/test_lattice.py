@@ -548,18 +548,15 @@ def _record_fs_h1(monkeypatch, vertex_test=None):
     """Wrap the seams of fs_h1.  Every simplex test is recorded in order
     as (k, j, i, ok) in vertex-order positions: the triple i, j, k,
     tested by the test of vertex k.  The link pass leaves its index,
-    its result and the number of tests made by then; each link closing
-    leaves its vertex, the span of its tests and its result; every exact
-    rank leaves its limit and its rows.  ``vertex_test(u)``, if given, replaces the
-    simplex test by one on vertices."""
+    its result and the number of tests made by then; every exact rank
+    leaves its limit and its rows.  ``vertex_test(u)``, if given,
+    replaces the simplex test by one on vertices."""
     real_test = lattice._fs_vertex_test
     real_links = lattice._fs_links_connected
-    real_join = lattice._fs_join_link
     real_rank = lattice._sparse_rank
-    seen = {"tests": [], "joins": [], "ranks": []}
+    seen = {"tests": [], "ranks": []}
 
     def recording_vertex_test(order, k):
-        seen["vertex"] = k
         if vertex_test is None:
             test = real_test(order, k)
         else:
@@ -579,13 +576,6 @@ def _record_fs_h1(monkeypatch, vertex_test=None):
         seen.update(fs=fs, connected=connected, passed=len(seen["tests"]))
         return connected
 
-    def recording_join(*args):
-        start = len(seen["tests"])
-        joined = real_join(*args)
-        seen["joins"].append((seen["vertex"], start, len(seen["tests"]),
-                              joined))
-        return joined
-
     def recording_rank(rows, limit=None):
         rows = list(rows)
         seen["ranks"].append((limit, rows))
@@ -593,7 +583,6 @@ def _record_fs_h1(monkeypatch, vertex_test=None):
 
     monkeypatch.setattr(lattice, "_fs_vertex_test", recording_vertex_test)
     monkeypatch.setattr(lattice, "_fs_links_connected", recording_links)
-    monkeypatch.setattr(lattice, "_fs_join_link", recording_join)
     monkeypatch.setattr(lattice, "_sparse_rank", recording_rank)
     return seen
 
@@ -614,86 +603,73 @@ def _root(parent, x):
 
 
 def _check_candidates(seen):
-    """Assert the certificate's bookkeeping for one recorded link pass,
-    and return the triangles it found, in order, as sorted vertex
-    triples.
+    """Replay the link pass on the recorded outcomes and assert that it
+    makes exactly the recorded tests, in the recorded order.  Return the
+    triangles found, in order, as sorted vertex triples, and, for each
+    link that made any, the number of tests made after a link vertex's
+    first simplex.
 
     - No candidate (i, j, k) is tested twice within the link pass, and
       vertex k tests only triples with k on top, k in ascending order.
-    - Each link vertex j, lowest first, tests its common lower
-      neighbours i with k lowest first, up to its first simplex, or all
-      of them if none is a simplex.
-    - The closing runs exactly on the links where more than one vertex
-      found no simplex below it.  It tests only candidates above j's
-      first simplex, only pairs whose ends lie in two different
-      components of the link found so far, and stops when one component
-      is left.  If it gives up, every pair that would join two
-      components was tested, and the pass stops at that vertex.
+    - One union-find per vertex k grows with its link, one link vertex j
+      at a time, lowest first.  j tests its common lower neighbours i
+      with k lowest first, up to the first simplex, and attaches to it;
+      with none, j is a new component.  Then, only while the link so
+      far has more than one component, j tests the rest of them whose
+      root is not its own, and joins each simplex.
+    - The pass visits every vertex, or stops at the first link left with
+      more than one component.  There every pair that would join two
+      components was tested.
     """
     fs, tests = seen["fs"], seen["tests"][:seen["passed"]]
     candidates = [(k, j, i) for k, j, i, _ in tests]
     assert len(set(candidates)) == len(candidates)
     assert all(i < j < k for k, j, i in candidates)
-    closing = {t for _, start, stop, _ in seen["joins"]
-               for t in range(start, stop)}
-    joins = {k: span for k, *span in seen["joins"]}
-    assert len(joins) == len(seen["joins"])
-    by_vertex = {}
-    for t, (k, j, i, ok) in enumerate(tests):
-        by_vertex.setdefault(k, []).append((t, j, i, ok))
-    assert list(by_vertex) == sorted(by_vertex)
-    # the pass visits every vertex, or stops at a link that stays
-    # disconnected
-    last = len(fs.order) - 1
-    if not seen["connected"]:
-        last, *_, joined = seen["joins"][-1]
-        assert not joined
-    assert all(k <= last for k in by_vertex)
-    for k in range(last + 1):
-        made = by_vertex.get(k, [])
-        down = {}
-        for t, j, i, ok in made:
-            if t not in closing:
-                down.setdefault(j, []).append((i, ok))
-        assert list(down) == sorted(down)
+    assert [k for k, *_ in candidates] == sorted(k for k, *_ in candidates)
+    replayed = []
+
+    def test(k, j, i):
+        # the replay asks for the recorded tests in the recorded order
+        t = len(replayed)
+        assert t < len(tests) and tests[t][:3] == (k, j, i)
+        replayed.append((k, j, i))
+        return tests[t][3]
+
+    closing, connected = {}, True
+    for k in range(len(fs.order)):
         lower = [j for j in range(k) if fs.below[k] >> j & 1]
-        first = {}
+        parent, parts = {}, 0
         for j in lower:
-            tested = down.get(j, [])
             common = _common_lower(fs, j, k)
-            assert [i for i, _ in tested] == common[:len(tested)]
-            hits = [i for i, ok in tested if ok]
-            if hits:
-                assert hits == [tested[-1][0]]
-                first[j] = hits[0]
-            else:
-                assert len(tested) == len(common)
-        roots = len(lower) - len(first)
-        assert (k in joins) == (roots > 1)
-        if k not in joins:
-            continue
-        parent = dict(first)
-        start, stop, joined = joins[k]
-        for k2, j, i, ok in tests[start:stop]:
-            assert k2 == k and j in first and i > first[j]
-            assert i in _common_lower(fs, j, k)
-            ri, rj = _root(parent, i), _root(parent, j)
-            assert ri != rj
-            if ok:
-                parent[ri] = rj
-                roots -= 1
-        assert (roots == 1) == joined
-        if joined:
-            assert tests[stop - 1][3]
-        else:
-            assert k == last
-            tried = {(j, i) for _, j, i, _ in made}
+            hit = next((t for t, i in enumerate(common) if test(k, j, i)),
+                       None)
+            if hit is None:
+                parts += 1
+                continue
+            parent[j] = common[hit]
+            start = len(replayed)
+            for i in common[hit + 1:]:
+                if parts == 1:
+                    break
+                ri, rj = _root(parent, i), _root(parent, j)
+                if ri != rj and test(k, j, i):
+                    parent[ri] = rj
+                    parts -= 1
+            if len(replayed) > start:
+                closing[k] = closing.get(k, 0) + len(replayed) - start
+        if parts > 1:
+            connected = False
+            tried = {(j, i) for k2, j, i in replayed if k2 == k}
             assert all((j, i) in tried for j in lower
                        for i in _common_lower(fs, j, k)
                        if _root(parent, i) != _root(parent, j))
+            break
+    assert replayed == candidates
+    assert connected == seen["connected"]
     order = fs.order
-    return [tuple(sorted((order[i], order[j], order[k])))
-            for k, j, i, ok in tests if ok]
+    drawn = [tuple(sorted((order[i], order[j], order[k])))
+             for k, j, i, ok in tests if ok]
+    return drawn, closing
 
 
 def _every_candidate(fs):
@@ -715,11 +691,11 @@ def test_fs_h1_stops_once_the_cycle_space_is_filled(monkeypatch):
     cycles = _cycle_rank(verts, edges)
     seen = _record_fs_h1(monkeypatch)
     assert fs_h1(verts, edges) == 0
-    drawn = _check_candidates(seen)
-    # 743 downward tests leave two links with two roots each; one
-    # closing test joins each
+    drawn, closing = _check_candidates(seen)
+    # two links have two components when a link vertex finds its first
+    # simplex; one test after it joins each
     assert seen["connected"] and seen["passed"] == len(seen["tests"])
-    assert [stop - start for _, start, stop, _ in seen["joins"]] == [1, 1]
+    assert list(closing.values()) == [1, 1]
     assert len(seen["tests"]) == 743 + 2
     assert len(seen["tests"]) < len(_every_candidate(seen["fs"]))
     assert len(drawn) == cycles == 683
@@ -744,8 +720,8 @@ def test_fs_h1_of_a_cone_stops_in_phase_1(monkeypatch):
     cycles = _cycle_rank(verts, edges)
     seen = _record_fs_h1(monkeypatch)
     assert fs_h1(verts, edges) == 0
-    drawn = _check_candidates(seen)
-    assert seen["joins"] == []
+    drawn, closing = _check_candidates(seen)
+    assert closing == {}
     assert seen["passed"] == len(seen["tests"]) == len(drawn) == cycles > 0
     assert seen["ranks"] == []
     _assert_exit_at_the_cycle_rank(drawn, edges, cycles)
@@ -863,18 +839,82 @@ def test_fs_h1_zero_is_certified_by_connected_links(monkeypatch, n, bound):
 
 
 def test_fs_h1_closes_links_with_several_roots_at_n3_bound2(monkeypatch):
-    # the downward tests leave 14 links with more than one root; the
-    # closing joins each with 18 tests in all, and no exact rank runs
+    # 14 links make tests after a link vertex's first simplex, 18 in
+    # all, and each ends connected; no exact rank runs
     verts, edges = fs_graph(3, 2)
     seen = _record_fs_h1(monkeypatch)
     assert fs_h1(verts, edges) == 0
-    drawn = _check_candidates(seen)
-    assert len(seen["joins"]) == 14
-    assert all(joined for *_, joined in seen["joins"])
-    closing = sum(stop - start for _, start, stop, _ in seen["joins"])
-    assert (len(seen["tests"]) - closing, closing) == (1528, 18)
+    drawn, closing = _check_candidates(seen)
+    assert seen["connected"] and len(closing) == 14
+    assert (len(seen["tests"]) - sum(closing.values()),
+            sum(closing.values())) == (1528, 18)
     assert seen["ranks"] == []
     _assert_exit_at_the_cycle_rank(drawn, edges, _cycle_rank(verts, edges))
+
+
+@pytest.mark.parametrize("n,bound", [(4, 1), (3, 2)])
+def test_fs_link_vertex_tests_are_contiguous(monkeypatch, n, bound):
+    # each link vertex makes its search and then any tests that join
+    # components before the next link vertex starts: within each
+    # vertex k, the link vertex j of the tests never decreases
+    verts, edges = fs_graph(n, bound)
+    seen = _record_fs_h1(monkeypatch)
+    assert fs_h1(verts, edges) == 0
+    tests = seen["tests"]
+    assert [(k, j, i) for (k0, j0, _, _), (k, j, i, _) in zip(tests, tests[1:])
+            if k == k0 and j < j0] == []
+
+
+def _links_connected_by_search(verts, edges, simplex):
+    """Whether every lower link in the norm order is empty or connected,
+    by a search over each link: its vertices are k's lower neighbours,
+    its edges the graph's edges (i, j) with simplex(i, j, k)."""
+    pos = {v: t for t, v in enumerate(sorted(verts,
+                                             key=lattice._fs_order_key))}
+    near = {v: set() for v in verts}
+    for u, v in edges:
+        near[u].add(v)
+        near[v].add(u)
+    for k in verts:
+        link = {v for v in near[k] if pos[v] < pos[k]}
+        reached = set(itertools.islice(link, 1))
+        todo = list(reached)
+        while todo:
+            x = todo.pop()
+            for y in near[x] & link - reached:
+                if simplex(x, y, k):
+                    reached.add(y)
+                    todo.append(y)
+        if reached != link:
+            return False
+    return True
+
+
+def test_fs_links_connected_matches_a_search_over_each_link():
+    # seeded edge subsets, from the whole graph to 60% of edges dropped:
+    # the link pass agrees with a search whose link edges come from
+    # fs_is_simplex, on links that end connected and on links that do not
+    verdicts = []
+    for n, bound in [(3, 1), (4, 1), (3, 2)]:
+        verts, all_edges = fs_graph(n, bound)
+        simplices = {}
+
+        def simplex(*triple):
+            key = frozenset(triple)
+            if key not in simplices:
+                simplices[key] = fs_is_simplex(list(triple))
+            return simplices[key]
+        rng = random.Random(100 * n + bound)
+        for case in range(14):
+            drop = case % 7 / 10
+            edges = [e for e in all_edges if rng.random() >= drop]
+            verdict = lattice._fs_links_connected(
+                lattice._fs_index(verts, edges))
+            assert verdict == _links_connected_by_search(verts, edges,
+                                                         simplex)
+            verdicts.append(verdict)
+    assert len(verdicts) == 42
+    assert 5 <= sum(verdicts) <= 37
 
 
 def test_fs_h1_falls_back_when_a_lower_link_stays_disconnected(monkeypatch):
@@ -887,7 +927,6 @@ def test_fs_h1_falls_back_when_a_lower_link_stays_disconnected(monkeypatch):
     seen = _record_fs_h1(monkeypatch)
     assert fs_h1(verts, edges) == _dense_h1(verts, edges) == 0
     assert seen["fs"].order == sorted(verts)
-    assert seen["joins"] and not seen["joins"][-1][-1]
     _assert_every_triangle_ranked_once(seen, triangles,
                                        _cycle_rank(verts, edges))
 
