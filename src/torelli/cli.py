@@ -19,60 +19,21 @@ from . import config as cfg
 from . import drags, johnson, lattice, rewriter, words
 
 # Inputs whose work would explode are refused, with exit 1, before any
-# work starts.  `fs` enumerates (2 bound + 1)^n candidate vectors and
-# then tests pairs of them.  The cap admits n <= 6 at bound 1 and
-# (n, bound) = (4, 2) and (3, 4); with --homology, in-process, those
-# take 0.35-0.58, 0.13-0.18 and 0.18-0.30 s of CPU on a 2-vCPU Xeon
-# host, depending on its load, and print 0.6-2.1 MB.
+# work starts, by ``_check_cap``.  The README's CLI section gives what
+# each cap costs at its value.
+# (2 bound + 1)^n candidate vectors, which `fs` then tests in pairs
 FS_MAX_CANDIDATES = 729
-# `complete-basis` builds, checks and prints an n x n matrix, and the
-# entries of its Smith-form completion grow with n.  On random rows with
-# entries in [-10, 10], n/2, 3n/4 and n - 1 of them, the CLI takes at
-# most 0.5, 0.8 and 1.6 s of CPU at n = 54 (the cap), with entries of up
-# to 3483 digits; n = 60 and 64 with n - 1 rows take 2.9 and 4.8 s and
-# then exit 1, their entries past Python's 4300-digit limit on int to
-# str, on a 2-vCPU Xeon host.  Input entries larger than these can pass
-# that limit below the cap, and then also exit 1.
+# the n x n matrix of `complete-basis`, whose entries grow with n
 COMPLETE_BASIS_MAX_N = 54
-# `rewrite` and `push-factor` expand each letter of the word into
-# Schreier factors; the raw count, before any cancels, is known from
-# one scan.  At n = 3, x1^k x2^k x1^-k x2^-k has k^2 of them: `push-factor`
-# takes 0.11-0.19 s of CPU at k = 40 and 0.42-0.72 s at k = 64 (the
-# cap), and its work at k = 80 takes 0.78-1.1 s in the library, on a
-# 2-vCPU Xeon host under varying load.  Seeded words of about 100
-# letters, as in the push-long benchmark, stay below 100.
+# Schreier factors of `rewrite` and `push-factor`, before any cancel
 REWRITE_MAX_FACTORS = 4096
-# `push-factor`'s drag word, with a whole W . BCD . W^-1 for each
-# Schreier factor m [x_i, x_j] m^-1, has 2 (n - 1) |d|_1 + 1 tokens per
-# factor before free reduction, d the exponents of m; this raw count
-# comes from the same scan and bounds the tokens it emits.  At the
-# cap it admits x1^64 x2^64 x1^-64 x2^-64 at n = 3 (1,036,288 tokens,
-# 0.42-0.72 s of CPU) and x1^8 x2^8 x1^-8 x2^-8 at n = 999 (894,272
-# tokens, 0.37-0.69 s), and refuses the same word with exponent 16 at
-# n = 300 (2,296,576 tokens, 0.51-0.95 s of work in the library) and
-# exponent 64 at n = 999 (515,067,904), on a 2-vCPU Xeon host.  Seeded
-# words of about 100 letters, as in the push-long benchmark, count a few
-# hundred (at most 632 over seeds 0-11).
+# drag tokens of `push-factor`, before free reduction
 PUSH_MAX_TOKENS = 2 ** 20
-# `rho` and `rewrite` allocate rank-sized lists, and each Schreier
-# factor carries up to n conjugator exponents; `tau`, `realize`, `push`
-# and `push-factor` build a map of the config's capped rank, which they
-# check against the same cap.  At the cap, `rewrite` of
-# x1^64 x2^64 x1^-64 x2^-64 (4096 factors) takes 0.74-1.4 s of CPU and
-# peaks at 98 MiB, printing 8.3 MB, on a 2-vCPU Xeon host; `rho`,
-# `rewrite` and `push-factor` of x1 x2 x1^-1 x2^-1 take under 0.02 s,
-# and `tau`, `realize` and `push` of a few tokens under 0.3 s.
+# the rank that `rho`, `rewrite`, `tau`, `realize` and the pushes allocate
 WORD_MAX_RANK = 1000
-# `rank` and `verify --config` realize the config's ~n^3 drag generators
-# and rank their Johnson images; the capped rank bounds n and b at once.
-# At the cap, `verify --all` of n = 12, b = 1 takes 0.12-0.23 s of CPU
-# (22 MiB) and `rank` of n = 13, b = 0 0.03-0.05 s (21 MiB), on a 2-vCPU
-# Xeon host (1.8 s and 1.1 s when the cap was set); `verify_config` of
-# n = 20, b = 0 takes 0.7 s (36 MiB).  The CLI sweep and the benchmark's
-# grid reach capped rank 9 and 7.
+# capped rank of `rank` and `verify --config`, which realize ~n^3 drags
 VERIFY_MAX_RANK = 13
-# `gens` lists them unrealized: 1.2 s, 84 MiB and 3.7 MB of stdout at
-# n = 64, b = 0; 3.9 s, 317 MiB and 14.6 MB at n = 100, b = 2.
+# capped rank of `gens`, which lists the generators unrealized
 GENS_MAX_RANK = 64
 
 
@@ -138,11 +99,17 @@ def _parse_boundary(text: str) -> tuple[int, int]:
     return parts
 
 
-def _check_rank(command: str, n: int, cap: str = "WORD_MAX_RANK") -> None:
+def _check_cap(count: int, cap: str, refusal: str, detail: str = "") -> None:
+    """Refuse a count over the cap named ``cap``, read now, so that a
+    patched cap applies; the error reads ``refusal``, the cap and its
+    value, then ``detail``."""
     limit = globals()[cap]
-    if n > limit:
-        raise words.PreconditionError(
-            f"{command}: rank {n} exceeds {cap} = {limit}")
+    if count > limit:
+        raise words.PreconditionError(f"{refusal} {cap} = {limit}{detail}")
+
+
+def _check_rank(command: str, n: int, cap: str = "WORD_MAX_RANK") -> None:
+    _check_cap(n, cap, f"{command}: rank {n} exceeds")
 
 
 @click.group(cls=_Group)
@@ -292,10 +259,8 @@ def _check_rewrite_size(command: str, w: words.Word) -> int:
     """Refuse w over ``REWRITE_MAX_FACTORS``; the drag tokens that
     ``push-factor`` would build, from the same scan."""
     size, tokens = rewriter._expansion_size(w)
-    if size > REWRITE_MAX_FACTORS:
-        raise words.PreconditionError(
-            f"{command}: {size} Schreier factors exceed REWRITE_MAX_FACTORS"
-            f" = {REWRITE_MAX_FACTORS}")
+    _check_cap(size, "REWRITE_MAX_FACTORS",
+               f"{command}: {size} Schreier factors exceed")
     return tokens
 
 
@@ -345,10 +310,8 @@ def push_factor(config_text: str, boundary: str, word_text: str) -> dict:
     _check_rank("push-factor", cfg.capped_rank(config))
     w = words.parse_word(word_text, config.n)
     tokens = _check_rewrite_size("push-factor", w)
-    if tokens > PUSH_MAX_TOKENS:
-        raise words.PreconditionError(
-            f"push-factor: {tokens} drag tokens exceed PUSH_MAX_TOKENS"
-            f" = {PUSH_MAX_TOKENS}")
+    _check_cap(tokens, "PUSH_MAX_TOKENS",
+               f"push-factor: {tokens} drag tokens exceed")
     m, push_action = drags._checked_push(config, addr, w)
     dw = rewriter.push_factorization(config, addr, w)
     # maps are equal when their moved images are; no inverse image is
@@ -360,17 +323,6 @@ def push_factor(config_text: str, boundary: str, word_text: str) -> dict:
 
 # --- lattices ---------------------------------------------------------------
 
-def _power_exceeds(base: int, exponent: int, limit: int) -> bool:
-    """Whether base^exponent > limit, for base >= 2, multiplying up and
-    stopping once past the limit instead of forming the power."""
-    power = 1
-    for _ in range(exponent):
-        power *= base
-        if power > limit:
-            return True
-    return False
-
-
 @main.command()
 @click.option("--n", type=int, required=True)
 @click.option("--bound", type=int, required=True)
@@ -380,11 +332,12 @@ def _power_exceeds(base: int, exponent: int, limit: int) -> bool:
               default=None, help="write the 1-skeleton in DOT format")
 def fs(n: int, bound: int, homology: bool, dot_path: str | None) -> dict:
     """Truncation of the complex of rank-1 summands of Z^n."""
-    if n >= 1 and bound >= 1 and _power_exceeds(2 * bound + 1, n,
-                                                 FS_MAX_CANDIDATES):
-        raise words.PreconditionError(
-            f"fs: (2*bound+1)^n candidate vectors exceed FS_MAX_CANDIDATES"
-            f" = {FS_MAX_CANDIDATES} (n={n}, bound={bound})")
+    if n >= 1 and bound >= 1:
+        # exact for n up to the cap's bit length L; past L, 3^L > 2^L > cap
+        _check_cap((2 * bound + 1) ** min(n, FS_MAX_CANDIDATES.bit_length()),
+                   "FS_MAX_CANDIDATES",
+                   "fs: (2*bound+1)^n candidate vectors exceed",
+                   f" (n={n}, bound={bound})")
     verts, edges = lattice.fs_graph(n, bound)
     components = lattice.fs_components(verts, edges)
     out = {
@@ -407,10 +360,7 @@ def fs(n: int, bound: int, homology: bool, dot_path: str | None) -> dict:
               help="JSON list of integer vectors, e.g. '[[1,1]]'")
 def complete_basis_cmd(n: int, vectors_text: str) -> dict:
     """Extend summand-spanning rows to a basis of Z^n."""
-    if n > COMPLETE_BASIS_MAX_N:
-        raise words.PreconditionError(
-            f"complete-basis: n={n} exceeds COMPLETE_BASIS_MAX_N"
-            f" = {COMPLETE_BASIS_MAX_N}")
+    _check_cap(n, "COMPLETE_BASIS_MAX_N", f"complete-basis: n={n} exceeds")
     try:
         vectors = json.loads(vectors_text)
     except json.JSONDecodeError as exc:

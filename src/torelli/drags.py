@@ -57,7 +57,7 @@ from .johnson import (
     _wedge,
     tau,
 )
-from .lattice import _sparse_rank, _spans_summand_rows, smith_invariants
+from .lattice import _sparse_rank, _spans_summand_rows, snf
 from .words import (
     GroupMap,
     ParseError,
@@ -680,7 +680,7 @@ def _rank_from_taus(config: PartitionConfig,
     The reduced set is the given generators less those ``_dropped``
     names, as in ``reduced_generating_set``.  If its rows span a summand
     (``_spans_summand_rows``, on the sparse rows), every Smith invariant is
-    1.  Otherwise the invariants are taken by ``smith_invariants`` on the
+    1.  Otherwise the invariants are those of the verified ``snf`` of the
     rows restricted to the union S of their supports: rows supported on
     S span a summand of Z^N exactly when they span one of Z^S, and zero
     columns add no nonzero invariant.
@@ -699,8 +699,8 @@ def _rank_from_taus(config: PartitionConfig,
     if _spans_summand_rows(reduced_rows):
         return computed, formula_rank(config), [1] * len(reduced_rows)
     support = sorted(set().union(*reduced_rows))
-    invariants = smith_invariants([[row.get(c, 0) for c in support]
-                                   for row in reduced_rows])
+    invariants = snf([[row.get(c, 0) for c in support]
+                      for row in reduced_rows]).invariants()
     return computed, formula_rank(config), invariants
 
 

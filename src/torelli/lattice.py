@@ -536,9 +536,6 @@ def _fs_links_connected(fs: _FsIndex) -> bool:
     """
     order, below = fs.order, fs.below
     for k, lower in enumerate(below):
-        if not lower & lower - 1:
-            # no lower neighbour or one: the link is empty or a point
-            continue
         test = _fs_vertex_test(order, k)
         parent = list(range(lower.bit_length()))
         parts = 0

@@ -518,6 +518,16 @@ def test_fs_rejects_n_below_1(runner, n):
     assert payload["error"] == "n must be >= 1"
 
 
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_fs_rejects_bound_below_1(runner, bound):
+    # the candidate cap is checked only from bound 1 on, so the
+    # library's own error is printed
+    result = invoke(runner, "fs", "--n", "2", "--bound", bound)
+    assert result.exit_code == 1
+    assert result.output.strip().splitlines()[-1] == \
+        '{"error":"bound must be >= 1"}'
+
+
 def _refuse_work(monkeypatch, name):
     def work(*args):
         raise AssertionError(f"{name} must not run")
@@ -525,8 +535,8 @@ def _refuse_work(monkeypatch, name):
 
 
 @pytest.mark.parametrize("n, bound", [
-    ("3", "1000000"), ("7", "1"), ("2", "14"), ("1000000000", "1"),
-    ("2", str(10 ** 40))])
+    ("3", "1000000"), ("7", "1"), ("10", "1"), ("2", "14"),
+    ("1000000000", "1"), ("2", str(10 ** 40))])
 def test_fs_refuses_too_many_candidates(runner, monkeypatch, n, bound):
     _refuse_work(monkeypatch, "fs_graph")
     result = invoke(runner, "fs", "--n", n, "--bound", bound, "--homology")
@@ -535,24 +545,19 @@ def test_fs_refuses_too_many_candidates(runner, monkeypatch, n, bound):
     assert f"FS_MAX_CANDIDATES = {cli.FS_MAX_CANDIDATES}" in error
 
 
-@pytest.mark.parametrize("n, bound", [("4", "2"), ("6", "1"), ("3", "4")])
+@pytest.mark.parametrize("n, bound", [("4", "2"), ("6", "1"), ("3", "4"),
+                                      ("2", "13")])
 def test_fs_admits_candidate_counts_up_to_the_cap(runner, monkeypatch, n,
                                                   bound):
-    # (4, 2) has 625 candidates, (6, 1) and (3, 4) have 729
+    # (4, 2) has 625 candidates, (6, 1), (3, 4) and (2, 13) have 729;
+    # with (10, 1) refused, these pin the count at both ends of the
+    # cap's bit length, 10
     calls = []
     monkeypatch.setattr(lattice, "fs_graph",
                         lambda *args: calls.append(args) or ([], []))
     result = invoke(runner, "fs", "--n", n, "--bound", bound)
     assert result.exit_code == 0
     assert calls == [(int(n), int(bound))]
-
-
-def test_power_exceeds_stops_past_the_limit():
-    assert not cli._power_exceeds(5, 4, 625)
-    assert cli._power_exceeds(5, 5, 625)
-    assert not cli._power_exceeds(3, 0, 1)
-    # the loop ends long before 10**9 factors
-    assert cli._power_exceeds(3, 10 ** 9, 729)
 
 
 def _square_commutator(k):
@@ -804,6 +809,11 @@ def test_complete_basis_subcommand(runner):
                         "--vectors", bad)
         assert result.exit_code == 2
         assert "vector entries must be integers" in result.output
+    for bad in ("[1,2]", '{"a":1}'):
+        result = invoke(runner, "complete-basis", "--n", "2",
+                        "--vectors", bad)
+        assert result.exit_code == 2
+        assert "vectors must be a JSON list of lists" in result.output
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])

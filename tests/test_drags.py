@@ -59,7 +59,7 @@ from torelli import (
     verify_pd_relation,
     word_text,
 )
-from torelli import drags
+from torelli import drags, lattice
 from torelli.drags import (
     Action,
     DragGenerator,
@@ -543,12 +543,21 @@ def test_sparse_rank_route_equals_the_dense_route():
 def test_rank_check_falls_back_to_the_dense_smith_form(monkeypatch):
     # Johnson rows of the reduced set that span no summand, one row
     # doubled (a non-primitive row) or repeated (a row with zero image
-    # in the quotient by the others), go through smith_invariants on the
-    # dense rows; the real rows span a summand and never do
+    # in the quotient by the others), go through snf on the dense rows;
+    # the real rows span a summand and never do.  The summand question
+    # is asked once, on the sparse rows, and not again on the dense ones
     dense_calls = []
-    real_smith = drags.smith_invariants
-    monkeypatch.setattr(drags, "smith_invariants",
-                        lambda a: dense_calls.append(a) or real_smith(a))
+    real_snf = drags.snf
+    monkeypatch.setattr(drags, "snf",
+                        lambda a: dense_calls.append(a) or real_snf(a))
+    summand_calls = []
+    real_spans = lattice._spans_summand_rows
+
+    def spans(rows):
+        summand_calls.append(rows)
+        return real_spans(rows)
+    monkeypatch.setattr(drags, "_spans_summand_rows", spans)
+    monkeypatch.setattr(lattice, "_spans_summand_rows", spans)
     for config in (CFG30, CFG23):
         m, gens = capped_rank(config), all_generators(config)
         taus = {g: _tau_columns(m, _moved_word_images(config, ((g, 1),)))
@@ -563,7 +572,9 @@ def test_rank_check_falls_back_to_the_dense_smith_form(monkeypatch):
                        {**taus, second: taus[first]}):
             dense = [list(flatten(_hom_table(m, forced[g])))
                      for g in reduced_generating_set(config)]
+            summand_calls.clear()
             invariants = _rank_from_taus(config, forced)[2]
+            assert len(summand_calls) == 1
             assert dense_calls.pop() and not dense_calls
             assert invariants == smith_invariants(dense) == \
                 snf(dense).invariants()
