@@ -288,7 +288,8 @@ def push(config_text: str, boundary: str, gamma_text: str) -> dict:
     config = cfg.config_from_json(config_text)
     _check_rank("push", cfg.capped_rank(config))
     gamma = words.parse_word(gamma_text, config.n)
-    images = drags._push_images(config, _parse_boundary(boundary), gamma)
+    m, action = drags._checked_push(config, _parse_boundary(boundary), gamma)
+    images = drags._realize_images(m, (action,))
     return {
         "rank": len(images),
         "images": [words.word_text(w) for w in images],

@@ -19,21 +19,21 @@ below do this explicitly.
 The actions of the drags and pushes (``_drag_action``,
 ``_push_action``) are ``Action``s: an inner conjugator and a table from
 each moved generator index to its image, all freely reduced letter
-tuples.  ``_accumulate`` is the one loop that builds images: it runs
-over ``Action``s in product order and rewrites only the generators each
-one moves, in a table (``words._Unmoved``) that the first action's
-images seed; the image of an inverse letter is built only when it is
-read.
-``_realize_images`` reads back every image, as validated ``Word``s, for
-the maps that are printed or returned: drag words, their inverses for
-the certificate, and pushes.  ``_moved_images`` reads back {k: image}
-for the generators the product moves, and the checks compare only
-those: the verifier's membership, tau, rank and relation checks, and
-``push-factor``'s match of a drag word with its push (on the
-``_checked_push`` action).  A push at boundary (1, 1) and PD(1, j)
-conjugate every generator off block 1, so their ``Action`` is an inner
-automorphism followed by a correction on block 1; the loop keeps the
-conjugator apart and applies it once, at the end.
+tuples, written as literals that are reduced by construction.
+``_accumulate`` is the one loop that builds images: it runs over
+``Action``s in product order and rewrites only the generators each one
+moves, in a table (``words._Unmoved``) that the first action's images
+seed; the image of an inverse letter is built only when it is read.
+A push at boundary (1, 1) and PD(1, j) conjugate every generator off
+block 1, so their ``Action`` is an inner automorphism followed by a
+correction on block 1; the loop keeps the conjugator apart.
+``_moved_images`` is the one readback: {k: image} for the generators
+the product moves, the conjugator applied once, at the end.  The checks
+compare only those: the verifier's membership, tau, rank and relation
+checks, and ``push-factor``'s match of a drag word with its push.
+``_realize_images`` is its dense view, every image as a validated
+``Word``, for the maps that are printed or returned: drag words, their
+inverses for the certificate, and pushes.
 
 ``verify_config`` is the one verifier: it decides which checks verify
 a configuration, in what order, for ``torelli verify``, the acceptance
@@ -68,7 +68,6 @@ from .words import (
     _homology_trivial,
     _join,
     _read_index,
-    _reduce_letters,
     _substitute,
     inv,
     is_homology_trivial,
@@ -245,7 +244,8 @@ def _push_action(basis: CappedBasis, r: int, s: int,
     block 1 by gamma, sends Arc(1,t) to gamma . Arc(1,t) and fixes a
     singleton's Handle(1).  The sides are forced by
     push(uv) = push(u) o push(v) together with the relation verifiers;
-    tests pin every case.
+    tests pin every case.  Each image is reduced as written: gamma is
+    reduced, and a block index exceeds every loop letter.
     """
     config = basis.config
     block = basis.block_indices(r)
@@ -254,21 +254,20 @@ def _push_action(basis: CappedBasis, r: int, s: int,
     if r > 1:
         if s > 1:
             a = block[s - 2]
-            action[a] = _reduce_letters((a, *gamma))
+            action[a] = (a, *gamma)
         elif not config.is_singleton(r):
             for a in block:
-                action[a] = _reduce_letters((*gi, a))
+                action[a] = (*gi, a)
         else:
             a = block[0]
-            action[a] = _reduce_letters((*gi, a, *gamma))
+            action[a] = (*gi, a, *gamma)
     elif s > 1:
         a = block[s - 2]
-        action[a] = _reduce_letters((*gi, a))
+        action[a] = (*gi, a)
     else:
         for a in block:
-            action[a] = _reduce_letters((*gi, a, *gamma)
-                                        if config.is_singleton(1)
-                                        else (a, *gamma))
+            action[a] = ((*gi, a, *gamma) if config.is_singleton(1)
+                         else (a, *gamma))
         return Action(gamma, action)
     return Action((), action)
 
@@ -286,39 +285,33 @@ def _checked_push(config: PartitionConfig, boundary: tuple[int, int],
     return basis.m, _push_action(basis, r, s, gamma.letters)
 
 
-def _push_images(config: PartitionConfig, boundary: tuple[int, int],
-                 gamma: Word) -> tuple[Word, ...]:
-    """The generator images of the push of boundary (r, s) around the
-    loop gamma (a rank-n word), without a certificate."""
-    m, action = _checked_push(config, boundary, gamma)
-    return _realize_images(m, (action,))
-
-
 def push_boundary(config: PartitionConfig, boundary: tuple[int, int],
                   gamma: Word) -> GroupMap:
     """Realize the point-push of boundary (r, s) around the loop gamma
     (a rank-n word).  Homomorphism in gamma; inverse certificate from
     the push of gamma^-1."""
-    images = _push_images(config, boundary, gamma)
-    return GroupMap(len(images), images,
-                    _push_images(config, boundary, inv(gamma)))
+    (m, action), (_, inverse) = (_checked_push(config, boundary, loop)
+                                 for loop in (gamma, inv(gamma)))
+    return GroupMap(m, _realize_images(m, (action,)),
+                    _realize_images(m, (inverse,)))
 
 
 def _drag_action(basis: CappedBasis, g: DragGenerator,
                  sigma: int) -> Action:
-    """The action of g^sigma, sigma = +-1, as reduced letter tuples."""
+    """The action of g^sigma, sigma = +-1, as reduced letter tuples:
+    a generator's loop indices are distinct, and block indices exceed n."""
     if g.kind == "HD":
         i, j = g.indices
         t = sigma * j
-        return Action((), {i: _reduce_letters((t, i, -t))})
+        return Action((), {i: (t, i, -t)})
     if g.kind == "CD-":
         i, j, k = g.indices
         c = (j, k, -j, -k) if sigma > 0 else (k, j, -k, -j)
-        return Action((), {i: _reduce_letters((*c, i))})
+        return Action((), {i: (*c, i)})
     if g.kind == "CD+":
         i, j, k = g.indices
         c = (k, j, -k, -j) if sigma > 0 else (j, k, -j, -k)
-        return Action((), {i: _reduce_letters((i, *c))})
+        return Action((), {i: (i, *c)})
     if g.kind == "BCD":
         r, s, i, j = g.indices
         # gamma = [y_i, y_j]^-sigma
@@ -327,7 +320,7 @@ def _drag_action(basis: CappedBasis, g: DragGenerator,
     # PD
     r, j = g.indices
     t = sigma * j
-    table = {a: _reduce_letters((t, a, -t)) for a in basis.block_indices(r)}
+    table = {a: (t, a, -t) for a in basis.block_indices(r)}
     # PD(r, j), r > 1, conjugates block r by y_j^sigma.  PD(1, j)
     # conjugates every generator off block 1 by y_j^-sigma: that is
     # iota_{y_j^-sigma}, then block 1 conjugated back by y_j^sigma
@@ -375,30 +368,24 @@ def _accumulate(actions: Iterable[Action]) -> tuple[_Unmoved, list[int]]:
     return table, u
 
 
-def _table_images(m: int, table: _Unmoved, u: list[int]):
-    """The images of x_1..x_m under iota_u o phi, phi in ``table``; each
-    is conjugated by u, cancelling only where the words meet."""
-    images = map(table.__getitem__, range(1, m + 1))
+def _moved_images(m: int, actions: Iterable[Action]) -> dict[int, list[int]]:
+    """The product of ``actions`` read back as {k: image} for every x_k
+    it moves: two maps are equal exactly when these dicts are.  With a
+    conjugator u, every image of iota_u o phi is conjugated by u,
+    cancelling only where the words meet."""
+    table, u = _accumulate(actions)
     if not u:
-        return images
+        return {k: x for k, x in table.items() if k > 0 and x != [k]}
     outer = [-x for x in reversed(u)]
-    return (_join(list(u), (letters, outer)) for letters in images)
+    images = ((k, _join(list(u), (table[k], outer))) for k in range(1, m + 1))
+    return {k: x for k, x in images if x != [k]}
 
 
 def _realize_images(m: int, actions: Iterable[Action]) -> tuple[Word, ...]:
-    """The images of x_1..x_m under the product of ``actions``."""
-    table, u = _accumulate(actions)
-    return tuple(Word(m, tuple(x)) for x in _table_images(m, table, u))
-
-
-def _moved_images(m: int, actions: Iterable[Action]) -> dict[int, list[int]]:
-    """The product of ``actions`` read back as {k: image} for every x_k
-    it moves: two maps are equal exactly when these dicts are."""
-    table, u = _accumulate(actions)
-    if u:
-        return {k: x for k, x in enumerate(_table_images(m, table, u), 1)
-                if x != [k]}
-    return {k: x for k, x in table.items() if k > 0 and x != [k]}
+    """The images of x_1..x_m under the product of ``actions``: the dense
+    view of ``_moved_images``."""
+    moved = _moved_images(m, actions)
+    return tuple(Word(m, tuple(moved.get(k, (k,)))) for k in range(1, m + 1))
 
 
 def _word_actions(config: PartitionConfig,

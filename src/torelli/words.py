@@ -24,16 +24,6 @@ class PreconditionError(ValueError):
     """An operation was called outside its stated domain."""
 
 
-def _reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
-    out: list[int] = []
-    for letter in letters:
-        if out and out[-1] == -letter:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class Word:
     """A freely reduced word in the free group of the given rank."""
@@ -65,7 +55,13 @@ class Word:
 
 def reduce(letters: Iterable[int], rank: int) -> Word:
     """Freely reduce a raw letter sequence.  Idempotent."""
-    return Word(rank, _reduce_letters(letters))
+    out: list[int] = []
+    for letter in letters:
+        if out and out[-1] == -letter:
+            out.pop()
+        else:
+            out.append(letter)
+    return Word(rank, tuple(out))
 
 
 def gen(rank: int, i: int) -> Word:
@@ -82,7 +78,7 @@ def _check_ranks(u: Word, v: Word) -> None:
 
 def mul(u: Word, v: Word) -> Word:
     _check_ranks(u, v)
-    return Word(u.rank, _reduce_letters(u.letters + v.letters))
+    return Word(u.rank, tuple(_join(list(u.letters), (v.letters,))))
 
 
 def inv(u: Word) -> Word:

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import pathlib
+import random
 import weakref
 
 import pytest
@@ -266,6 +267,38 @@ def test_standard_grid_verify_stdout_is_pinned(runner):
         "8e66347940c0c0915dd3e64ea7154ce316a28042daff7a6a9e2f0afb23b7e744")
 
 
+def _readback_args():
+    """The argument lists of ``realize`` and ``tau`` of one seeded drag
+    word of up to 6 tokens on each configuration of the grid n <= 4,
+    b <= 3, and of ``push`` at each of its boundaries."""
+    rng = random.Random(5)
+    for config in standard_grid(ns=(2, 3, 4)):
+        text = json.dumps(config_to_json(config), separators=(",", ":"))
+        gens = all_generators(config)
+        w = drags.drag_word_text(tuple(
+            (rng.choice(gens), rng.choice((1, -1)))
+            for _ in range(rng.randint(1, 6))))
+        for command in ("realize", "tau"):
+            yield [command, "--config", text, "--drags", w]
+        for r, s in map(config.boundary_address, range(1, config.b + 1)):
+            yield ["push", "--config", text, "--boundary", f"{r},{s}",
+                   "--gamma", "x1 x2 x1^-1 x2^-1 x1"]
+
+
+def test_dense_readback_stdout_is_pinned(runner):
+    # every image that realize, tau and push print comes through the
+    # dense readback; (args, exit code, stdout) of each invocation, hashed
+    digest, count = hashlib.sha256(), 0
+    for args in _readback_args():
+        result = invoke(runner, *args)
+        digest.update(json.dumps([args, result.exit_code, result.output])
+                      .encode() + b"\n")
+        count += 1
+    assert count == 246
+    assert digest.hexdigest() == (
+        "18d872f8bcd0be864c75c84ff6e06c91346a58e35409d92cf01dec78c7e1271e")
+
+
 @pytest.mark.parametrize("index", range(4))
 def test_push_factor_matches_golden_realizing_once(runner, monkeypatch,
                                                     index):
@@ -295,8 +328,8 @@ def test_push_factor_matches_golden_realizing_once(runner, monkeypatch,
 @pytest.mark.parametrize("index", range(4))
 def test_push_factor_builds_push_images_only(runner, monkeypatch, index):
     # the check reads only the moved images of the push: one push action
-    # per input, and neither validated push images nor the push with its
-    # inverse family; stdout stays golden
+    # per input, and no dense readback (``_realize_images``) nor the push
+    # with its inverse family; stdout stays golden
     pushes: list = []
     checked = drags._checked_push
 
@@ -308,7 +341,7 @@ def test_push_factor_builds_push_images_only(runner, monkeypatch, index):
         raise AssertionError("push-factor built whole or inverse images")
 
     monkeypatch.setattr(drags, "_checked_push", counted)
-    for name in ("push_boundary", "_push_images", "realize_images"):
+    for name in ("push_boundary", "_realize_images", "realize_images"):
         monkeypatch.setattr(drags, name, refused)
     case = json.loads((GOLDEN / "push_factor.json").read_text())[index]
     result = invoke(runner, *case["args"])
@@ -710,7 +743,7 @@ def test_map_commands_refuse_capped_ranks_over_the_cap(runner, monkeypatch,
     for module in (cli.cfg, drags):
         monkeypatch.setattr(module, "build_basis", refused)
     for name in ("tau_star", "realize_word", "realize_images",
-                 "push_boundary", "_push_images", "_checked_push",
+                 "push_boundary", "_realize_images", "_checked_push",
                  "_moved_word_images", "parse_drag_word"):
         monkeypatch.setattr(drags, name, refused)
     for name in ("_expansion_size", "_factorize", "push_factorization"):

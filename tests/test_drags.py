@@ -66,6 +66,7 @@ from torelli.drags import (
     _drag_action,
     _moved_images,
     _moved_word_images,
+    _push_action,
     _rank_from_taus,
     _realize_images,
 )
@@ -77,6 +78,7 @@ from .oracles import (
     drag_words_strategy,
     drag_words_toward_strategy,
     fold_actions_eagerly,
+    push_action_words,
     push_boundary_words,
     reduced_generating_set_direct,
     words_strategy,
@@ -345,6 +347,31 @@ def test_drag_actions_are_reduced_letters_matching_word_oracle():
                 assert _moved_images(m, (action,)) == {
                     k: list(x.letters) for k, x in want.items()
                     if x != gen(m, k)}
+
+
+@given(st.data())
+def test_push_actions_are_reduced_letters_matching_word_oracle(data):
+    # every boundary of every configuration of the verify grid (n <= 4,
+    # b <= 3), around a random reduced loop of each rank n: every image
+    # is reduced as written, and the action is the oracle's
+    loops = {n: data.draw(words_strategy(n)) for n in (2, 3, 4)}
+    for config in standard_grid(ns=(2, 3, 4)):
+        basis, gamma = build_basis(config), loops[config.n]
+        m = basis.m
+        for r, s in map(config.boundary_address, range(1, config.b + 1)):
+            action = _push_action(basis, r, s, gamma.letters)
+            for letters in (action.inner, *action.table.values()):
+                assert type(letters) is tuple
+                assert reduce(letters, m).letters == letters
+            if (r, s) == (1, 1):
+                # the conjugator branch: compare the whole maps
+                assert action.inner == gamma.letters
+                assert _realize_images(m, (action,)) == \
+                    push_boundary_words(config, (1, 1), gamma)[0]
+                continue
+            want = push_action_words(basis, r, s, Word(m, gamma.letters))
+            assert action.inner == ()
+            assert {k: Word(m, x) for k, x in action.table.items()} == want
 
 
 @pytest.mark.parametrize("config", (CFG21, CFG22))

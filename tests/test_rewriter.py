@@ -309,7 +309,7 @@ def test_moved_image_match_agrees_with_whole_images(data):
         for s in range(1, len(block) + 1):
             m, action = drags._checked_push(config, (r, s), w)
             pushed = drags._moved_images(m, (action,))
-            images = drags._push_images(config, (r, s), w)
+            images = drags._realize_images(m, (action,))
             dw = push_factorization(config, (r, s), w)
             for word in (dw, dw[:-1]):
                 assert (drags._moved_word_images(config, word) == pushed) \

@@ -70,6 +70,18 @@ def test_inv_is_inverse(w):
     assert mul(inv(w), w).is_identity()
 
 
+@given(st.data())
+def test_mul_cancels_deeply_through_the_junction(data):
+    # v is the inverse of a random suffix of u, or of all of u, times a
+    # random word, so the junction of u and v cancels deep into u
+    u = data.draw(words_strategy(3, 16))
+    k = data.draw(st.integers(0, len(u)))
+    rest = data.draw(words_strategy(3))
+    for suffix in (u.letters[len(u) - k:], u.letters):
+        v = reduce(inv(Word(3, suffix)).letters + rest.letters, 3)
+        assert mul(u, v) == reduce(u.letters + v.letters, 3)
+
+
 def test_conj_and_comm_conventions():
     # conj(g, w) = g w g^-1 and comm(u, v) = u v u^-1 v^-1, spelled out
     g, w = gen(2, 2), gen(2, 1)
