@@ -340,14 +340,12 @@ def fs(n: int, bound: int, homology: bool, dot_path: str | None) -> dict:
                    "fs: (2*bound+1)^n candidate vectors exceed",
                    f" (n={n}, bound={bound})")
     verts, edges = lattice.fs_graph(n, bound)
-    components = lattice.fs_components(verts, edges)
-    out = {
-        "vertices": [list(v) for v in verts],
-        "edges": [[list(u), list(v)] for u, v in edges],
-        "connected": components == 1,
-    }
+    # one index for both counts; json prints the tuples as arrays
+    index = lattice._fs_index(verts, edges)
+    components = lattice._fs_components(index)
+    out = {"vertices": verts, "edges": edges, "connected": components == 1}
     if homology:
-        out["h1_rank"] = lattice.fs_h1(verts, edges)
+        out["h1_rank"] = lattice._fs_h1(index, components)
     if dot_path:
         with open(dot_path, "w") as handle:
             handle.write(lattice.fs_dot(verts, edges))

@@ -69,7 +69,6 @@ from .words import (
     _join,
     _read_index,
     _substitute,
-    inv,
     is_homology_trivial,
 )
 
@@ -289,9 +288,10 @@ def push_boundary(config: PartitionConfig, boundary: tuple[int, int],
                   gamma: Word) -> GroupMap:
     """Realize the point-push of boundary (r, s) around the loop gamma
     (a rank-n word).  Homomorphism in gamma; inverse certificate from
-    the push of gamma^-1."""
-    (m, action), (_, inverse) = (_checked_push(config, boundary, loop)
-                                 for loop in (gamma, inv(gamma)))
+    the push of gamma^-1 on the same basis, checked once."""
+    m, action = _checked_push(config, boundary, gamma)
+    inverse = _push_action(build_basis(config), *boundary,
+                           _inv_letters(gamma.letters))
     return GroupMap(m, _realize_images(m, (action,)),
                     _realize_images(m, (inverse,)))
 

@@ -423,13 +423,7 @@ def _root(parent: list[int], x: int) -> int:
 
 def fs_components(verts: list[Vertex], edges: list[Edge]) -> int:
     """Number of connected components of the graph."""
-    index = {v: i for i, v in enumerate(verts)}
-    parent = list(range(len(verts)))
-    for u, v in edges:
-        ru, rv = _root(parent, index[u]), _root(parent, index[v])
-        if ru != rv:
-            parent[ru] = rv
-    return sum(parent[i] == i for i in range(len(verts)))
+    return _fs_components(_fs_index(verts, edges))
 
 
 def fs_connected(n: int, bound: int) -> bool:
@@ -450,23 +444,40 @@ def _bits(x: int) -> Iterator[int]:
 
 
 class _FsIndex(NamedTuple):
-    """The vertices in ``_fs_order_key`` order, and as the bits of one
-    int per vertex its lower neighbours.  The edge (j, k), j < k, has the
-    index j * len(order) + k, the lexicographic order of positions."""
+    """The vertices in ``_fs_order_key`` order, and as the bits of one int
+    per vertex its lower and its higher neighbours.  The edge (j, k),
+    j < k, has index j * len(order) + k: lexicographic in positions."""
     order: list[Vertex]
     below: list[int]
+    above: list[int]
 
 
 def _fs_index(verts: Iterable[Vertex], edges: list[Edge]) -> _FsIndex:
     order = sorted(verts, key=_fs_order_key)
     index = {v: i for i, v in enumerate(order)}
-    below = [0] * len(order)
+    below, above = [0] * len(order), [0] * len(order)
     for u, v in edges:
         j, k = index[u], index[v]
         if j > k:
             j, k = k, j
         below[k] |= 1 << j
-    return _FsIndex(order, below)
+        above[j] |= 1 << k
+    return _FsIndex(order, below, above)
+
+
+def _fs_components(fs: _FsIndex) -> int:
+    """Number of components, each flooded through the neighbour bits."""
+    unseen, parts = (1 << len(fs.order)) - 1, 0
+    while unseen:
+        parts += 1
+        front = unseen & -unseen
+        while front:
+            unseen ^= front
+            reach = 0
+            for k in _bits(front):
+                reach |= fs.below[k] | fs.above[k]
+            front = reach & unseen
+    return parts
 
 
 def _fs_vertex_test(order: list[Vertex],
@@ -589,16 +600,22 @@ def fs_h1(verts: list[Vertex], edges: list[Edge]) -> int:
     be torsion only, as for the 6-vertex RP^2.  Then every triangle is
     ranked exactly over Q by ``_sparse_rank``, which stops at dim ker
     d1 = |E| - |V| + #components, since rank d2 cannot exceed it; only
-    this fallback counts the components (``fs_components``).  The edges
+    this fallback counts the components (``_fs_components``).  The edges
     are ordered lexicographically as positions in the vertex order, so
     a triangle i < j < k has largest edge (j, k).
     """
-    fs = _fs_index(verts, edges)
+    return _fs_h1(_fs_index(verts, edges))
+
+
+def _fs_h1(fs: _FsIndex, components: int | None = None) -> int:
+    """``fs_h1`` on its index; the fallback counts components if not given."""
     if _fs_links_connected(fs):
         return 0
-    # dim ker d1: the graph's incidence matrix has rank |V| - #components
-    cycles = len(edges) - len(verts) + fs_components(verts, edges)
+    if components is None:
+        components = _fs_components(fs)
     size = len(fs.order)
+    # dim ker d1: the graph's incidence matrix has rank |V| - #components
+    cycles = sum(map(int.bit_count, fs.below)) - size + components
     d2 = ({j * size + k: 1, i * size + k: -1, i * size + j: 1}
           for i, j, k in _fs_simplices(fs))
     return cycles - _sparse_rank(d2, limit=cycles)

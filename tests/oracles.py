@@ -4,7 +4,8 @@ Each oracle recomputes a quantity along a different route than the
 package: the Magnus projection by genuine truncated power-series
 multiplication, the Johnson homomorphism by rho of validated product
 words, summand detection by maximal-minor gcds, the FS truncation by
-one whole summand test per vertex pair and per triangle, substitution
+one whole summand test per vertex pair and per triangle, graph
+components by a union-find keyed by the vertices, substitution
 into words by concatenating whole images and reducing afterwards, drag
 actions and Tomaszewski factors built from validated words, products by
 a left fold of ``mul``, the reduced generating set enumerated family by
@@ -375,6 +376,20 @@ def fs_triangles_per_candidate(edges: list) -> list:
         adj[v].add(u)
     return [(u, v, w) for u, v in edges for w in sorted(adj[u] & adj[v])
             if w > v and fs_is_simplex([u, v, w])]
+
+
+def components_by_union_find(verts: list, edges: list) -> int:
+    """Connected components of a graph, by a union-find over its edges
+    keyed by the vertices themselves."""
+    parent = {v: v for v in verts}
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+    for u, v in edges:
+        parent[root(u)] = root(v)
+    return sum(parent[v] == v for v in verts)
 
 
 # --- hypothesis strategies --------------------------------------------------

@@ -479,18 +479,33 @@ def test_fs_subcommand(runner, tmp_path):
     result = invoke(runner, "fs", "--n", "2", "--bound", "1",
                     "--dot", str(dot))
     assert dot.read_text().startswith("graph fs {")
+    # the tuples fs_graph built print as arrays through both printers:
+    # one-tuples and no edges, and the human lines
+    result = invoke(runner, "fs", "--n", "1", "--bound", "1")
+    assert result.output == '{"vertices":[[1]],"edges":[],"connected":true}\n'
+    out = invoke(runner, "--output", "human", "fs", "--n", "2", "--bound",
+                 "1", "--homology").output.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "1cecf889cc4bc9e10626bfea42293868534af22d00c63ed2907e7f000762cf37")
 
 
 def test_fs_homology_counts_the_components_once(runner, monkeypatch):
-    # `connected` and dim ker d1 share one component count
-    calls = []
-    real = lattice.fs_components
-    monkeypatch.setattr(lattice, "fs_components",
-                        lambda *args: calls.append(1) or real(*args))
-    result = invoke(runner, "fs", "--n", "3", "--bound", "1", "--homology")
-    data = json.loads(result.output)
-    assert data["connected"] is True and data["h1_rank"] == 0
-    assert calls == [1]
+    # `connected` and dim ker d1 share one component count on one index,
+    # in the exact fallback at (2, 2) too
+    real, real_index = lattice._fs_components, lattice._fs_index
+    for n, bound, h1 in (("3", "1", 0), ("2", "2", 6)):
+        calls, indexes = [], []
+        monkeypatch.setattr(lattice, "_fs_components",
+                            lambda *args: calls.append(1) or real(*args))
+        monkeypatch.setattr(
+            lattice, "_fs_index",
+            lambda *args: indexes.append(1) or real_index(*args))
+        result = invoke(runner, "fs", "--n", n, "--bound", bound,
+                        "--homology")
+        data = json.loads(result.output)
+        assert data["connected"] is True and data["h1_rank"] == h1
+        assert calls == [1]
+        assert indexes == [1]
 
 
 @pytest.mark.parametrize("n, bound, digest", [

@@ -287,6 +287,21 @@ def test_push_boundary_validation():
         push_boundary(CFG21, (1, 1), gen(3, 1))  # wrong rank
 
 
+def test_push_boundary_checks_the_boundary_once(monkeypatch):
+    # gamma and gamma^-1 are pushed on one basis, checked once
+    checks = []
+    real = drags._check_boundary
+    monkeypatch.setattr(drags, "_check_boundary",
+                        lambda *args: checks.append(args) or real(*args))
+    gamma = inv(comm(gen(2, 1), gen(2, 2)))
+    boundaries = ((1, 1), (1, 2))
+    pushes = [push_boundary(CFG22, b, gamma) for b in boundaries]
+    assert checks == [(CFG22, *b) for b in boundaries]
+    for boundary, f in zip(boundaries, pushes):
+        assert verify_certificate(f)
+        assert same_map(f, realize(CFG22, bcd(*boundary, 1, 2)))
+
+
 @given(words_strategy(2, 6), words_strategy(2, 6))
 def test_push_boundary_homomorphism(u, v):
     from torelli import mul

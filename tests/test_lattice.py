@@ -33,6 +33,7 @@ from torelli import lattice
 from torelli.lattice import det, identity, mat_mul
 
 from .oracles import (
+    components_by_union_find,
     fs_graph_per_pair,
     fs_triangles_per_candidate,
     minors_spans_summand,
@@ -451,11 +452,36 @@ def test_fs_h1_counts_the_components_only_in_the_fallback(
     # the exact rank needs dim ker d1
     verts, edges = fs_graph(n, bound)
     calls = []
-    real = lattice.fs_components
-    monkeypatch.setattr(lattice, "fs_components",
+    real = lattice._fs_components
+    monkeypatch.setattr(lattice, "_fs_components",
                         lambda *args: calls.append(1) or real(*args))
     assert fs_h1(verts, edges) == h1
     assert len(calls) == counts
+
+
+@pytest.mark.parametrize("n, bound", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1)])
+def test_fs_components_match_a_union_find(n, bound):
+    # seeded edge subsets, from the whole graph down to a few edges on
+    # all the vertices, so that many components and isolated vertices
+    # occur; vertex subsets too
+    verts, all_edges = fs_graph(n, bound)
+    rng = random.Random(10 * n + bound)
+    counts = set()
+    for case in range(24):
+        keep = (1, 0.5, 0.2, 0.05, 0.01, 0)[case % 6]
+        edges = [e for e in all_edges if rng.random() < keep]
+        vs = verts
+        if case >= 12:
+            vs = [v for v in verts if rng.random() < 0.7]
+            edges = [(u, v) for u, v in edges if u in vs and v in vs]
+        got = lattice._fs_components(lattice._fs_index(vs, edges))
+        assert got == components_by_union_find(vs, edges)
+        assert lattice.fs_components(vs, edges) == got
+        counts.add(got)
+    assert 1 in counts and len(counts) >= 4
+    assert lattice._fs_components(lattice._fs_index([], [])) == 0
+    assert lattice._fs_components(lattice._fs_index(verts[:1], [])) == 1
+    assert lattice._fs_components(lattice._fs_index(verts, [])) == len(verts)
 
 
 def _dense_h1(verts, edges):
