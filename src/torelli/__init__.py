@@ -43,10 +43,7 @@ from .drags import (
     reduced_generating_set,
     tau_star,
     tau_star_formula,
-    verify_bcd_relation,
-    verify_cd_identity,
     verify_config,
-    verify_pd_relation,
 )
 from .johnson import (
     ExtVector,
@@ -59,19 +56,14 @@ from .johnson import (
 )
 from .lattice import (
     complete_basis,
-    fs_components,
-    fs_connected,
     fs_dot,
-    fs_edges,
     fs_graph,
     fs_h1,
-    fs_h1_rank,
     fs_is_simplex,
     fs_triangles,
     fs_vertices,
     is_primitive,
     matrix_rank,
-    smith_invariants,
     snf,
     spans_summand,
 )
@@ -80,7 +72,6 @@ from .rewriter import (
     TomaszewskiFactor,
     factor_word,
     in_commutator_subgroup,
-    parse_factor,
     push_factorization,
     tomaszewski_factor,
 )

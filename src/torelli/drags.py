@@ -13,8 +13,8 @@ handles per block):
 Composition is ``compose(f, g) = f o g`` with g acting first; a drag
 word realizes left-to-right with the rightmost token acting first.
 Displayed relation products (where the leftmost factor acts first) are
-therefore realized from reversed token lists; the relation verifiers
-below do this explicitly.
+therefore realized from reversed token lists; the relation checks of
+``verify_config`` (``_pd_relation`` and its peers) do this explicitly.
 
 The actions of the drags and pushes (``_drag_action``,
 ``_push_action``) are ``Action``s: an inner conjugator and a table from
@@ -38,13 +38,12 @@ inverses for the certificate, and pushes.
 ``verify_config`` is the one verifier: it decides which checks verify
 a configuration, in what order, for ``torelli verify``, the acceptance
 gate and the sweeps.  It builds the actions of every generator once,
-and every check reads that one table through the private checks that
-the public ``verify_*`` functions wrap.
+and every check reads that one table, the relations through the seams
+``_pd_relation``, ``_bcd_relation`` and ``_cd_identity``.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Iterable, NamedTuple
 
 from .config import CappedBasis, PartitionConfig, build_basis, capped_rank
@@ -242,7 +241,7 @@ def _push_action(basis: CappedBasis, r: int, s: int,
     Expanded, the r = 1, s = 1 push conjugates every generator off
     block 1 by gamma, sends Arc(1,t) to gamma . Arc(1,t) and fixes a
     singleton's Handle(1).  The sides are forced by
-    push(uv) = push(u) o push(v) together with the relation verifiers;
+    push(uv) = push(u) o push(v) and the relations ``verify_config`` checks;
     tests pin every case.  Each image is reduced as written: gamma is
     reduced, and a block index exceeds every loop letter.
     """
@@ -510,20 +509,10 @@ def _displayed(tokens: DragWord) -> DragWord:
     return tuple(reversed(tokens))
 
 
-def verify_pd_relation(config: PartitionConfig, j: int) -> bool:
-    """PD(1,j) PD(2,j) ... PD(|P|,j) . prod_{i != j} HD(i,j) = 1.
-
-    With b = 0 the product degenerates to the handle drags alone, which
-    compose to the inner automorphism by y_j; that is what is checked
-    in that case (the identity holds in the outer group).
-    """
-    n = config.n
-    if not 1 <= j <= n:
-        raise PreconditionError(f"loop index {j} out of range 1..{n}")
-    return _pd_relation(config, j, partial(_moved_word_images, config))
-
-
 def _pd_relation(config: PartitionConfig, j: int, images: Realizer) -> bool:
+    """PD(1,j) PD(2,j) ... PD(|P|,j) . prod_{i != j} HD(i,j) = 1.  With
+    b = 0 only the handle drags remain; they compose to the inner
+    automorphism by y_j, which is checked (the identity holds in Out)."""
     n = config.n
     tokens = drag_word(*[pd(r, j) for r in range(1, config.num_blocks + 1)],
                        *[hd(i, j) for i in range(1, n + 1) if i != j])
@@ -531,16 +520,9 @@ def _pd_relation(config: PartitionConfig, j: int, images: Realizer) -> bool:
     return composite == (_inner_images(n, j) if config.b == 0 else {})
 
 
-def verify_bcd_relation(config: PartitionConfig, r: int, i: int, j: int) -> bool:
-    """BCD(r,1,i,j) ... BCD(r,b_r,i,j) = [PD(r,i), PD(r,j)]."""
-    if i >= j:
-        raise PreconditionError("need i < j")
-    _check_boundary(config, r, 1)
-    return _bcd_relation(config, r, i, j, partial(_moved_word_images, config))
-
-
 def _bcd_relation(config: PartitionConfig, r: int, i: int, j: int,
                   images: Realizer) -> bool:
+    """BCD(r,1,i,j) ... BCD(r,b_r,i,j) = [PD(r,i), PD(r,j)]."""
     b_r = len(config.block(r))
     lhs = images(_displayed(
         drag_word(*[bcd(r, s, i, j) for s in range(1, b_r + 1)])))
@@ -549,16 +531,11 @@ def _bcd_relation(config: PartitionConfig, r: int, i: int, j: int,
     return lhs == rhs
 
 
-def verify_cd_identity(config: PartitionConfig, i: int, j: int,
-                       k: int) -> tuple[bool, str]:
+def _cd_identity(i: int, j: int, k: int,
+                 images: Realizer) -> tuple[bool, str]:
     """CD+(i,j,k) o CD-(i,j,k) conjugates y_i by [y_j, y_k]; search the
     eight ordered/sign commutator variants of HD(i,j), HD(i,k) for the
     unique exact match and return its drag-word text."""
-    return _cd_identity(i, j, k, partial(_moved_word_images, config))
-
-
-def _cd_identity(i: int, j: int, k: int,
-                 images: Realizer) -> tuple[bool, str]:
     target = images(drag_word(cd_plus(i, j, k), cd_minus(i, j, k)))
     if target != {i: [j, k, -j, -k, i, k, j, -k, -j]}:
         return False, ""

@@ -7,8 +7,8 @@ verifies U A V = D and the unimodularity of U and V before returning.
 
 Summand tests use no Smith form.  ``_spans_summand_rows``, by the
 extension lemma, is the one elimination-based summand decision: it
-serves ``spans_summand``, the rank check of ``drags`` and the all-unit
-case of smith_invariants, so only rows that fail it go through snf().
+serves ``spans_summand`` and the rank check of ``drags``, so only rows
+that fail it go through snf().
 The FS truncation asks only about pairs and triples of its own
 vertices, and k vectors span a summand of rank k exactly when their
 k x k minors have gcd 1.  So it builds no quotient: an edge is read off
@@ -259,19 +259,6 @@ def snf(a: Matrix) -> SnfResult:
     return SnfResult(u, d, v)
 
 
-def smith_invariants(a: Matrix) -> list[int]:
-    """The nonzero Smith invariants of the rows of a.
-
-    Rows that span a summand of rank len(a) have invariants all 1,
-    since Z^n / span is then free; ``spans_summand`` decides that by
-    primitive quotients, with no Smith form.  Any other rows, the
-    dependent ones included, get the verified ``snf(a).invariants()``.
-    """
-    if spans_summand(a):
-        return [1] * len(a)
-    return snf(a).invariants()
-
-
 def is_primitive(v: Iterable[int]) -> bool:
     return gcd(*v) == 1
 
@@ -409,25 +396,12 @@ def fs_graph(n: int, bound: int) -> tuple[list[Vertex], list[Edge]]:
     return verts, edges
 
 
-def fs_edges(n: int, bound: int) -> list[Edge]:
-    return fs_graph(n, bound)[1]
-
-
 def _root(parent: list[int], x: int) -> int:
     """The root of x in a union-find forest, halving the path."""
     while parent[x] != x:
         parent[x] = parent[parent[x]]
         x = parent[x]
     return x
-
-
-def fs_components(verts: list[Vertex], edges: list[Edge]) -> int:
-    """Number of connected components of the graph."""
-    return _fs_components(_fs_index(verts, edges))
-
-
-def fs_connected(n: int, bound: int) -> bool:
-    return fs_components(*fs_graph(n, bound)) == 1
 
 
 def _fs_order_key(v: Vertex) -> tuple[int, int, Vertex]:
@@ -619,15 +593,6 @@ def _fs_h1(fs: _FsIndex, components: int | None = None) -> int:
     d2 = ({j * size + k: 1, i * size + k: -1, i * size + j: 1}
           for i, j, k in _fs_simplices(fs))
     return cycles - _sparse_rank(d2, limit=cycles)
-
-
-def fs_h1_rank(n: int, bound: int) -> int:
-    """Rank of H_1 of the truncated 2-skeleton.
-
-    This is a truncation statistic: evidence about the full complex,
-    not a proof.
-    """
-    return fs_h1(*fs_graph(n, bound))
 
 
 def fs_dot(verts: list[Vertex], edges: list[Edge]) -> str:

@@ -21,10 +21,8 @@ from typing import NamedTuple
 from .config import PartitionConfig
 from .drags import DragGenerator, DragWord, bcd, drag_word_inv, hd
 from .words import (
-    ParseError,
     PreconditionError,
     Word,
-    _read_index,
     abelianization_vector,
     reduce,
 )
@@ -50,23 +48,6 @@ class TomaszewskiFactor(NamedTuple("TomaszewskiFactor", [
 
     def text(self) -> str:
         return f"T:{self.i},{self.j}:[{','.join(str(x) for x in self.d)}]"
-
-
-def parse_factor(text: str) -> TomaszewskiFactor:
-    """The factor written ``T:i,j:[d_i,...,d_n]``; i, j and each |d| are
-    read by ``words._read_index``, each d with an optional ``-``."""
-    head, sep, tail = text.partition(":[")
-    ij = [_read_index(x) for x in head[2:].split(",")]
-    parts = tail[:-1].split(",")
-    size = [_read_index(x.removeprefix("-")) for x in parts]
-    if (not sep or not tail.endswith("]") or not head.startswith("T:")
-            or len(ij) != 2 or None in ij + size):
-        raise ParseError(f"cannot read factor {text!r}")
-    d = tuple(-k if x.startswith("-") else k for x, k in zip(parts, size))
-    try:
-        return TomaszewskiFactor(*ij, d)
-    except ValueError as exc:
-        raise ParseError(f"cannot read factor {text!r}: {exc}") from None
 
 
 def _conjugator(f: TomaszewskiFactor) -> list[int]:

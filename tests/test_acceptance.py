@@ -20,7 +20,7 @@ import pytest
 
 import torelli as T
 from torelli.johnson import ext_vector
-from torelli.lattice import det
+from torelli.lattice import _fs_components, _fs_index, det
 
 from .oracles import minors_spans_summand
 
@@ -306,11 +306,11 @@ def test_criterion_7_birman_push():
 def test_criterion_8_fs_complex():
     def body():
         assert len(T.fs_vertices(2, 1)) == 4
-        assert len(T.fs_edges(2, 1)) == 5
-        assert T.fs_connected(2, 1)
-        assert T.fs_connected(3, 1)
+        assert len(T.fs_graph(2, 1)[1]) == 5
+        assert _fs_components(_fs_index(*T.fs_graph(2, 1))) == 1
+        assert _fs_components(_fs_index(*T.fs_graph(3, 1))) == 1
         golden_h1 = int((GOLDEN / "fs_h1_n3_b1.txt").read_text().strip())
-        assert T.fs_h1_rank(3, 1) == golden_h1 == 0
+        assert T.fs_h1(*T.fs_graph(3, 1)) == golden_h1 == 0
         for n in (1, 2, 3):
             vecs = [list(v) for v in
                     itertools.product(range(-2, 3), repeat=n)]

@@ -544,7 +544,7 @@ def test_fs_builds_no_quotient(runner, monkeypatch):
         result = invoke(runner, "fs", "--n", n, "--bound", bound,
                         "--homology")
         assert json.loads(result.output)["h1_rank"] == h1
-    assert lattice.fs_h1_rank(3, 2) == 0
+    assert lattice.fs_h1(*lattice.fs_graph(3, 2)) == 0
 
 
 def test_fs_dot_into_a_missing_directory_exit_1(runner, tmp_path):

@@ -1,5 +1,6 @@
 import copy
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given
@@ -45,18 +46,14 @@ from torelli import (
     reduce,
     reduced_generating_set,
     same_map,
-    smith_invariants,
     snf,
     spans_summand,
     standard_grid,
     tau,
     tau_star,
     tau_star_formula,
-    verify_bcd_relation,
-    verify_cd_identity,
     verify_certificate,
     verify_config,
-    verify_pd_relation,
     word_text,
 )
 from torelli import drags, lattice
@@ -65,7 +62,10 @@ from torelli.drags import (
     DragGenerator,
     _drag_action,
     _moved_images,
+    _bcd_relation,
+    _cd_identity,
     _moved_word_images,
+    _pd_relation,
     _push_action,
     _rank_from_taus,
     _realize_images,
@@ -245,25 +245,37 @@ def test_membership_false_for_homology_nontrivial():
     assert not membership_IOP(CFG22, f)
 
 
+# the relation seams of verify_config, realizing on one configuration; a
+# displayed word is realized reversed, so its last token is checked first
+def _pd(config, j):
+    return _pd_relation(config, j, partial(_moved_word_images, config))
+
+
+def _bcd(config, r, i, j):
+    return _bcd_relation(config, r, i, j,
+                         partial(_moved_word_images, config))
+
+
 def test_pd_relation_samples():
-    assert verify_pd_relation(CFG21, 1)
-    assert verify_pd_relation(CFG21, 2)
-    assert verify_pd_relation(CFG30, 3)      # b = 0: identity in Out
-    assert verify_pd_relation(CFG23, 1)
-    with pytest.raises(PreconditionError):
-        verify_pd_relation(CFG21, 3)
+    assert _pd(CFG21, 1)
+    assert _pd(CFG21, 2)
+    assert _pd(CFG30, 3)      # b = 0: identity in Out
+    assert _pd(CFG23, 1)
+    with pytest.raises(PreconditionError,
+                       match=r"HD:2,3: loop index 3 out of range 1\.\.2"):
+        _pd(CFG21, 3)
 
 
 def test_bcd_relation_samples():
-    assert verify_bcd_relation(CFG22, 1, 1, 2)
-    assert verify_bcd_relation(CFG23, 1, 1, 2)
-    assert verify_bcd_relation(CFG23, 2, 1, 2)
-    with pytest.raises(PreconditionError):
-        verify_bcd_relation(CFG22, 1, 2, 1)
+    assert _bcd(CFG22, 1, 1, 2)
+    assert _bcd(CFG23, 1, 1, 2)
+    assert _bcd(CFG23, 2, 1, 2)
+    with pytest.raises(PreconditionError, match="BCD:1,2,2,1: need i < j"):
+        _bcd(CFG22, 1, 2, 1)
 
 
 def test_cd_identity_expression():
-    ok, expr = verify_cd_identity(CFG30, 1, 2, 3)
+    ok, expr = _cd_identity(1, 2, 3, partial(_moved_word_images, CFG30))
     assert ok
     assert expr == "HD:1,3^-1 HD:1,2^-1 HD:1,3 HD:1,2"
 
@@ -567,7 +579,7 @@ def _dense_rank_from_taus(config, taus):
         computed = matrix_rank(rows)
     reduced_rows = [list(flatten(taus[g]))
                     for g in reduced_generating_set(config)]
-    return computed, formula_rank(config), smith_invariants(reduced_rows)
+    return computed, formula_rank(config), snf(reduced_rows).invariants()
 
 
 def test_sparse_rank_route_equals_the_dense_route():
@@ -618,8 +630,7 @@ def test_rank_check_falls_back_to_the_dense_smith_form(monkeypatch):
             invariants = _rank_from_taus(config, forced)[2]
             assert len(summand_calls) == 1
             assert dense_calls.pop() and not dense_calls
-            assert invariants == smith_invariants(dense) == \
-                snf(dense).invariants()
+            assert invariants == snf(dense).invariants()
             assert invariants != [1] * len(dense)
 
 

@@ -11,19 +11,15 @@ from sympy.polys.matrices import DomainMatrix
 from torelli import (
     complete_basis,
     flatten,
-    fs_connected,
     fs_dot,
-    fs_edges,
     fs_graph,
     fs_h1,
-    fs_h1_rank,
     fs_is_simplex,
     fs_triangles,
     fs_vertices,
     is_primitive,
     matrix_rank,
     reduced_generating_set,
-    smith_invariants,
     snf,
     spans_summand,
     standard_grid,
@@ -130,8 +126,7 @@ def test_unit_pivot_decision_agrees_with_spans_summand(case):
     dense = [[row.get(c, 0) for c in range(width)] for row in rows]
     assert ok == spans_summand(dense) == minors_spans_summand(dense)
     if ok:
-        assert smith_invariants(dense) == snf(dense).invariants() == \
-            [1] * len(rows)
+        assert snf(dense).invariants() == [1] * len(rows)
     leads = [c for row in rows for c, x in row.items() if abs(x) == 1]
     if all(len(row) == 1 for row in rows) and len(set(leads)) == len(rows):
         assert ok
@@ -165,7 +160,7 @@ def test_rank_is_over_q_not_mod_2():
 def test_snf_diagonal_example():
     res = snf([[2, 0], [0, 3]])
     assert [res.D[0][0], res.D[1][1]] == [1, 6]
-    assert smith_invariants([[2, 0], [0, 3]]) == [1, 6]
+    assert res.invariants() == [1, 6]
 
 
 def test_snf_transforms_verified():
@@ -178,57 +173,33 @@ def test_snf_transforms_verified():
 
 @given(matrices(3, 3))
 def test_snf_invariants_match_sympy(m):
-    ours = smith_invariants(m)
+    ours = snf(m).invariants()
     theirs = [abs(int(x)) for x in
               smith_normal_form(sympy.Matrix(m)).diagonal() if x != 0]
     assert ours == theirs
 
 
 def test_snf_empty_and_zero():
-    assert smith_invariants([[0, 0], [0, 0]]) == []
+    assert snf([[0, 0], [0, 0]]).invariants() == []
     res = snf([[0]])
     assert res.D == [[0]]
 
 
-@st.composite
-def wide_matrices(draw):
-    """k x n integer matrices with k <= n <= 6; entries are small, so
-    that rows spanning a summand are common."""
-    n = draw(st.integers(min_value=1, max_value=6))
-    k = draw(st.integers(min_value=0, max_value=n))
-    entries = st.integers(min_value=-3, max_value=3)
-    return draw(st.lists(st.lists(entries, min_size=n, max_size=n),
-                         min_size=k, max_size=k))
-
-
-@given(wide_matrices())
-def test_smith_invariants_match_snf(a):
-    assert smith_invariants(a) == snf(a).invariants()
-
-
-@pytest.mark.parametrize("a, expected, snf_calls", [
-    # not a summand: the Smith form decides
+@pytest.mark.parametrize("a, expected, smith_forms", [
+    # not a summand: the rank check's summand shortcut leaves one Smith
+    # form to run
     ([[2, 0, 0], [0, 1, 0]], [1, 2], 1),
     ([[1, 2], [2, 4]], [1], 1),
     ([[0, 0, 0]], [], 1),
     ([[1, 0, 0], [0, 0, 0]], [1], 1),
-    # a summand: all invariants are 1, and no Smith form runs
+    # a summand: all invariants are 1, and the shortcut runs none
     ([], [], 0),
     ([[1, 2, 3]], [1], 0),
     ([[2, 3], [1, 1]], [1, 1], 0),
 ])
-def test_smith_invariants_pinned(monkeypatch, a, expected, snf_calls):
-    oracle = snf(a).invariants()
-    calls = []
-    real = lattice.snf
-
-    def counted(m):
-        calls.append(m)
-        return real(m)
-
-    monkeypatch.setattr(lattice, "snf", counted)
-    assert smith_invariants(a) == expected == oracle
-    assert len(calls) == snf_calls
+def test_smith_invariants_pinned(a, expected, smith_forms):
+    assert snf(a).invariants() == expected
+    assert spans_summand(a) == (smith_forms == 0)
 
 
 def test_smith_invariants_of_verify_grid_reduced_sets():
@@ -237,8 +208,7 @@ def test_smith_invariants_of_verify_grid_reduced_sets():
     for config in standard_grid(ns=(2, 3, 4)):
         rows = [list(flatten(tau_star(config, ((g, 1),))))
                 for g in reduced_generating_set(config)]
-        assert (smith_invariants(rows) == snf(rows).invariants()
-                == [1] * len(rows))
+        assert snf(rows).invariants() == [1] * len(rows)
 
 
 def test_is_primitive():
@@ -421,7 +391,7 @@ def test_fs_vertices_n2():
 
 
 def test_fs_edges_n2_bound1():
-    edges = fs_edges(2, 1)
+    edges = fs_graph(2, 1)[1]
     assert len(edges) == 5
     assert ((1, -1), (1, 1)) not in edges  # determinant 2, not a summand
 
@@ -436,13 +406,15 @@ def test_fs_is_simplex_order_insensitive():
 
 
 def test_fs_connected():
-    assert fs_connected(2, 1)
-    assert fs_connected(3, 1)
+    for n in (2, 3):
+        fs = lattice._fs_index(*fs_graph(n, 1))
+        assert lattice._fs_components(fs) == 1
 
 
 def test_fs_h1_small():
     # n = 2 has no triangles, so h1 is the cycle rank of the graph
-    assert fs_h1_rank(2, 1) == len(fs_edges(2, 1)) - len(fs_vertices(2, 1)) + 1
+    verts, edges = fs_graph(2, 1)
+    assert fs_h1(verts, edges) == len(edges) - len(verts) + 1
 
 
 @pytest.mark.parametrize("n, bound, counts, h1", [(3, 1, 0, 0), (2, 2, 1, 6)])
@@ -476,7 +448,6 @@ def test_fs_components_match_a_union_find(n, bound):
             edges = [(u, v) for u, v in edges if u in vs and v in vs]
         got = lattice._fs_components(lattice._fs_index(vs, edges))
         assert got == components_by_union_find(vs, edges)
-        assert lattice.fs_components(vs, edges) == got
         counts.add(got)
     assert 1 in counts and len(counts) >= 4
     assert lattice._fs_components(lattice._fs_index([], [])) == 0
@@ -505,7 +476,7 @@ def test_fs_h1_matches_dense_oracle(n, bound):
     verts = fs_vertices(n, bound)
     edges = [e for e in itertools.combinations(verts, 2)
              if minors_spans_summand([list(x) for x in e])]
-    assert fs_h1_rank(n, bound) == _dense_h1(verts, edges)
+    assert fs_h1(*fs_graph(n, bound)) == _dense_h1(verts, edges)
 
 
 def test_fs_h1_of_subcomplex_matches_dense_oracle():
@@ -540,26 +511,26 @@ def test_fs_graph_and_triangles_match_per_candidate_tests(n, bound):
 
 
 def test_fs_h1_n4_bound1():
-    assert fs_h1_rank(4, 1) == 0
+    assert fs_h1(*fs_graph(4, 1)) == 0
 
 
 @pytest.mark.parametrize("n,bound", [(5, 1), (3, 3)])
 def test_fs_h1_larger_truncations(n, bound):
     # 6930 edges and 240,090 triangles at (5, 1), 7725 edges and 26,701
     # triangles at (3, 3); the full-rank path gives 0 at both
-    assert fs_h1_rank(n, bound) == 0
+    assert fs_h1(*fs_graph(n, bound)) == 0
 
 
 @pytest.mark.slow
 def test_fs_h1_n4_bound2():
     # 272 vertices, 32,914 edges, 1,959,784 triangles
-    assert fs_h1_rank(4, 2) == 0
+    assert fs_h1(*fs_graph(4, 2)) == 0
 
 
 @pytest.mark.slow
 def test_fs_h1_n3_bound4():
     # 729 candidate vectors, the most that FS_MAX_CANDIDATES admits
-    assert fs_h1_rank(3, 4) == 0
+    assert fs_h1(*fs_graph(3, 4)) == 0
 
 
 @pytest.mark.slow
@@ -567,7 +538,7 @@ def test_fs_h1_n3_bound4():
 def test_fs_h1_beyond_the_cli_cap(n, bound):
     # library calls: `fs` refuses (7, 1) and (5, 2), and would print
     # 587,559 edges at (7, 1); 986,010 edges at (5, 2), 121,317 at (3, 5)
-    assert fs_h1_rank(n, bound) == 0
+    assert fs_h1(*fs_graph(n, bound)) == 0
 
 
 def _record_fs_h1(monkeypatch, vertex_test=None):
@@ -614,7 +585,8 @@ def _record_fs_h1(monkeypatch, vertex_test=None):
 
 
 def _cycle_rank(verts, edges):
-    return len(edges) - len(verts) + lattice.fs_components(verts, edges)
+    return len(edges) - len(verts) + lattice._fs_components(
+        lattice._fs_index(verts, edges))
 
 
 def _common_lower(fs, j, k):

@@ -22,6 +22,35 @@ def test_all_names_resolve():
                    for name in torelli.__all__)
 
 
+# the exported names, so that any change of the public surface is a
+# visible edit here
+SURFACE = [
+    "CappedBasis", "Check", "ConfigError", "DragGenerator", "DragWord",
+    "ExtVector", "Factorization", "GroupMap", "HomTable", "ParseError",
+    "PartitionConfig", "PreconditionError", "TomaszewskiFactor", "Word",
+    "abelianization_matrix", "abelianization_rank", "abelianization_vector",
+    "all_generators", "apply", "bcd", "build_basis", "capped_rank",
+    "cd_minus", "cd_plus", "comm", "complete_basis", "compose",
+    "config_from_json", "config_to_json", "conj", "drag_word",
+    "drag_word_inv", "drag_word_text", "ext_vector", "factor_word", "flatten",
+    "formula_rank", "fs_dot", "fs_graph", "fs_h1", "fs_is_simplex",
+    "fs_triangles", "fs_vertices", "gen", "hd", "identity_map",
+    "in_commutator_subgroup", "inner_automorphism", "inv", "inverse",
+    "is_homology_trivial", "is_primitive", "matrix_rank", "membership_IOP",
+    "mul", "nielsen_generators", "ordered_partitions", "parse_drag_word",
+    "parse_word", "partition_config", "pd", "power", "push_boundary",
+    "push_factorization", "realize", "realize_images", "realize_word",
+    "reduce", "reduced_generating_set", "rho", "same_map", "snf",
+    "spans_summand", "standard_grid", "tau", "tau_star", "tau_star_formula",
+    "tomaszewski_factor", "verify_certificate", "verify_config", "wedge",
+    "word_text",
+]
+
+
+def test_the_public_surface_is_pinned():
+    assert sorted(torelli.__all__) == SURFACE
+
+
 SRC = pathlib.Path(torelli.__file__).parent
 MODULES = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
 

@@ -1,12 +1,9 @@
-import re
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from torelli import (
     Factorization,
-    ParseError,
     PreconditionError,
     TomaszewskiFactor,
     Word,
@@ -17,7 +14,6 @@ from torelli import (
     in_commutator_subgroup,
     inv,
     mul,
-    parse_factor,
     partition_config,
     power,
     push_boundary,
@@ -55,26 +51,6 @@ def test_factor_validation_and_rank():
 def test_factor_text_round_trip():
     f = TomaszewskiFactor(2, 3, (4, -1))
     assert f.text() == "T:2,3:[4,-1]"
-    assert parse_factor(f.text()) == f
-    with pytest.raises(ParseError):
-        parse_factor("T:2,3:(4)")
-    with pytest.raises(ParseError):
-        parse_factor("S:2,3:[4,-1]")
-
-
-@pytest.mark.parametrize("text", [
-    "T:\u0661,\u0662:[0,0]",  # Arabic-Indic digits
-    "T:1,2:[1_0,0]",
-    "T: 1,2:[0, 0]",
-    "T:+1,2:[0,0]",
-    "T:2,1:[0,0]",  # i > j
-    "T:1,3:[0,0]",  # j beyond the rank that d implies
-])
-def test_parse_factor_reads_indices_as_words_do(text):
-    # indices and |d| are ASCII digits as in words; a shape the factor
-    # refuses is a ParseError naming the text too
-    with pytest.raises(ParseError, match=re.escape(repr(text))):
-        parse_factor(text)
 
 
 def test_factor_word_examples():
