@@ -132,6 +132,26 @@ def test_failure_verdict_flags_any_failing_change_pair():
     assert "in 2/2 pairs, 4 in all against 0" in line
 
 
+_BENCHMARK = ('{"run_seconds": 7, "end_to_end": [{"name": "pass_norm_s",'
+              ' "better": "lower", "bound": 0.25}, {"name": "peak_rss_mib",'
+              ' "better": "lower", "bound": 0.1}]}')
+
+
+def _working_tree(root: Path) -> Path:
+    """A package, a harness and a ``BENCHMARK.json`` under ``root``."""
+    (root / "src" / "torelli").mkdir(parents=True)
+    (root / "src" / "torelli" / "lattice.py").write_text("x = 1\n")
+    (root / "perfbench").mkdir()
+    (root / "perfbench" / "run.py").write_text("")
+    (root / "BENCHMARK.json").write_text(_BENCHMARK)
+    return root
+
+
+def _record(failed=0):
+    return {"failed": failed, "metrics": {"pass_norm_s": {"value": 1.0},
+                                          "peak_rss_mib": {"value": 25.0}}}
+
+
 def test_main_exits_nonzero_when_the_change_fails(monkeypatch, tmp_path,
                                                   capsys):
     # the change fails one push-long output per run: the file is still
@@ -139,19 +159,14 @@ def test_main_exits_nonzero_when_the_change_fails(monkeypatch, tmp_path,
     failing = {"push-long"}
 
     def fake_run(tree, workload, seed, seconds):
-        failed = tree == bench_pairs.ROOT and workload in failing
-        return {"failed": int(failed),
-                "metrics": {"pass_norm_s": {"value": 1.0},
-                            "peak_rss_mib": {"value": 25.0}}}
+        return _record(failed=int(tree.name == "change"
+                                  and workload in failing))
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run)
     monkeypatch.setattr(bench_pairs, "export_commit",
                         lambda rev, dest: "0" * 40)
-    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
-    (tmp_path / "BENCHMARK.json").write_text(
-        '{"end_to_end": [{"name": "pass_norm_s", "better": "lower",'
-        ' "bound": 0.25}, {"name": "peak_rss_mib", "better": "lower",'
-        ' "bound": 0.1}]}')
+    monkeypatch.setattr(bench_pairs, "compile_tree", lambda tree: None)
+    monkeypatch.setattr(bench_pairs, "ROOT", _working_tree(tmp_path))
     args = ["--pr", "t", "--pairs", "2", "--seconds", "1",
             "--workload", "fs-h1", "--workload", "push-long"]
     assert bench_pairs.main(args) == 1
@@ -168,8 +183,10 @@ def test_main_exits_nonzero_when_the_change_fails(monkeypatch, tmp_path,
 
 def test_main_compiles_both_trees_alike_before_the_first_pair(
         monkeypatch, tmp_path):
-    # the working tree may hold bytecode that a fresh export lacks, so
-    # both are compiled by one command before any run
+    # the change snapshot is copied before the base is exported, both
+    # trees get the working tree's harness and are compiled by one
+    # command before any run; --seconds defaults to BENCHMARK.json's
+    # run_seconds
     events = []
 
     def fake_subprocess_run(cmd, cwd=None, **kwargs):
@@ -177,31 +194,33 @@ def test_main_compiles_both_trees_alike_before_the_first_pair(
         return subprocess.CompletedProcess(cmd, 0, b"", b"")
 
     def fake_export(rev, dest):
-        events.append(("export", dest))
+        events.append(("export", dest, (dest.parent / "change" / "src"
+                                        / "torelli" / "lattice.py").exists()))
         return "0" * 40
 
     def fake_run(tree, workload, seed, seconds):
-        events.append(("run", tree))
-        return {"failed": 0, "metrics": {"pass_norm_s": {"value": 1.0},
-                                         "peak_rss_mib": {"value": 25.0}}}
+        events.append(("run", tree, seconds,
+                       (tree / "perfbench" / "run.py").is_file()))
+        return _record()
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess_run)
     monkeypatch.setattr(bench_pairs, "export_commit", fake_export)
     monkeypatch.setattr(bench_pairs, "run_once", fake_run)
-    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
-    (tmp_path / "BENCHMARK.json").write_text(
-        '{"end_to_end": [{"name": "pass_norm_s", "better": "lower",'
-        ' "bound": 0.25}]}')
-    assert bench_pairs.main(["--pr", "t", "--pairs", "2", "--seconds", "1",
+    monkeypatch.setattr(bench_pairs, "ROOT", _working_tree(tmp_path))
+    assert bench_pairs.main(["--pr", "t", "--pairs", "2",
                              "--workload", "fs-h1"]) == 0
     base = events[0][1]
-    assert events[0] == ("export", base)
+    change = base.parent / "change"
+    assert events[0] == ("export", base, True)
     commands = events[1:3]
-    assert [cwd for _, _, cwd in commands] == [base, tmp_path]
+    assert [cwd for _, _, cwd in commands] == [base, change]
     assert commands[0][1] == commands[1][1]
     assert commands[0][1][1:] == ("-m", "compileall", "-q", "src")
-    assert [e[0] for e in events[3:]] == ["run"] * 4
-    assert {e[1] for e in events[3:]} == {base, tmp_path}
+    runs = events[3:]
+    assert [e[0] for e in runs] == ["run"] * 4
+    assert [e[1] for e in runs] == [base, change, change, base]
+    assert {e[2:] for e in runs} == {(7, True)}
+    assert json.loads((tmp_path / "BENCH_t.json").read_text())["seconds"] == 7
 
 
 def test_source_hash_follows_the_package_sources(tmp_path):
@@ -221,52 +240,91 @@ def test_source_hash_follows_the_package_sources(tmp_path):
     assert bench_pairs.source_hash(tmp_path) not in (first, changed)
 
 
-def test_main_stops_when_the_sources_change_during_the_run(
-        monkeypatch, tmp_path):
-    # an edit of the package after the first pair stops the run before
-    # the second, and no file is written
-    package = tmp_path / "src" / "torelli"
-    package.mkdir(parents=True)
-    (package / "lattice.py").write_text("x = 1\n")
-    runs = []
+_HARNESS = """
+import argparse, json, pathlib, sys
+parser = argparse.ArgumentParser()
+parser.add_argument("--workload", choices={choices!r}, required=True)
+for name in ("--seed", "--seconds", "--trace"):
+    parser.add_argument(name)
+workload = parser.parse_args().workload
+tree = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(tree / "src"))
+import torelli
+with open({log!r}, "a") as log:
+    print(workload, tree.name, torelli.MARKER,
+          (tree / "perfbench" / "out").exists(), file=log)
+print(json.dumps({{"failed": 0, "metrics": {{
+    "pass_norm_s": {{"value": 1.0}}, "peak_rss_mib": {{"value": 25.0}}}}}}))
+"""
+
+
+def test_both_sides_run_the_working_trees_harness(monkeypatch, tmp_path):
+    # in a real repository, the committed harness knows workload a only
+    # and the working tree's knows a and b: both sides run b under the
+    # working tree's harness, and each imports its own package
+    root = tmp_path / "root"
+    log = tmp_path / "runs.log"
+    (root / "src" / "torelli").mkdir(parents=True)
+    (root / "perfbench").mkdir()
+    init = root / "src" / "torelli" / "__init__.py"
+    harness = root / "perfbench" / "run.py"
+    init.write_text('MARKER = "base-package"\n')
+    harness.write_text(_HARNESS.format(choices=["a"], log=str(log)))
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c",
+                        "user.email=t@example.com", *args],
+                       cwd=root, check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    init.write_text('MARKER = "change-package"\n')
+    harness.write_text(_HARNESS.format(choices=["a", "b"], log=str(log)))
+    (root / "perfbench" / "out").mkdir()
+    (root / "BENCHMARK.json").write_text(_BENCHMARK)
+    monkeypatch.setattr(bench_pairs, "ROOT", root)
+    assert bench_pairs.main(["--pr", "t", "--base", "HEAD", "--pairs", "2",
+                             "--seconds", "1", "--workload", "b"]) == 0
+    assert log.read_text().splitlines() == [
+        "b base base-package False", "b change change-package False",
+        "b change change-package False", "b base base-package False"]
+    written = json.loads((root / "BENCH_t.json").read_text())
+    assert written["change_sources_sha256"] == bench_pairs.source_hash(root)
+    assert [p["failed"] for p in written["workloads"]["b"]["pairs"]] == [
+        {"base": 0, "change": 0}] * 2
+
+
+def test_main_runs_the_start_snapshot_after_an_edit(monkeypatch, tmp_path):
+    # an edit of the working tree's package after the first pair
+    # reaches no run: every pair runs the snapshot taken at the start,
+    # whose hash is recorded
+    root = _working_tree(tmp_path / "root")
+    start = bench_pairs.source_hash(root)
+    seen = []
 
     def fake_run(tree, workload, seed, seconds):
-        runs.append(tree)
-        if len(runs) == 2:
-            (package / "lattice.py").write_text("x = 2\n")
-        return {"failed": 0, "metrics": {"pass_norm_s": {"value": 1.0},
-                                         "peak_rss_mib": {"value": 25.0}}}
+        if tree.name == "change":
+            seen.append((tree / "src" / "torelli" / "lattice.py").read_text())
+            (root / "src" / "torelli" / "lattice.py").write_text("x = 2\n")
+        return _record()
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run)
     monkeypatch.setattr(bench_pairs, "export_commit",
                         lambda rev, dest: "0" * 40)
     monkeypatch.setattr(bench_pairs, "compile_tree", lambda tree: None)
-    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
-    (tmp_path / "BENCHMARK.json").write_text(
-        '{"end_to_end": [{"name": "pass_norm_s", "better": "lower",'
-        ' "bound": 0.25}]}')
-    args = ["--pr", "t", "--pairs", "3", "--seconds", "1",
-            "--workload", "fs-h1"]
-    with pytest.raises(SystemExit) as stop:
-        bench_pairs.main(args)
-    assert "changed since the run started (before fs-h1 pair 2)" in str(
-        stop.value)
-    assert len(runs) == 2
-    assert not (tmp_path / "BENCH_t.json").exists()
-    # unchanged sources run every pair and record their hash
-    runs.clear()
-    monkeypatch.setattr(bench_pairs, "run_once", lambda tree, *rest: (
-        runs.append(tree) or {"failed": 0, "metrics": {
-            "pass_norm_s": {"value": 1.0}, "peak_rss_mib": {"value": 25.0}}}))
-    assert bench_pairs.main(args) == 0
-    assert len(runs) == 6
-    written = json.loads((tmp_path / "BENCH_t.json").read_text())
-    assert written["change_sources_sha256"] == bench_pairs.source_hash(
-        tmp_path)
+    monkeypatch.setattr(bench_pairs, "ROOT", root)
+    assert bench_pairs.main(["--pr", "t", "--pairs", "3", "--seconds", "1",
+                             "--workload", "fs-h1"]) == 0
+    assert seen == ["x = 1\n"] * 3
+    assert bench_pairs.source_hash(root) != start
+    written = json.loads((root / "BENCH_t.json").read_text())
+    assert written["change_sources_sha256"] == start
+    assert len(written["workloads"]["fs-h1"]["pairs"]) == 3
 
 
 _DRIVER = """
-import importlib.util, pathlib, shutil, sys
+import importlib.util, pathlib, sys
 spec = importlib.util.spec_from_file_location("bench_pairs", {tool!r})
 bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
@@ -274,7 +332,6 @@ root = pathlib.Path({root!r})
 
 
 def export(rev, dest):
-    shutil.copytree(root / "perfbench", dest / "perfbench")
     (root / "export.txt").write_text(str(dest))
     return "0" * 40
 
@@ -321,9 +378,7 @@ def test_sigterm_removes_the_export_and_kills_the_run(tmp_path):
     pid_file = tmp_path / "run.pid"
     (root / "perfbench" / "run.py").write_text(
         _STUB_RUN.format(pid_file=str(pid_file)))
-    (root / "BENCHMARK.json").write_text(
-        '{"end_to_end": [{"name": "pass_norm_s", "better": "lower",'
-        ' "bound": 0.25}]}')
+    (root / "BENCHMARK.json").write_text(_BENCHMARK)
     driver = subprocess.Popen(
         [sys.executable, "-c", _DRIVER.format(tool=str(_PATH),
                                               root=str(root))],

@@ -1,4 +1,5 @@
 import collections
+import re
 
 import pytest
 from hypothesis import given
@@ -84,6 +85,24 @@ def test_ext_vector_normalizes_and_validates():
         ExtVector(2, ((1, 2, 0),))
     with pytest.raises(ValueError):
         ExtVector(2, ((2, 1, 1),))
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    (((1, 3, 1), (1, 2, 1)), "coefficients must be sorted by (i, j)"),
+    (((1, 2, 1), (1, 2, 4)), "coefficients must be sorted by (i, j)"),
+    (((1, 2, 0),), "zero coefficients must be omitted"),
+    (((2, 1, 1),), "bad index pair (2, 1) at rank 3"),
+    (((1, 4, 1),), "bad index pair (1, 4) at rank 3"),
+], ids=["unsorted", "repeated", "zero", "reversed-pair", "index-high"])
+def test_ext_vector_input_checks(coeffs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExtVector(3, coeffs)
+
+
+def test_ext_vector_drops_diagonal_entries():
+    # e_i ^ e_i = 0, so an (i, i) entry contributes nothing
+    assert ext_vector(3, {(2, 2): 5, (1, 2): 1}) == ExtVector(3, ((1, 2, 1),))
+    assert ext_vector(3, {(3, 3): -1}) == ExtVector(3)
 
 
 def test_tau_requires_homology_trivial():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 import sympy
@@ -155,6 +156,75 @@ def test_rank_is_over_q_not_mod_2():
     d2 = _d2(triangles, edges)
     assert sympy.Matrix(d2).rank() == 10
     assert matrix_rank(d2) == 10
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: mat_mul([[1, 2]], [[1, 2]]), "shape mismatch"),
+    (lambda: det([[1, 2]]), "determinant needs a square matrix"),
+    (lambda: det([[1, 2], [3]]), "determinant needs a square matrix"),
+    (lambda: snf([[1, 2], [3]]), "ragged matrix"),
+    (lambda: spans_summand([[1, 0], [1]]), "mixed lengths"),
+], ids=["mat-mul", "det-wide", "det-ragged", "snf-ragged",
+        "spans-summand-mixed"])
+def test_input_checks_raise(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def _fake_snf_raw(monkeypatch, u, d, v, vinv):
+    monkeypatch.setattr(lattice, "_snf_raw", lambda a: (u, d, v, vinv))
+
+
+@pytest.mark.parametrize("a, raw, message", [
+    # D is not U A V
+    ([[2, 0], [0, 3]], ([[1, 0], [0, 1]], [[1, 0], [0, 6]],
+                        [[1, 0], [0, 1]], [[1, 0], [0, 1]]),
+     "snf: U A V != D"),
+    # U A V = D for the zero matrix whatever U and V are, so the
+    # transforms' own checks decide: det U = 2, and V^-1 is not V's inverse
+    ([[0, 0], [0, 0]], ([[2, 0], [0, 1]], [[0, 0], [0, 0]],
+                        [[1, 0], [0, 1]], [[1, 0], [0, 1]]),
+     "snf: transform not unimodular"),
+    ([[0, 0], [0, 0]], ([[1, 0], [0, 1]], [[0, 0], [0, 0]],
+                        [[1, 1], [0, 1]], [[1, 0], [0, 1]]),
+     "snf: transform not unimodular"),
+    # identity transforms of a diagonal that is not a divisor chain
+    ([[2, 0], [0, 3]], ([[1, 0], [0, 1]], [[2, 0], [0, 3]],
+                        [[1, 0], [0, 1]], [[1, 0], [0, 1]]),
+     "snf: bad diagonal"),
+], ids=["product", "det-u", "v-inverse", "diagonal"])
+def test_snf_refuses_a_false_certificate(monkeypatch, a, raw, message):
+    _fake_snf_raw(monkeypatch, *raw)
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        snf(a)
+
+
+@pytest.mark.parametrize("d, chain", [
+    ([[1, 0], [0, 2]], True),
+    ([[1, 0, 0], [0, 0, 0]], True),
+    ([], True),
+    ([[1, 1], [0, 1]], False),
+    ([[0, 0], [1, 0]], False),
+    ([[-1, 0], [0, 1]], False),
+    ([[1, 0], [0, -2]], False),
+    ([[2, 0], [0, 3]], False),
+    ([[0, 0], [0, 1]], False),
+], ids=["chain", "chain-zero-tail", "empty", "above-diagonal",
+        "below-diagonal", "negative-first", "negative-second",
+        "does-not-divide", "zero-before-unit"])
+def test_is_diagonal_chain(d, chain):
+    assert lattice._is_diagonal_chain(d) is chain
+
+
+def test_complete_basis_refuses_a_completion_that_is_not_unimodular(
+        monkeypatch):
+    # the Smith form of [[1, 0]] is right, but the trailing row of the
+    # false V^-1 doubles the determinant
+    _fake_snf_raw(monkeypatch, [[1]], [[1, 0]], [[1, 0], [0, 1]],
+                  [[1, 0], [0, 2]])
+    with pytest.raises(AssertionError,
+                       match="^completion is not unimodular$"):
+        complete_basis([[1, 0]], 2)
 
 
 def test_snf_diagonal_example():

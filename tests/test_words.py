@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -48,6 +50,36 @@ def test_reduce_cancels_adjacent_inverses():
 def test_reduce_idempotent(letters):
     w = reduce(letters, 3)
     assert reduce(w.letters, 3) == w
+
+
+_x = gen(2, 1)
+_y = gen(2, 2)
+_z = gen(3, 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: gen(2, 3), "generator index 3 out of range for rank 2"),
+    (lambda: gen(2, 0), "generator index 0 out of range for rank 2"),
+    (lambda: mul(_x, _z), "rank mismatch: 2 vs 3"),
+    (lambda: conj(_z, _x), "rank mismatch: 3 vs 2"),
+    (lambda: comm(_x, _z), "rank mismatch: 2 vs 3"),
+    (lambda: GroupMap(2, (_x,)), "need exactly one image per generator"),
+    (lambda: GroupMap(2, (_x, _z)), "image rank mismatch"),
+    (lambda: GroupMap(2, (_x, _y), (_x,)),
+     "need exactly one inverse image per generator"),
+    (lambda: GroupMap(2, (_x, _y), (_x, _z)), "inverse image rank mismatch"),
+    (lambda: apply(identity_map(2), _z), "rank mismatch: map 2 vs word 3"),
+    (lambda: compose(identity_map(2), identity_map(3)),
+     "rank mismatch: 2 vs 3"),
+    (lambda: inner_automorphism(2, _z), "rank mismatch"),
+    (lambda: nielsen_generators(0), "rank must be >= 1"),
+], ids=["gen-high", "gen-zero", "mul", "conj", "comm", "map-images",
+        "map-image-rank", "map-inverse-images", "map-inverse-image-rank",
+        "apply", "compose", "inner-automorphism", "nielsen-rank-0"])
+def test_input_checks_raise(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as err:
+        call()
+    assert type(err.value) is ValueError
 
 
 def test_word_rejects_bad_letters():

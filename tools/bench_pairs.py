@@ -1,41 +1,40 @@
 """Paired benchmark runs of a base commit against the working tree.
 
-    python3 tools/bench_pairs.py --pr 6 --pairs 10 --seconds 30 \
+    python3 tools/bench_pairs.py --pr 6 --pairs 10 \
         --workload fs-h1 --workload verify-grid --workload push-long
 
-The committed files of ``--base`` (default ``HEAD~1``) are exported with
-``git archive`` into a temporary directory, so no worktree is registered
-in the repository.  Nothing is left behind if a run is interrupted, by
-Ctrl-C or by SIGTERM: SIGTERM raises ``SystemExit``, the export is
-removed on the way out, and the process group of the running
-``perfbench/run.py``, which starts in its own session, is killed.
-For each workload and pair, ``perfbench/run.py`` runs once in that copy
-and once in the working tree, on the same seed, alternating which side
-goes first.  The last line of each run's stdout is its JSON record.
-The result is written to ``BENCH_<pr>.json`` in the working tree: per
-pair the end-to-end metrics and failure counts of both sides, and per
-metric the medians and quartiles of each side, how many pairs the
-change won (was strictly better in, by the direction declared in
-``BENCHMARK.json``), and whether it regressed: its median is worse than
-the base median by more than the metric's relative ``bound`` in
-``BENCHMARK.json``.  One verdict line per workload and metric is
-printed at the end.
+Both sides are snapshots in one temporary directory, so no worktree is
+registered and no edit made during the run reaches either side:
+``change/src`` is the working tree's ``src/`` copied at the start, and
+``base/src`` the committed ``src/`` of ``--base``, by ``git archive``.
+The working tree's ``perfbench/`` (no ``__pycache__`` or ``out/``) is
+copied into both, so one harness, checker and ``expected.json`` run both
+packages, and a workload the change adds runs on the base side too.
+The harness reads only ``cli.main`` and public names
+(``parse_drag_word``, ``push_boundary``, ``reduce``, ``same_map``,
+``realize_word``); a change that removes one updates the harness first.
+Both trees are compiled to bytecode by one command, so neither side's
+set-up compiles the package when ``PYTHONDONTWRITEBYTECODE`` is set.
 
-Before the first pair both trees are compiled to bytecode by the same
-command.  The working tree may hold ``__pycache__`` where a fresh export
-holds none, and with ``PYTHONDONTWRITEBYTECODE`` set no import writes
-it, so otherwise only one side's set-up would compile the package from
-source on every run.
+For each workload and pair, ``perfbench/run.py`` runs once in each
+tree on the same seed, alternating which side goes first; the last line
+of its stdout is its JSON record.  ``BENCH_<pr>.json`` gets the hash of
+the change snapshot's ``src/torelli/*.py``, each pair's end-to-end
+metrics and failure counts, and per metric each side's median and
+quartiles, the pairs the change won (was strictly better in, by the
+direction in ``BENCHMARK.json``), and whether its median is worse than
+the base median by more than the metric's relative ``bound`` there.
+One verdict line per workload and metric ends the output.
 
-The change side is read from the working tree on every run, so the
-sources of ``src/torelli/*.py`` there are hashed when the run starts and
-again before each pair; if they changed, the command stops with an
-error and writes no file, rather than mix two versions of the code.
-
-``perfbench/run.py`` exits 0 even when some of its outputs fail their
-checks, so each run's ``failed`` count is read as well: a workload
-whose change side fails outputs in any pair gets a FAILURES line, and
-the command then exits 1 (after writing the file).
+``perfbench/run.py`` exits 0 even when outputs fail their checks, so
+each run's ``failed`` count is read too: a workload whose change side
+fails outputs in any pair gets a FAILURES line, and the command exits 1
+after writing the file.  Base-side failures are recorded, not gated:
+after a change that edits ``expected.json`` the base may fail them.
+Nothing is left behind after Ctrl-C or SIGTERM: SIGTERM raises
+``SystemExit``, the temporary directory is removed on the way out, and
+the process group of the running ``perfbench/run.py``, which starts in
+its own session, is killed.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import signal
 import statistics
 import subprocess
@@ -176,11 +176,11 @@ def failure_verdict(workload: str, pairs: list[dict]) -> str | None:
 
 
 def export_commit(rev: str, dest: Path) -> str:
-    """Write the committed files of ``rev`` into ``dest``; its hash."""
+    """Write the committed ``src/`` of ``rev`` into ``dest``; its hash."""
     commit = subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"],
                             cwd=ROOT, capture_output=True, text=True,
                             check=True).stdout.strip()
-    archive = subprocess.run(["git", "archive", commit], cwd=ROOT,
+    archive = subprocess.run(["git", "archive", commit, "src"], cwd=ROOT,
                              capture_output=True, check=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
     return commit
@@ -201,6 +201,7 @@ def source_hash(tree: Path) -> str:
 
 
 def main(argv=None) -> int:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", required=True,
                         help="label of the change; names BENCH_<pr>.json")
@@ -208,11 +209,12 @@ def main(argv=None) -> int:
                         help="commit to compare against (default HEAD~1)")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seconds", type=float,
+                        default=bench["run_seconds"])
     parser.add_argument("--first-seed", type=int, default=1000)
     args = parser.parse_args(argv)
 
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    metrics = bench["end_to_end"]
     better = {m["name"]: m["better"] for m in metrics}
     bounds = {m["name"]: m["bound"] for m in metrics if "bound" in m}
     result = {"pr": args.pr, "base": None, "change": "working tree",
@@ -220,27 +222,25 @@ def main(argv=None) -> int:
                          + " ".join(argv if argv is not None else sys.argv[1:]),
               "seconds": args.seconds, "python": platform.python_version(),
               "machine": platform.machine(), "workloads": {}}
-    sources = result["change_sources_sha256"] = source_hash(ROOT)
     with _sigterm_exits(), \
             tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        base_tree = Path(tmp) / "base"
-        base_tree.mkdir()
-        result["base"] = export_commit(args.base, base_tree)
-        for tree in (base_tree, ROOT):
+        trees = {side: Path(tmp) / side for side in ("base", "change")}
+        shutil.copytree(ROOT / "src", trees["change"] / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        result["change_sources_sha256"] = source_hash(trees["change"])
+        trees["base"].mkdir()
+        result["base"] = export_commit(args.base, trees["base"])
+        for tree in trees.values():
+            shutil.copytree(ROOT / "perfbench", tree / "perfbench",
+                            ignore=shutil.ignore_patterns("__pycache__", "out"))
             compile_tree(tree)
         for workload in args.workload:
             pairs = []
             for i in range(args.pairs):
-                if source_hash(ROOT) != sources:
-                    raise SystemExit(
-                        f"bench_pairs: src/torelli/*.py in {ROOT} changed"
-                        f" since the run started (before {workload} pair"
-                        f" {i + 1}); no file written")
                 seed = args.first_seed + i
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
-                records = {side: run_once(base_tree if side == "base" else ROOT,
-                                          workload, seed, args.seconds)
-                           for side in order}
+                records = {side: run_once(trees[side], workload, seed,
+                                          args.seconds) for side in order}
                 pairs.append({"seed": seed, "first": order[0],
                               "failed": {side: records[side]["failed"]
                                          for side in ("base", "change")},
